@@ -119,18 +119,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> dict:
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
+    if not getattr(args, "config", None):
+        return {}
+    with open(args.config, "r", encoding="utf-8") as fh:
+        try:
             cfg = json.load(fh)
-        if not isinstance(cfg, dict):
-            raise IfsDigitsError("config file must hold a JSON object")
-        return cfg
-    return {}
+        except json.JSONDecodeError as exc:
+            raise IfsDigitsError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise IfsDigitsError("config file must hold a JSON object")
+    return cfg
 
 
-def _resolve_model(args) -> weights.WeightModel:
+def _resolve(args) -> tuple[weights.WeightModel, int]:
+    """The model and seed from the config file, overridden by flags."""
     cfg = _load_config(args)
-    spec = dict(cfg.get("model", {}))
+    spec = cfg.get("model", {})
+    if not isinstance(spec, dict):
+        raise IfsDigitsError("config field 'model' must be a JSON object")
+    spec = dict(spec)
     if getattr(args, "model", None):
         spec["kind"] = args.model
     if getattr(args, "rho", None) is not None:
@@ -141,16 +148,13 @@ def _resolve_model(args) -> weights.WeightModel:
         spec["prefix"] = [float(x) for x in args.prefix.split(",") if x]
     if not spec.get("kind"):
         spec["kind"] = "luroth"
-    return weights.model_from_spec(spec)
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    cfg = _load_config(args)
-    if "seed" in cfg:
-        return int(cfg["seed"])
-    return DEFAULT_SEED
+    seed = args.seed
+    if seed is None:
+        try:
+            seed = int(cfg.get("seed", DEFAULT_SEED))
+        except (TypeError, ValueError) as exc:
+            raise IfsDigitsError(f"config field 'seed' is not an integer: {exc}") from exc
+    return weights.model_from_spec(spec), seed
 
 
 def _emit(args, text: str) -> None:
@@ -172,7 +176,7 @@ def _word_line(word) -> str:
 
 
 def cmd_weights(args) -> int:
-    model = _resolve_model(args)
+    model, _ = _resolve(args)
     rows = []
     cum = 0.0
     for k in range(1, max(args.k_max, 0) + 1):
@@ -204,8 +208,7 @@ def cmd_weights(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    model = _resolve_model(args)
-    seed = _resolve_seed(args)
+    model, seed = _resolve(args)
     report = occupancy.monte_carlo_law(
         model,
         args.n,
@@ -222,8 +225,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_construct_linear(args) -> int:
-    model = _resolve_model(args)
-    seed = _resolve_seed(args)
+    model, seed = _resolve(args)
     sched = linear.build_block_schedule(model, args.theta, args.depth, k1=args.k1)
     word = sched.sample_word(args.depth, substream(seed, 0x11EA, args.depth))
     trace = linear.point_trace(sched, word)
@@ -260,7 +262,10 @@ def _profile_from_args(args) -> sublinear.AdmissibleProfile:
     horizon = max(args.n, 1024)
     text = args.profile
     if text.strip().startswith("{"):
-        spec = json.loads(text)
+        try:
+            spec = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise IfsDigitsError(f"--profile is not valid JSON: {exc}") from exc
         spec.setdefault("horizon", horizon)
         return sublinear.profile_from_spec(spec)
     spec = {"kind": text, "horizon": horizon}
@@ -271,8 +276,7 @@ def _profile_from_args(args) -> sublinear.AdmissibleProfile:
 
 
 def cmd_construct_sublinear(args) -> int:
-    model = _resolve_model(args)
-    seed = _resolve_seed(args)
+    model, seed = _resolve(args)
     profile = _profile_from_args(args)
     sched = sublinear.build_sublinear_schedule(model, profile, args.t)
     word = sched.sample_word(args.n, substream(seed, 0x5B11, args.n))
@@ -311,8 +315,7 @@ def cmd_construct_sublinear(args) -> int:
 
 
 def cmd_cylsum(args) -> int:
-    model = _resolve_model(args)
-    seed = _resolve_seed(args)
+    model, seed = _resolve(args)
     records = []
     bounds = []
     for n in args.n:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -145,7 +146,7 @@ def cylinder(
         )
     left = 0.0
     for d in reversed(digits):
-        left = _branch_left_float(model, d, layout) + _weight_f(model, d) * left
+        left = _branch_left_float(model, d, layout) + weight(model, d) * left
     return Cylinder(
         digits=digits, layout=layout, log_diam=_log_diam(model, digits), left=left
     )
@@ -163,16 +164,10 @@ def _branch_left_exact(d: int, layout: str) -> Fraction:
     return Fraction(d - 1, d)
 
 
-_CUM_CACHE: dict[tuple, np.ndarray] = {}
-
-
+@lru_cache(maxsize=64)
 def _cum_table(model: WeightModel, size: int) -> np.ndarray:
-    key = (model, size)
-    table = _CUM_CACHE.get(key)
-    if table is None:
-        table = np.cumsum(weights_range(model, 1, size + 1))
-        table.flags.writeable = False
-        _CUM_CACHE[key] = table
+    table = np.cumsum(weights_range(model, 1, size + 1))
+    table.flags.writeable = False
     return table
 
 
@@ -185,10 +180,6 @@ def _branch_left_float(model: WeightModel, d: int, layout: str) -> float:
     if model.support_size is not None:
         size = model.support_size
     return 0.0 if d == 1 else float(_cum_table(model, size)[d - 2])
-
-
-def _weight_f(model: WeightModel, d: int) -> float:
-    return weight(model, d)
 
 
 def digit_interval(
@@ -262,7 +253,7 @@ def apply_expansion(model: WeightModel, x, layout: str = "canonical"):
     x = float(x)
     k = _canonical_digit_float(model, x)
     left = _branch_left_float(model, k, "canonical")
-    return k, (x - left) / _weight_f(model, k)
+    return k, (x - left) / weight(model, k)
 
 
 def _canonical_digit_float(model: WeightModel, x: float) -> int:

@@ -181,7 +181,6 @@ def monte_carlo_law(
     seed: int,
     checkpoints: tuple[int, ...] | None = None,
     threads: int = 1,
-    with_expectations: bool = True,
 ) -> LawReport:
     """Simulate distinct-digit growth with substream ``(seed, trial)`` per trial.
 
@@ -217,11 +216,7 @@ def monte_carlo_law(
         sds = tuple(float(v) for v in ratios.std(axis=0, ddof=1))
     else:
         sds = tuple(0.0 for _ in cps)
-    exacts = (
-        tuple(expected_distinct(model, int(c)) for c in cps)
-        if with_expectations
-        else tuple(math.nan for _ in cps)
-    )
+    exacts = tuple(expected_distinct(model, int(c)) for c in cps)
     const = None
     if model.power_constant is not None and math.isfinite(model.rho):
         const = karlin_constant(model.rho, model.power_constant)

@@ -32,7 +32,7 @@ from .errors import (
     TiltThresholdError,
 )
 from .occupancy import distinct_counts
-from .weights import WeightModel, partial_sum_exponent, weights_range
+from .weights import WeightModel, exponent_root, partial_sum_exponent, weights_range
 
 __all__ = [
     "AdmissibleProfile",
@@ -201,7 +201,7 @@ class SublinearSchedule:
     forced_digit: np.ndarray  # int64, b_n at forced times, 0 elsewhere
     sorted_weights: np.ndarray  # non-increasing weight table, index = label - 1
     label_permutation: np.ndarray | None  # sorted label -> model digit, or None
-    _samplers: dict = field(default_factory=dict, repr=False)
+    _cumulative: dict = field(default_factory=dict, repr=False)  # K -> free-digit CDF
 
     @property
     def horizon(self) -> int:
@@ -233,11 +233,11 @@ class SublinearSchedule:
         return word
 
     def _free_cumulative(self, K: int) -> np.ndarray:
-        cum = self._samplers.get(K)
+        cum = self._cumulative.get(K)
         if cum is None:
-            s = partial_sum_exponent_cached(self, K)
+            s = self.s_of_n[np.searchsorted(self.K, K)]  # K_n is nondecreasing
             cum = np.cumsum(self.sorted_weights[:K] ** s)
-            self._samplers[K] = cum
+            self._cumulative[K] = cum
         return cum
 
     # -- measure ----------------------------------------------------------------
@@ -294,38 +294,6 @@ class SublinearSchedule:
         return digits
 
 
-def partial_sum_exponent_cached(sched: SublinearSchedule, K: int) -> float:
-    key = ("s", K)
-    val = sched._samplers.get(key)
-    if val is None:
-        val = _sorted_exponent(sched.sorted_weights, K)
-        sched._samplers[key] = val
-    return val
-
-
-def _sorted_exponent(sorted_weights: np.ndarray, K: int) -> float:
-    """Root of ``sum_{k<=K} p_k**s = 1`` over an explicit sorted table."""
-    if K == 1:
-        return 0.0
-    logp = np.log(sorted_weights[:K])
-
-    def excess(sv: float) -> float:
-        return float(np.exp(sv * logp).sum()) - 1.0
-
-    lo, hi = 0.0, 1.0
-    flo = float(K - 1)
-    while hi - lo > 1e-14:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) >= 0.0:
-            lo, flo = mid, excess(mid)
-        else:
-            hi = mid
-    fhi = excess(hi)
-    if flo != fhi:
-        return min(max(lo - flo * (hi - lo) / (fhi - flo), 0.0), 1.0)
-    return lo
-
-
 def build_sublinear_schedule(
     model: WeightModel, profile: AdmissibleProfile, t: float
 ) -> SublinearSchedule:
@@ -349,8 +317,9 @@ def build_sublinear_schedule(
     )
     kmax = int(max(K.max(), forced_digit.max()))
     sorted_weights, perm = _sorted_weight_table(model, kmax)
-    s_lookup = {int(kv): _sorted_exponent(sorted_weights, int(kv)) for kv in np.unique(K)}
-    s_arr = np.asarray([s_lookup[int(kv)] for kv in K])
+    kvals, slot = np.unique(K, return_inverse=True)
+    roots = np.asarray([exponent_root(np.log(sorted_weights[:kv])) for kv in kvals])
+    s_arr = roots[slot]
     for arr in (K, forced_time, forced_digit, s_arr, sorted_weights):
         arr.flags.writeable = False
     return SublinearSchedule(

@@ -27,10 +27,9 @@ import numpy as np
 
 from .errors import DomainError, EnumerationSizeError
 from .rng import substream
-from .weights import DigitSampler, WeightModel, tilted_tail_sum, weight, weights_range
+from .weights import DigitSampler, WeightModel, tilted_tail_sum, weights_range
 
 __all__ = [
-    "TiltedDistribution",
     "CylinderSumRecord",
     "BoundChainRecord",
     "LemmaScanReport",
@@ -44,30 +43,6 @@ __all__ = [
 ]
 
 _EXACT_WORD_LIMIT = 10_000_000
-
-
-@dataclass(frozen=True)
-class TiltedDistribution:
-    """Digit law proportional to ``p_k**s`` (normalized by ``Z(s)``)."""
-
-    model: WeightModel
-    s: float
-    zeta: float
-
-    def mass(self, k: int) -> float:
-        return weight(self.model, k) ** self.s / self.zeta
-
-    def tail_mass(self, M: int) -> float:
-        """Tilted mass of digits ``>= M``."""
-        return tilted_tail_sum(self.model, M, self.s) / self.zeta
-
-    def sampler(self) -> DigitSampler:
-        return DigitSampler(self.model, s=self.s)
-
-
-def tilted_distribution(model: WeightModel, s: float) -> TiltedDistribution:
-    zeta = tilted_tail_sum(model, 1, s)
-    return TiltedDistribution(model=model, s=float(s), zeta=zeta)
 
 
 # -- the combinatorial lemma ------------------------------------------------------

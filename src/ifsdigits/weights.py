@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from scipy.special import gammaincc as _gammaincc
@@ -57,6 +56,7 @@ __all__ = [
     "tail_sum",
     "tilted_tail_sum",
     "partial_sum_exponent",
+    "exponent_root",
     "potter_scan",
     "verify_potter_report",
     "sample_digit",
@@ -77,7 +77,7 @@ class WeightModel:
 
     ``rho`` is the declared tail index; ``gamma`` only applies to the
     ``power-log`` kind; ``prefix`` to ``explicit-prefix``; ``probs`` to
-    ``finite``.  ``digit_count_hint`` bounds default sampler tables.
+    ``finite``.
     """
 
     kind: str
@@ -85,7 +85,6 @@ class WeightModel:
     gamma: float = 0.0
     prefix: tuple[float, ...] = ()
     probs: tuple[float, ...] = ()
-    digit_count_hint: int | None = None
     # Normalizer, meaning depends on kind: zeta(rho) for power, the full
     # weighted zeta sum for power-log, the tail coefficient c for
     # explicit-prefix.  Computed once at construction.
@@ -299,7 +298,6 @@ def weights_range(model: WeightModel, lo: int, hi: int) -> np.ndarray:
         return k ** -model.rho * np.log(k + 1.0) ** model.gamma / model._norm
     if model.kind == "explicit-prefix":
         out = model._norm * k ** -model.rho
-        m = len(model.prefix)
         head = np.asarray(model.prefix[lo - 1 : hi - 1], dtype=np.float64)
         out[: head.size] = head
         return out
@@ -476,9 +474,9 @@ def _powerlog_tail_integral(a: float, q: float, g: float) -> float:
 def partial_sum_exponent(model: WeightModel, K: int) -> float:
     """The exponent ``s`` in ``[0, 1)`` with ``sum_{k<=K} p_k**s = 1``.
 
-    ``K = 1`` returns 0 exactly.  The root is bracketed by bisection to
-    width 1e-14 and polished with one secant step; the residual stays below
-    1e-12 for every ``K`` up to 1e4.
+    ``K = 1`` returns 0 exactly.  Other roots come from
+    :func:`exponent_root`; the residual stays below 1e-12 for every ``K``
+    up to 1e4.
     """
     if not isinstance(K, (int, np.integer)) or isinstance(K, bool) or K < 1:
         raise DomainError(f"K must be a positive integer, got {K!r}")
@@ -490,13 +488,22 @@ def partial_sum_exponent(model: WeightModel, K: int) -> float:
     p = _weights_prefix(model, K)
     if float(p.sum()) >= 1.0 - 1e-15:
         raise DomainError("truncated weights already sum to 1; no root in [0, 1)")
-    logp = np.log(p)
+    return exponent_root(np.log(p))
+
+
+def exponent_root(logp: np.ndarray) -> float:
+    """The exponent ``s`` in ``[0, 1)`` with ``sum(exp(s * logp)) = 1``.
+
+    ``logp`` is an explicit table of log-weights whose weights sum to less
+    than one.  The root is bracketed by bisection to width 1e-14 and
+    polished with one secant step.
+    """
 
     def excess(sv: float) -> float:
         return float(np.exp(sv * logp).sum()) - 1.0
 
-    lo, hi = 0.0, 1.0  # excess(0) = K - 1 > 0, excess(1) < 0
-    flo = float(K - 1)
+    lo, hi = 0.0, 1.0  # excess(0) = logp.size - 1 > 0, excess(1) < 0
+    flo = float(logp.size - 1)
     while hi - lo > 1e-14:
         mid = 0.5 * (lo + hi)
         fmid = excess(mid)
@@ -671,8 +678,6 @@ class DigitSampler:
         size = table_size
         if model.support_size is not None:
             size = model.support_size
-        elif model.digit_count_hint is not None:
-            size = min(size, model.digit_count_hint)
         self._fast_luroth = model.kind == "luroth" and self.s == 1.0
         if self._fast_luroth:
             self._cum = None

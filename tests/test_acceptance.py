@@ -1,281 +1,62 @@
 """Acceptance gate: ten numbered criteria, one summary line each.
 
-Each test evaluates its criterion, appends a single ``A# PASS/FAIL`` line to
-the shared summary (printed after the run), and then asserts.  Tolerances
-and runtime budgets are part of the criteria and asserted explicitly.
+The criteria live in :data:`ifsdigits.verify.ACCEPTANCE`, the registry that
+``ifsdigits verify`` also runs; thresholds and runtime budgets are part of
+each entry.  Each test runs one entry, appends a single ``A# PASS/FAIL``
+line to the shared summary (printed after the run), and fails when the
+entry raises :class:`~ifsdigits.verify.CheckFailure`.
 """
 
-import itertools
-import math
-import time
-
-import numpy as np
-import pytest
 from conftest import ACCEPTANCE_LINES
 
-from ifsdigits import linear, occupancy, sublinear, tilt, weights
-from ifsdigits.rng import DEFAULT_SEED, substream
-
-LUROTH = weights.luroth_model()
-SQRT_PI = math.sqrt(math.pi)
+from ifsdigits.rng import DEFAULT_SEED
+from ifsdigits.verify import ACCEPTANCE, CheckFailure
 
 
-def record(tag: str, ok: bool, detail: str) -> None:
-    ACCEPTANCE_LINES.append(f"{tag} {'PASS' if ok else 'FAIL'}: {detail}")
+def run_criterion(tag: str) -> None:
+    try:
+        detail = ACCEPTANCE[tag](DEFAULT_SEED, 4)
+    except CheckFailure as exc:
+        ACCEPTANCE_LINES.append(f"{tag} FAIL: {exc}")
+        raise
+    ACCEPTANCE_LINES.append(f"{tag} PASS: {detail}")
 
 
 def test_a1_luroth_occupancy_law():
-    start = time.perf_counter()
-    n = 10**6
-    report = occupancy.monte_carlo_law(
-        LUROTH, n, 100, DEFAULT_SEED, checkpoints=(n,), threads=4
-    )
-    elapsed = time.perf_counter() - start
-    ratio = report.means[-1]
-    exact = report.exact_expectations[-1]
-    rel_err = abs(report.mean_final_distinct - exact) / exact
-    ok = 1.7125 <= ratio <= 1.8325 and rel_err < 0.01 and elapsed < 120.0
-    record(
-        "A1",
-        ok,
-        f"mean D/sqrt(n) = {ratio:.4f} in [1.7125, 1.8325] "
-        f"(sqrt(pi) = {SQRT_PI:.4f}); mean D vs exact off by "
-        f"{100 * rel_err:.3f}% (<1%); {elapsed:.1f}s (<120s)",
-    )
-    assert 1.7125 <= ratio <= 1.8325
-    assert rel_err < 0.01
-    assert elapsed < 120.0
+    run_criterion("A1")
 
 
 def test_a2_power_law_occupancy():
-    start = time.perf_counter()
-    n = 10**6
-    model = weights.power_model(3.0)
-    report = occupancy.monte_carlo_law(model, n, 50, DEFAULT_SEED, threads=4)
-    elapsed = time.perf_counter() - start
-    exact = report.exact_expectations[-1]
-    rel_err = abs(report.mean_final_distinct - exact) / exact
-    const = report.karlin
-    gaps = [abs(mean - const) for mean in report.means]
-    final_closest = gaps[-1] == min(gaps)
-    ok = rel_err < 0.01 and final_closest
-    record(
-        "A2",
-        ok,
-        f"mean D vs exact off by {100 * rel_err:.3f}% (<1%); law constant "
-        f"{const:.4f} approached, final-checkpoint gap {gaps[-1]:.4f} is the "
-        f"smallest of {len(gaps)} checkpoints; {elapsed:.1f}s",
-    )
-    assert rel_err < 0.01
-    assert final_closest
+    run_criterion("A2")
 
 
 def test_a3_linear_sandwich():
-    start = time.perf_counter()
-    violations = 0
-    words = 0
-    for theta in (0.3, 0.5, 1.0):
-        sched = linear.build_block_schedule(LUROTH, theta, depth=14)
-        for seed in range(10):
-            word = sched.sample_word(14, substream(seed, 0x11EA, 14))
-            violations += len(linear.sandwich_violations(theta, word))
-            words += 1
-    elapsed = time.perf_counter() - start
-    ok = violations == 0 and elapsed < 60.0
-    record(
-        "A3",
-        ok,
-        f"0 sandwich violations required, {violations} found over {words} "
-        f"words (3 rates x 10 seeds, depth 14, n up to {2**15 - 2}); "
-        f"{elapsed:.1f}s (<60s)",
-    )
-    assert violations == 0
-    assert elapsed < 60.0
+    run_criterion("A3")
 
 
 def test_a4_block_count_formula():
-    start = time.perf_counter()
-    mismatches = 0
-    cases = 0
-    for N, L, theta in itertools.product(
-        range(1, 6), range(1, 7), (0.3, 0.5, 1.0)
-    ):
-        enumerated = len(list(linear.enumerate_blocks(N, L, theta)))
-        prof = linear.distinctness_profile(theta, L)
-        if prof.new_count > N:
-            formula = 0
-        else:
-            formula = linear.count_blocks(N, L, theta).exact
-        cases += 1
-        if formula != enumerated:
-            mismatches += 1
-    elapsed = time.perf_counter() - start
-    ok = mismatches == 0 and elapsed < 60.0
-    record(
-        "A4",
-        ok,
-        f"counting formula equals exhaustive enumeration on all {cases} "
-        f"(N <= 5, L <= 6, theta) grid cells, {mismatches} mismatches; "
-        f"{elapsed:.1f}s (<60s)",
-    )
-    assert mismatches == 0
-    assert elapsed < 60.0
+    run_criterion("A4")
 
 
 def test_a5_local_dimension_trend():
-    start = time.perf_counter()
-    sched = linear.build_block_schedule(LUROTH, 0.5, depth=14)
-    word = sched.sample_word(14, substream(0, 0x11EA, 14))
-    d14 = sched.local_dimension(word)
-    d6 = sched.local_dimension(word[: sched.boundary(6)])
-    elapsed = time.perf_counter() - start
-    ok = 0.40 <= d14 <= 0.60 and abs(d14 - 0.5) < abs(d6 - 0.5) and elapsed < 60.0
-    record(
-        "A5",
-        ok,
-        f"depth-14 local dimension {d14:.4f} in [0.40, 0.60] and closer to "
-        f"0.5 than depth-6 value {d6:.4f}; {elapsed:.1f}s (<60s)",
-    )
-    assert 0.40 <= d14 <= 0.60
-    assert abs(d14 - 0.5) < abs(d6 - 0.5)
-    assert elapsed < 60.0
+    run_criterion("A5")
 
 
 def test_a6_change_of_measure_identity():
-    start = time.perf_counter()
-    cap = 6
-    worst = 0.0
-    checked = 0
-    for s in (0.6, 0.75, 0.9):
-        w = [weights.weight(LUROTH, k) ** s for k in range(1, cap + 1)]
-        z = math.fsum(w)
-        q = [x / z for x in w]
-        # aggregate tilted probability mass by (length, distinct count)
-        by_distinct = {m: [0.0] * (cap + 1) for m in range(1, 7)}
-        for m in range(1, 7):
-            for word in itertools.product(range(cap), repeat=m):
-                by_distinct[m][len(set(word))] += math.prod(q[i] for i in word)
-        for m, theta in itertools.product(range(1, 7), (0.4, 0.8, 1.0)):
-            need = tilt.distinct_threshold(m, theta)
-            prob = math.fsum(by_distinct[m][need:])
-            rec = tilt.cylinder_sum_exact(LUROTH, m, s, theta, alphabet_cap=cap)
-            rel = abs(rec.value - z**m * prob) / (z**m * prob)
-            worst = max(worst, rel)
-            checked += 1
-    exact6 = tilt.cylinder_sum_exact(LUROTH, 6, 0.75, 0.8, alphabet_cap=cap)
-    mc6 = tilt.cylinder_sum_mc(LUROTH, 6, 0.75, 0.8, trials=10**6, seed=DEFAULT_SEED)
-    lo = exact6.value - 3.0 * mc6.stderr
-    hi = exact6.value + exact6.truncation_deficit + 3.0 * mc6.stderr
-    mc_ok = lo <= mc6.value <= hi
-    elapsed = time.perf_counter() - start
-    ok = worst < 1e-12 and mc_ok
-    record(
-        "A6",
-        ok,
-        f"exact enumeration identity on {checked} grid cells, worst relative "
-        f"gap {worst:.2e} (<1e-12); 10^6-trial MC at n=6 inside the "
-        f"exact-plus-deficit bracket within 3 se; {elapsed:.1f}s",
-    )
-    assert worst < 1e-12
-    assert mc_ok
+    run_criterion("A6")
 
 
 def test_a7_tilted_tail_scaling():
-    ratios = {
-        M: weights.tilted_tail_sum(LUROTH, M, 0.75) * math.sqrt(M)
-        for M in (10, 10**2, 10**3, 10**4)
-    }
-    ok = all(1.5 <= r <= 3.0 for r in ratios.values())
-    record(
-        "A7",
-        ok,
-        "tilted tail times sqrt(M) stays in [1.5, 3.0]: "
-        + ", ".join(f"M={M}: {r:.3f}" for M, r in ratios.items()),
-    )
-    assert ok, ratios
+    run_criterion("A7")
 
 
 def test_a8_sublinear_sandwich_and_decay():
-    start = time.perf_counter()
-    horizon = 10**5
-    profile = sublinear.profile_from_spec({"kind": "sqrt", "horizon": horizon})
-    violations = 0
-    decay_fail = 0
-    for t in (0.5, 0.9):
-        sched = sublinear.build_sublinear_schedule(LUROTH, profile, t)
-        for seed in range(5):
-            word = sched.sample_word(horizon, substream(seed, 0x5B11, horizon))
-            violations += len(sched.sandwich_violations(word))
-            trace = sched.ratio_trace(word)
-            early = float(trace.log_ratio[:50000].max())
-            late = float(trace.log_ratio[49999:].max())
-            if not late < early:
-                decay_fail += 1
-    elapsed = time.perf_counter() - start
-    ok = violations == 0 and decay_fail == 0 and elapsed < 120.0
-    record(
-        "A8",
-        ok,
-        f"exact sandwich over 10 words (2 targets x 5 seeds, n <= 10^5): "
-        f"{violations} violations; late-window ratio maximum below the "
-        f"early-window maximum in {10 - decay_fail}/10 traces; "
-        f"{elapsed:.1f}s (<120s)",
-    )
-    assert violations == 0
-    assert decay_fail == 0
-    assert elapsed < 120.0
+    run_criterion("A8")
 
 
 def test_a9_combinatorial_lemma():
-    report = tilt.distinct_forces_large_check(6, 6)
-    ok = report.passed and report.counterexample is None
-    record(
-        "A9",
-        ok,
-        f"exhaustive distinct-forces-large scan over {report.tuples_checked} "
-        f"tuples (n <= 6, values <= 6): "
-        + ("no counterexample" if ok else f"counterexample {report.counterexample}"),
-    )
-    assert ok
+    run_criterion("A9")
 
 
 def test_a10_exponent_solver():
-    s1 = weights.partial_sum_exponent(LUROTH, 1)
-    ladder = (2, 10, 100, 1000, 10**4)
-    values = [weights.partial_sum_exponent(LUROTH, K) for K in ladder]
-    residuals = []
-    for K, s in zip(ladder, values):
-        p = weights.weights_range(LUROTH, 1, K + 1)
-        residuals.append(abs(math.fsum(p**s) - 1.0))
-    monotone = all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
-    # independent bisection oracle for the two-digit exponent
-    lo, hi = 0.0, 1.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if 0.5**mid + (1.0 / 6.0) ** mid >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    s2_oracle = 0.5 * (lo + hi)
-    ok = (
-        s1 == 0.0
-        and max(residuals) < 1e-12
-        and monotone
-        and abs(values[0] - 0.601) <= 1e-3
-        and abs(values[0] - s2_oracle) < 1e-10
-        and values[3] > 0.9
-    )
-    record(
-        "A10",
-        ok,
-        f"s(1) = {s1} exactly; defining-equation residual <= "
-        f"{max(residuals):.1e} (<1e-12) for K up to 10^4; nondecreasing in K; "
-        f"s(2) = {values[0]:.6f} matches the bisection oracle "
-        f"{s2_oracle:.6f} and 0.601 +/- 0.001; s(1000) = {values[3]:.4f} > 0.9",
-    )
-    assert s1 == 0.0
-    assert max(residuals) < 1e-12
-    assert monotone
-    assert abs(values[0] - 0.601) <= 1e-3
-    assert abs(values[0] - s2_oracle) < 1e-10
-    assert values[3] > 0.9
+    run_criterion("A10")

@@ -56,6 +56,21 @@ class TestExitCodes:
         assert code == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("content", ["{bad", '{"model": 5}', '{"seed": "abc"}'])
+    def test_bad_config_is_3(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content, encoding="utf-8")
+        code = cli.main(["simulate", "--n", "10", "--trials", "2", "--config", str(cfg)])
+        assert code == 3
+        assert "error:" in capsys.readouterr().err
+
+    def test_bad_profile_json_is_3(self, capsys):
+        code = cli.main(
+            ["construct", "sublinear", "--t", "0.5", "--n", "100", "--profile", "{bad"]
+        )
+        assert code == 3
+        assert "error:" in capsys.readouterr().err
+
     def test_suite_failure_is_4(self, tmp_path):
         code, text = run_cli(
             tmp_path,

@@ -92,6 +92,14 @@ class TestPartition:
                 assert left == pytest.approx(prev, abs=1e-15)
             prev = right
 
+    def test_cumulative_table_cache_is_bounded(self):
+        cache = codec._cum_table
+        for i in range(cache.cache_info().maxsize + 6):
+            model = weights.power_model(2.0 + i / 100.0)
+            left, right = codec.digit_interval(model, 2)
+            assert right - left == pytest.approx(weights.weight(model, 2), rel=1e-12)
+        assert cache.cache_info().currsize == cache.cache_info().maxsize == 64
+
     def test_canonical_luroth_closed_form(self):
         # I_k = [1 - 1/k, 1 - 1/(k+1)) for the luroth weights
         for k in (1, 2, 3, 10):
