@@ -15,6 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +36,17 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part]
 
 
+def _parse_float_list(text: str) -> list[float]:
+    return [float(part) for part in text.split(",") if part]
+
+
+def _parse_number(text: str) -> int | float:
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ifsdigits",
@@ -46,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--model", help="model kind: luroth, power, power-log, explicit-prefix")
             p.add_argument("--rho", type=float, help="tail index for power kinds")
             p.add_argument("--gamma", type=float, help="log exponent for power-log")
-            p.add_argument("--prefix", help="comma-separated explicit prefix probabilities")
+            p.add_argument("--prefix", type=_parse_float_list,
+                           help="comma-separated explicit prefix probabilities")
             p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--seed", type=_parse_seed, default=None, help="RNG seed (default 0xD1617)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -60,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="solve the truncated-sum exponent at this K (repeatable)")
     w.add_argument("--tail", type=int, action="append", default=[],
                    help="tail sum from this start index (repeatable)")
-    w.add_argument("--tilted-tail", nargs=2, action="append", default=[],
+    w.add_argument("--tilted-tail", nargs=2, type=_parse_number, action="append", default=[],
                    metavar=("M", "S"), help="tilted tail sum from M at exponent S")
     w.add_argument("--potter", type=float, help="run the dyadic ratio scan at this epsilon")
     w.add_argument("--scan-limit", type=int, default=10_000)
@@ -145,7 +159,7 @@ def _resolve(args) -> tuple[weights.WeightModel, int]:
     if getattr(args, "gamma", None) is not None:
         spec["gamma"] = args.gamma
     if getattr(args, "prefix", None):
-        spec["prefix"] = [float(x) for x in args.prefix.split(",") if x]
+        spec["prefix"] = args.prefix
     if not spec.get("kind"):
         spec["kind"] = "luroth"
     seed = args.seed
@@ -157,19 +171,19 @@ def _resolve(args) -> tuple[weights.WeightModel, int]:
     return weights.model_from_spec(spec), seed
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _emit(args, chunks) -> None:
+    """Write an iterable of text chunks to ``--out`` or stdout as they arrive."""
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def _emit_json(args, obj: dict) -> None:
-    _emit(args, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    _emit(args, [json.dumps(obj, sort_keys=True, indent=2) + "\n"])
 
 
-def _word_line(word) -> str:
-    return codec.word_to_line(word) + "\n"
+def _emit_csv(args, comment: str, columns: dict) -> None:
+    _emit(args, chain([f"# {comment}\n"], codec.csv_chunks(columns)))
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -189,8 +203,8 @@ def cmd_weights(args) -> int:
     for M in args.tail:
         rows.append(("tail", M, weights.tail_sum(model, M)))
     for M, s in args.tilted_tail:
-        rows.append((f"tilted_tail(s={float(s)!r})", int(M),
-                     weights.tilted_tail_sum(model, int(M), float(s))))
+        rows.append((f"tilted_tail(s={float(s)!r})", M,
+                     weights.tilted_tail_sum(model, M, float(s))))
     if args.potter is not None:
         rep = weights.potter_scan(model, args.potter, args.scan_limit)
         rows.append((f"potter_k_eps(eps={args.potter!r})", rep.scan_limit, float(rep.k_eps)))
@@ -201,9 +215,9 @@ def cmd_weights(args) -> int:
             "rows": [{"quantity": q, "k": k, "value": v} for q, k, v in rows],
         })
     else:
-        lines = [f"# model={model.describe()}", "quantity,k,value"]
-        lines += [f"{q},{k},{float(v)!r}" for q, k, v in rows]
-        _emit(args, "\n".join(lines) + "\n")
+        columns = {"quantity": [q for q, _, _ in rows], "k": [k for _, k, _ in rows],
+                   "value": [float(v) for _, _, v in rows]}
+        _emit_csv(args, f"model={model.describe()}", columns)
     return 0
 
 
@@ -218,9 +232,9 @@ def cmd_simulate(args) -> int:
         threads=max(1, args.threads),
     )
     if args.format == "json":
-        _emit(args, occupancy.law_report_to_json(report))
+        _emit(args, [occupancy.law_report_to_json(report)])
     else:
-        _emit(args, occupancy.law_report_to_csv(report))
+        _emit(args, [occupancy.law_report_to_csv(report)])
     return 0
 
 
@@ -230,29 +244,19 @@ def cmd_construct_linear(args) -> int:
     word = sched.sample_word(args.depth, substream(seed, 0x11EA, args.depth))
     trace = linear.point_trace(sched, word)
     if args.word_out:
-        Path(args.word_out).write_text(_word_line(word), encoding="utf-8")
-    header = (
-        f"# seed={seed} theta={float(sched.theta)!r} depth={args.depth} "
-        f"k1={sched.k1} model={model.describe()}"
-    )
+        Path(args.word_out).write_text(codec.word_to_line(word) + "\n", encoding="utf-8")
     if args.format == "json":
         _emit_json(args, {
             "seed": seed,
             "theta": float(sched.theta),
             "depth": args.depth,
             "k1": sched.k1,
-            "word": [int(d) for d in word],
-            "trace": {key: [float(v) for v in col] for key, col in trace.items()},
+            "word": word.tolist(),
+            "trace": {key: np.asarray(col, dtype=np.float64).tolist() for key, col in trace.items()},
         })
     else:
-        lines = [header, "n,distinct,target,upper,log_mass,log_diam,local_dim"]
-        for i in range(len(trace["n"])):
-            lines.append(
-                f"{trace['n'][i]},{trace['distinct'][i]},{float(trace['target'][i])!r},"
-                f"{float(trace['upper'][i])!r},{float(trace['log_mass'][i])!r},"
-                f"{float(trace['log_diam'][i])!r},{float(trace['local_dim'][i])!r}"
-            )
-        _emit(args, "\n".join(lines) + "\n")
+        _emit_csv(args, f"seed={seed} theta={float(sched.theta)!r} depth={args.depth} "
+                        f"k1={sched.k1} model={model.describe()}", trace)
     return 0
 
 
@@ -282,35 +286,30 @@ def cmd_construct_sublinear(args) -> int:
     word = sched.sample_word(args.n, substream(seed, 0x5B11, args.n))
     trace = sched.ratio_trace(word)
     counts = occupancy.distinct_counts(np.asarray(word))
-    f_vals = profile.values[1 : args.n + 1]
     if args.word_out:
-        Path(args.word_out).write_text(_word_line(word), encoding="utf-8")
+        Path(args.word_out).write_text(codec.word_to_line(word) + "\n", encoding="utf-8")
+    columns = {
+        "log_ratio": trace.log_ratio,
+        "free_part": trace.free_part,
+        "forced_part": trace.forced_part,
+        "f": profile.values[1 : args.n + 1],
+        "K": sched.K[: args.n],
+        "distinct": counts,
+    }
     if args.format == "json":
         _emit_json(args, {
             "seed": seed,
             "t": sched.t,
             "k_star": sched.k_star,
             "profile": profile.provenance,
-            "word": [int(d) for d in word],
-            "log_ratio": [float(v) for v in trace.log_ratio],
-            "free_part": [float(v) for v in trace.free_part],
-            "forced_part": [float(v) for v in trace.forced_part],
-            "f": [int(v) for v in f_vals],
-            "K": [int(v) for v in sched.K[: args.n]],
-            "distinct": [int(v) for v in counts],
+            "word": word.tolist(),
+            **{key: col.tolist() for key, col in columns.items()},
         })
     else:
-        lines = [
-            f"# seed={seed} t={sched.t!r} profile={profile.provenance} "
-            f"k_star={sched.k_star} model={model.describe()}",
-            "n,log_ratio,free_part,forced_part,f_n,K_n,D_n",
-        ]
-        for i in range(args.n):
-            lines.append(
-                f"{i + 1},{float(trace.log_ratio[i])!r},{float(trace.free_part[i])!r},"
-                f"{float(trace.forced_part[i])!r},{f_vals[i]},{sched.K[i]},{counts[i]}"
-            )
-        _emit(args, "\n".join(lines) + "\n")
+        csv_names = ("log_ratio", "free_part", "forced_part", "f_n", "K_n", "D_n")
+        _emit_csv(args, f"seed={seed} t={sched.t!r} profile={profile.provenance} "
+                        f"k_star={sched.k_star} model={model.describe()}",
+                  {"n": np.arange(1, args.n + 1), **dict(zip(csv_names, columns.values()))})
     return 0
 
 
@@ -343,7 +342,7 @@ def cmd_cylsum(args) -> int:
         })
     else:
         body = tilt.cylinder_records_to_csv(records, bounds)
-        _emit(args, f"# seed={seed} model={model.describe()}\n" + body)
+        _emit(args, [f"# seed={seed} model={model.describe()}\n", body])
     return 0
 
 
@@ -366,7 +365,7 @@ def cmd_verify(args) -> int:
             ],
         })
     else:
-        _emit(args, report.to_text())
+        _emit(args, [report.to_text()])
     return 0 if report.passed else 4
 
 

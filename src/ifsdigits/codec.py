@@ -22,6 +22,7 @@ depth; everything else, and anything deeper, runs in float/log space.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -44,6 +45,7 @@ __all__ = [
     "cylinder_from_json",
     "word_to_line",
     "word_from_line",
+    "csv_chunks",
 ]
 
 LAYOUTS = ("canonical", "classical")
@@ -51,6 +53,9 @@ LAYOUTS = ("canonical", "classical")
 # Past this word length, exact rational endpoints must be requested
 # explicitly; the default answer switches to log space.
 DEFAULT_EXACT_DEPTH = 1000
+
+# Rows per chunk of CSV text, so a million-row table never sits in memory as text.
+CSV_CHUNK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -312,7 +317,7 @@ def from_classical_digits(classical) -> tuple[int, ...]:
 
 
 def word_to_line(word) -> str:
-    return ",".join(str(int(d)) for d in word)
+    return ",".join(map(str, np.asarray(word, dtype=np.int64).tolist()))
 
 
 def word_from_line(line: str) -> tuple[int, ...]:
@@ -323,6 +328,26 @@ def word_from_line(line: str) -> tuple[int, ...]:
         return _check_word(int(tok) for tok in line.split(","))
     except ValueError as exc:
         raise DomainError(f"bad digit-word line {line!r}") from exc
+
+
+def _csv_cells(column) -> Iterator[str]:
+    if isinstance(column, np.ndarray):
+        return map(repr if column.dtype.kind == "f" else str, column.tolist())
+    return ("" if v is None else float.__repr__(v) if isinstance(v, float) else str(v)
+            for v in column)
+
+
+def csv_chunks(columns: dict) -> Iterator[str]:
+    """CSV text of equally long named columns: the header line, then chunks of rows.
+
+    Floats are written with ``repr``, ints with ``str``, strings as they are
+    and ``None`` as an empty cell.  Every chunk ends with a newline.
+    """
+    yield ",".join(columns) + "\n"
+    rows = len(next(iter(columns.values()), ()))
+    for start in range(0, rows, CSV_CHUNK_ROWS):
+        cells = [_csv_cells(col[start : start + CSV_CHUNK_ROWS]) for col in columns.values()]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def cylinder_to_json(cyl: Cylinder) -> dict:

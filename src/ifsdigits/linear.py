@@ -12,8 +12,12 @@ at every position ``n``.
 The number of admissible blocks at a level factorizes as a falling
 factorial (for the new times) times the product of ``r(t-1)`` over repeat
 times; the uniform measure on infinite concatenations is the product of
-the per-level uniform block choices.  Rates ``theta`` given as floats are
-read as their shortest decimal literal so profile ceilings are exact.
+the per-level uniform block choices.  One walk, ``BlockSchedule._walk``,
+validates a word and sums the log choice counts (``N - r(t-1)`` at a new
+time, ``r(t-1)`` at a repeat time) into the log mass that ``log_mass``,
+``local_dimension`` and :func:`point_trace` read.  Rates ``theta`` given as
+floats are read as their shortest decimal literal so profile ceilings are
+exact.  Words are limited to ``2**22`` digits (depth 21).
 """
 
 from __future__ import annotations
@@ -50,6 +54,8 @@ __all__ = [
 ]
 
 _EXACT_COUNT_MAX_LEN = 2048
+# Longest word a schedule may describe: 2**(depth+1) - 2 digits, so depth <= 21.
+_MAX_WORD_LENGTH = 1 << 22
 
 
 def as_rate(theta) -> Fraction:
@@ -86,15 +92,9 @@ def distinctness_profile(theta, L: int) -> BlockProfile:
         raise DomainError("block length must be positive")
     theta = as_rate(theta)
     num, den = theta.numerator, theta.denominator
-    r = [0] * (L + 1)
-    for t in range(1, L + 1):
-        r[t] = (num * t + den - 1) // den
-    arr = np.asarray(r, dtype=np.int64)
-    is_new = np.zeros(L + 1, dtype=bool)
-    is_new[1:] = arr[1:] > arr[:-1]
-    return BlockProfile(
-        theta=theta, length=L, r=arr, is_new=is_new, new_count=int(arr[L])
-    )
+    arr = np.asarray([(num * t + den - 1) // den for t in range(L + 1)], dtype=np.int64)
+    is_new = np.concatenate(([False], np.diff(arr) > 0))
+    return BlockProfile(theta=theta, length=L, r=arr, is_new=is_new, new_count=int(arr[L]))
 
 
 @dataclass(frozen=True)
@@ -118,19 +118,19 @@ def count_blocks(N: int, L: int, theta) -> BlockCount:
         raise InfeasibleError(
             f"no admissible block: profile needs {m} distinct symbols, alphabet has {N}"
         )
-    repeats = np.nonzero(~prof.is_new[1:])[0] + 1  # times t with a reuse
-    prev = prof.r[repeats - 1]
+    return _count_profile(N, prof)
+
+
+def _count_profile(N: int, prof: BlockProfile) -> BlockCount:
+    m = prof.new_count
+    prev = prof.r[:-1][~prof.is_new[1:]]  # r(t-1) at the repeat times t
     # Falling factorial summed term by term: the lgamma difference cancels
     # catastrophically once N dwarfs the float64 mantissa.
     log_fall = float(np.log(float(N) - np.arange(m, dtype=np.float64)).sum())
     log_count = float(log_fall + np.log(prev).sum())
     exact = None
-    if L <= _EXACT_COUNT_MAX_LEN:
-        exact = 1
-        for i in range(m):
-            exact *= N - i
-        for v in prev:
-            exact *= int(v)
+    if prof.length <= _EXACT_COUNT_MAX_LEN:
+        exact = math.perm(N, m) * math.prod(prev.tolist())
         if exact.bit_length() > 128:
             exact = None
     return BlockCount(log_count=log_count, exact=exact)
@@ -145,7 +145,7 @@ def enumerate_blocks(N: int, L: int, theta, alphabet=None, limit: int = 2_000_00
     prof = distinctness_profile(theta, L)
     if prof.new_count > N:
         return
-    total = count_blocks(N, L, theta).exact
+    total = _count_profile(N, prof).exact
     if total is not None and total > limit:
         raise EnumerationSizeError(f"{total} blocks exceed the limit {limit}")
     symbols = tuple(range(1, N + 1)) if alphabet is None else tuple(alphabet)
@@ -186,7 +186,6 @@ class BlockLevel:
     profile: BlockProfile
     alphabet_start: int  # alphabet is [start, start + size)
     alphabet_size: int
-    log_count: float
     exact_count: int | None
 
     @property
@@ -253,70 +252,64 @@ class BlockSchedule:
         current block count toward the mass.  Inadmissible words raise
         :class:`NotInSupportError`.
         """
-        digits = np.asarray(word, dtype=np.int64)
-        total = 0.0
-        pos = 0
-        j = 0
-        while pos < digits.size:
-            j += 1
-            if j > self.depth:
-                raise DepthError("word runs past the schedule depth")
-            lev = self.levels[j - 1]
-            chunk = digits[pos : pos + lev.length]
-            self._validate_block_prefix(lev, chunk)
-            if chunk.size == lev.length:
-                total -= lev.log_count
-            else:
-                total += self._log_completions(lev, chunk.size) - lev.log_count
-            pos += chunk.size
-        return total
-
-    def _validate_block_prefix(self, lev: BlockLevel, chunk: np.ndarray) -> None:
-        lo, hi = lev.alphabet_start, lev.alphabet_start + lev.alphabet_size
-        if chunk.size and (chunk.min() < lo or chunk.max() >= hi):
-            raise NotInSupportError(
-                f"level {lev.j} digits must lie in [{lo}, {hi})"
-            )
-        seen: set[int] = set()
-        for t in range(1, chunk.size + 1):
-            d = int(chunk[t - 1])
-            if lev.profile.is_new[t]:
-                if d in seen:
-                    raise NotInSupportError(
-                        f"level {lev.j} position {t} must introduce a new digit"
-                    )
-                seen.add(d)
-            elif d not in seen:
-                raise NotInSupportError(
-                    f"level {lev.j} position {t} must reuse a seen digit"
-                )
-
-    def _log_completions(self, lev: BlockLevel, t: int) -> float:
-        """Log number of admissible ways to finish a block after ``t`` digits."""
-        prof = lev.profile
-        total = 0.0
-        for u in range(t + 1, lev.length + 1):
-            if prof.is_new[u]:
-                total += math.log(lev.alphabet_size - int(prof.r[u - 1]))
-            else:
-                total += math.log(int(prof.r[u - 1]))
-        return total
+        log_mass = self._walk(word)[2]
+        return float(log_mass[-1]) if log_mass.size else 0.0
 
     def local_dimension(self, word) -> float:
         """``log mass / log diameter`` at a block-aligned word."""
         digits = np.asarray(word, dtype=np.int64)
-        if digits.size == 0:
+        n = digits.size
+        if n == 0:
             raise DomainError("local dimension is undefined for the empty word")
-        if digits.size != self.boundary(self._levels_spanned(digits.size)):
+        # Block boundaries are the lengths 2**(j+1) - 2, where n + 2 is a power of two.
+        if n > self.boundary(self.depth) or (n + 2) & (n + 1):
             raise DomainError("local dimension needs a block-aligned word")
         log_diam = float(np.sum(log_weights_of(self.model, digits)))
         return self.log_mass(digits) / log_diam
 
-    def _levels_spanned(self, length: int) -> int:
-        j = 0
-        while self.boundary(j) < length and j < self.depth:
-            j += 1
-        return j
+    def _walk(self, word) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Validate ``word``; return each position's level, distinct count and log mass.
+
+        Levels are checked in order, each window before its new/reuse times;
+        the first inadmissible position raises :class:`NotInSupportError`.
+        """
+        digits = np.asarray(word, dtype=np.int64)
+        n = digits.size
+        distinct = distinct_counts(digits)
+        level = np.empty(n, dtype=np.int64)
+        log_mass = np.empty(n)
+        spent = 0.0  # running sum of log choice counts before this block
+        pos = 0
+        for lev in self.levels:
+            if pos == n:
+                break
+            chunk = digits[pos : pos + lev.length]
+            t = chunk.size
+            lo, hi = lev.alphabet_start, lev.alphabet_start + lev.alphabet_size
+            if chunk.min() < lo or chunk.max() >= hi:
+                raise NotInSupportError(f"level {lev.j} digits must lie in [{lo}, {hi})")
+            prof = lev.profile
+            # Windows are disjoint, so the block's own running distinct count
+            # follows r(t) exactly when every new and repeat time is respected.
+            own = distinct[pos : pos + t] - (distinct[pos - 1] if pos else 0)
+            bad = np.flatnonzero(own != prof.r[1 : t + 1])
+            if bad.size:
+                u = int(bad[0]) + 1
+                rule = "introduce a new digit" if prof.is_new[u] else "reuse a seen digit"
+                raise NotInSupportError(f"level {lev.j} position {u} must {rule}")
+            prev = prof.r[:t]
+            choices = np.where(prof.is_new[1 : t + 1], lev.alphabet_size - prev, prev)
+            logs = np.fromiter(map(math.log, choices.tolist()), dtype=np.float64, count=t)
+            logs[0] += spent
+            np.cumsum(logs, out=logs)
+            spent = float(logs[-1])
+            # 0.0 - x keeps +0.0 while every choice so far was forced (-x gives -0.0).
+            np.subtract(0.0, logs, out=log_mass[pos : pos + t])
+            level[pos : pos + t] = lev.j
+            pos += t
+        if pos < n:
+            raise DepthError("word runs past the schedule depth")
+        return level, distinct, log_mass
 
     # -- interval bracketing ----------------------------------------------------
 
@@ -398,6 +391,12 @@ def build_block_schedule(
     theta = as_rate(theta)
     if depth < 1:
         raise DomainError("depth must be positive")
+    word_length = (1 << (depth + 1)) - 2
+    if word_length > _MAX_WORD_LENGTH:
+        raise DepthError(
+            f"depth {depth} needs words of {word_length} digits, "
+            f"over the limit of {_MAX_WORD_LENGTH} (depth 21)"
+        )
     if k1 is None:
         k1 = potter_scan(model, 1.0).k_eps
     if k1 < 1:
@@ -421,7 +420,6 @@ def build_block_schedule(
                 f"level {j} alphabet exceeds the model support "
                 f"({2 * start - 1} > {model.support_size})"
             )
-        counts = count_blocks(size, length, theta)
         levels.append(
             BlockLevel(
                 j=j,
@@ -429,8 +427,7 @@ def build_block_schedule(
                 profile=prof,
                 alphabet_start=start,
                 alphabet_size=size,
-                log_count=counts.log_count,
-                exact_count=counts.exact,
+                exact_count=_count_profile(size, prof).exact,
             )
         )
     return BlockSchedule(model=model, theta=theta, k1=int(k1), levels=tuple(levels))
@@ -446,40 +443,17 @@ def point_trace(schedule: BlockSchedule, word) -> dict[str, np.ndarray]:
     word ending mid-block costs no extra enumeration.
     """
     digits = np.asarray(word, dtype=np.int64)
-    n = digits.size
-    if n == 0:
+    if digits.size == 0:
         raise DomainError("trace needs a nonempty word")
-    counts = distinct_counts(digits)
     log_diam = np.cumsum(log_weights_of(schedule.model, digits))
-    theta_f = float(schedule.theta)
-    target = theta_f * np.arange(1, n + 1)
-    bound = np.empty(n)
-    log_mass = np.empty(n)
-    running = 0.0
-    pos = 0
-    j = 0
-    while pos < n:
-        j += 1
-        if j > schedule.depth:
-            raise DepthError("word runs past the schedule depth")
-        lev = schedule.levels[j - 1]
-        chunk = digits[pos : pos + lev.length]
-        schedule._validate_block_prefix(lev, chunk)
-        prof = lev.profile
-        for t in range(1, chunk.size + 1):
-            if prof.is_new[t]:
-                pool = lev.alphabet_size - int(prof.r[t - 1])
-            else:
-                pool = int(prof.r[t - 1])
-            running -= math.log(pool)
-            log_mass[pos + t - 1] = running
-            bound[pos + t - 1] = theta_f * (pos + t) + j
-        pos += chunk.size
+    level, counts, log_mass = schedule._walk(digits)
+    n = np.arange(1, digits.size + 1)
+    target = float(schedule.theta) * n
     return {
-        "n": np.arange(1, n + 1),
+        "n": n,
         "distinct": counts,
         "target": target,
-        "upper": bound,
+        "upper": target + level,
         "log_mass": log_mass,
         "log_diam": log_diam,
         "local_dim": log_mass / log_diam,

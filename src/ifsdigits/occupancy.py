@@ -11,7 +11,6 @@ substreams.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -19,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import csv_chunks
 from .errors import DomainError
 from .rng import substream
 from .weights import (
@@ -237,16 +237,17 @@ def monte_carlo_law(
 
 def law_report_to_csv(report: LawReport) -> str:
     """CSV wire form, one row per checkpoint, seed in a header comment."""
-    buf = io.StringIO()
-    buf.write(f"# seed={report.seed} model={report.model_desc} trials={report.trials}\n")
-    buf.write("n,checkpoint,mean,sd,exact_expectation,karlin_constant\n")
-    karlin = "" if report.karlin is None else repr(report.karlin)
-    for i, c in enumerate(report.checkpoints):
-        buf.write(
-            f"{report.n},{c},{report.means[i]!r},{report.sds[i]!r},"
-            f"{report.exact_expectations[i]!r},{karlin}\n"
-        )
-    return buf.getvalue()
+    rows = len(report.checkpoints)
+    columns = {
+        "n": [report.n] * rows,
+        "checkpoint": report.checkpoints,
+        "mean": report.means,
+        "sd": report.sds,
+        "exact_expectation": report.exact_expectations,
+        "karlin_constant": [report.karlin] * rows,
+    }
+    header = f"# seed={report.seed} model={report.model_desc} trials={report.trials}\n"
+    return header + "".join(csv_chunks(columns))
 
 
 def law_report_to_json(report: LawReport) -> str:

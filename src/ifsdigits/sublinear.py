@@ -67,22 +67,24 @@ class AdmissibleProfile:
 def make_admissible(g: Callable[[int], float], horizon: int, provenance: str = "user") -> AdmissibleProfile:
     """Slope-limit ``floor(g)`` into an admissible profile and validate it.
 
-    ``f(n) = min(f(n-1) + 1, floor(g(n)))`` with ``f(0) = 0``; ``g`` must be
-    nondecreasing on the horizon.  Violated admissibility clauses raise
-    :class:`NotAdmissibleError` naming the clause.
+    ``f(n) = max(min(f(n-1) + 1, floor(g(n))), 0)`` with ``f(0) = 0``, in
+    closed form ``f(n) = n + min(0, min_{m<=n} (max(floor(g(m)), 0) - m))``;
+    ``g`` must be finite and nondecreasing on the horizon.  Violated
+    admissibility clauses raise :class:`NotAdmissibleError` naming the clause.
     """
     if horizon < 10:
         raise DomainError("profile horizon must be at least 10")
+    gs = np.array([float(g(n)) for n in range(1, horizon + 1)])
+    bad = np.flatnonzero(~np.isfinite(gs))
+    if bad.size:
+        raise DomainError(f"profile generator is not finite at n={bad[0] + 1}")
+    bad = np.flatnonzero(gs[1:] < gs[:-1] - 1e-9)
+    if bad.size:
+        raise DomainError(f"profile generator decreases at n={bad[0] + 2}")
+    n = np.arange(1, horizon + 1)
+    slack = np.minimum.accumulate(np.maximum(np.floor(gs), 0.0) - n)
     values = np.zeros(horizon + 1, dtype=np.int64)
-    prev_g = -math.inf
-    for n in range(1, horizon + 1):
-        gn = float(g(n))
-        if gn < prev_g - 1e-9:
-            raise DomainError(f"profile generator decreases at n={n}")
-        prev_g = gn
-        values[n] = min(values[n - 1] + 1, math.floor(gn))
-        if values[n] < 0:
-            values[n] = max(values[n], 0)
+    values[1:] = n + np.minimum(slack, 0.0)
     return _validate_profile(values, horizon, provenance)
 
 

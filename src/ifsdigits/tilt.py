@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import csv_chunks
 from .errors import DomainError, EnumerationSizeError
 from .rng import substream
 from .weights import DigitSampler, WeightModel, tilted_tail_sum, weights_range
@@ -299,17 +300,8 @@ def bound_chain(
 def cylinder_records_to_csv(records, bounds=None) -> str:
     """CSV rows: n, s, theta, mode, value, stderr, truncation_deficit,
     binomial_bound (joined from ``bounds`` by matching n when given)."""
-    by_n = {}
-    if bounds is not None:
-        by_n = {b.n: b for b in bounds}
-    lines = ["n,s,theta,mode,value,stderr,truncation_deficit,binomial_bound"]
-    for rec in records:
-        b = by_n.get(rec.n)
-        bound_txt = repr(math.exp(min(b.log_binomial_bound, 0.0))) if b else ""
-        lines.append(
-            f"{rec.n},{rec.s!r},{rec.theta!r},{rec.mode},{rec.value!r},"
-            f"{'' if rec.stderr is None else repr(rec.stderr)},"
-            f"{'' if rec.truncation_deficit is None else repr(rec.truncation_deficit)},"
-            f"{bound_txt}"
-        )
-    return "\n".join(lines) + "\n"
+    bound = {b.n: math.exp(min(b.log_binomial_bound, 0.0)) for b in bounds or ()}
+    names = ("n", "s", "theta", "mode", "value", "stderr", "truncation_deficit")
+    columns = {name: [getattr(rec, name) for rec in records] for name in names}
+    columns["binomial_bound"] = [bound.get(rec.n) for rec in records]
+    return "".join(csv_chunks(columns))

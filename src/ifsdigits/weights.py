@@ -452,6 +452,9 @@ def _powerlog_tail_integral(a: float, q: float, g: float) -> float:
     ``integral_A^inf t**-p log(t)**g dt = (p-1)**-(g+1) * Gamma(g+1, (p-1) ln A)``.
     The series ratio is about ``1/A``, so a handful of terms suffice.
     """
+    if not g > -1.0:
+        raise DomainError(f"power-log tails need a log exponent (gamma, or gamma*s "
+                          f"for a tilted tail at exponent s) above -1; got {g:g}")
     A = a + 1.0
     ln_a = math.log(A)
     gamma_g1 = math.gamma(g + 1.0)

@@ -71,6 +71,48 @@ class TestExitCodes:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_non_numeric_prefix_is_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["weights", "--model", "explicit-prefix", "--rho", "2.5", "--prefix", "a,b"])
+        assert exc.value.code == 2
+        assert "--prefix" in capsys.readouterr().err
+
+    def test_non_numeric_tilted_tail_is_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["weights", "--tilted-tail", "10", "abc"])
+        assert exc.value.code == 2
+        assert "--tilted-tail" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("depth", ["22", "40", "70"])
+    def test_too_deep_linear_is_3(self, capsys, depth):
+        code = cli.main(["construct", "linear", "--theta", "0.5", "--depth", depth])
+        assert code == 3
+        assert "depth 21" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gamma", ["-0.9", "-1.5", "-1"])
+    def test_power_log_below_range_is_3(self, capsys, gamma):
+        # gamma = -0.9 is a valid model, but the exact expectation takes a
+        # tilted tail at s = 2, whose log exponent -1.8 is out of range
+        code = cli.main([
+            "simulate", "--model", "power-log", "--rho", "2", "--gamma", gamma,
+            "--n", "1000", "--trials", "3",
+        ])
+        assert code == 3
+        assert "above -1" in capsys.readouterr().err
+
+    def test_power_log_weights_below_range_is_3(self, capsys):
+        code = cli.main(["weights", "--model", "power-log", "--rho", "2", "--gamma", "-1.5"])
+        assert code == 3
+        assert "above -1" in capsys.readouterr().err
+
+    def test_non_finite_profile_is_3(self, capsys):
+        code = cli.main([
+            "construct", "sublinear", "--t", "0.5", "--n", "100",
+            "--profile", "power", "--beta", "0.5", "--c", "1e308",
+        ])
+        assert code == 3
+        assert "not finite" in capsys.readouterr().err
+
     def test_suite_failure_is_4(self, tmp_path):
         code, text = run_cli(
             tmp_path,

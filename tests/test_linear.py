@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -173,7 +174,10 @@ class TestBlockMeasure:
     def test_full_word_mass(self):
         sched = linear.build_block_schedule(LUROTH, 0.5, depth=5)
         word = sched.sample_word(5, substream(1, 2))
-        expect = -sum(lev.log_count for lev in sched.levels)
+        expect = -sum(
+            linear.count_blocks(lev.alphabet_size, lev.length, sched.theta).log_count
+            for lev in sched.levels
+        )
         assert sched.log_mass(word) == pytest.approx(expect, rel=1e-12)
 
     def test_level_masses_sum_to_parent(self):
@@ -263,6 +267,162 @@ class TestTraceAndDimension:
         d12 = sched.local_dimension(word)
         d6 = sched.local_dimension(word[: sched.boundary(6)])
         assert abs(d12 - 0.5) < abs(d6 - 0.5)
+
+
+def reference_trace(schedule, word):
+    """The per-position trace loop the walk replaced, kept as an oracle."""
+    digits = np.asarray(word, dtype=np.int64)
+    n = digits.size
+    theta_f = float(schedule.theta)
+    bound = np.empty(n)
+    log_mass = np.empty(n)
+    running = 0.0
+    pos = 0
+    for lev in schedule.levels:
+        if pos == n:
+            break
+        chunk = digits[pos : pos + lev.length]
+        prof = lev.profile
+        for t in range(1, chunk.size + 1):
+            if prof.is_new[t]:
+                pool = lev.alphabet_size - int(prof.r[t - 1])
+            else:
+                pool = int(prof.r[t - 1])
+            running -= math.log(pool)
+            log_mass[pos + t - 1] = running
+            bound[pos + t - 1] = theta_f * (pos + t) + lev.j
+        pos += chunk.size
+    log_diam = np.cumsum(np.log([weights.weight(schedule.model, int(d)) for d in digits]))
+    return {
+        "n": np.arange(1, n + 1),
+        "distinct": np.array([len(set(digits[: i + 1].tolist())) for i in range(n)]),
+        "target": theta_f * np.arange(1, n + 1),
+        "upper": bound,
+        "log_mass": log_mass,
+        "local_dim": log_mass / log_diam,
+    }
+
+
+def reference_violation(schedule, word):
+    """Message of the first inadmissible position, by the per-position rules."""
+    digits = [int(d) for d in word]
+    pos = 0
+    for lev in schedule.levels:
+        if pos == len(digits):
+            return None
+        chunk = digits[pos : pos + lev.length]
+        lo, hi = lev.alphabet_start, lev.alphabet_start + lev.alphabet_size
+        if min(chunk) < lo or max(chunk) >= hi:
+            return f"level {lev.j} digits must lie in [{lo}, {hi})"
+        seen = set()
+        for t, d in enumerate(chunk, start=1):
+            if lev.profile.is_new[t] and d in seen:
+                return f"level {lev.j} position {t} must introduce a new digit"
+            if not lev.profile.is_new[t] and d not in seen:
+                return f"level {lev.j} position {t} must reuse a seen digit"
+            seen.add(d)
+        pos += len(chunk)
+    return None if pos == len(digits) else "past the depth"
+
+
+def cut_points(sched, depth):
+    """Word lengths: every block boundary and one or two positions into each block."""
+    ends = {sched.boundary(j) for j in range(1, depth + 1)}
+    ends |= {sched.boundary(j) + 1 for j in range(depth)}
+    ends |= {sched.boundary(j) + 3 for j in range(1, depth)}
+    return sorted(ends)
+
+
+class TestWalkAgainstReference:
+    @pytest.mark.parametrize("theta", [0.3, 0.5, 1])
+    @pytest.mark.parametrize("k1", [None, 5])
+    def test_trace_columns_match_bit_for_bit(self, theta, k1):
+        depth = 7
+        sched = linear.build_block_schedule(LUROTH, theta, depth=depth, k1=k1)
+        for seed in (0, 1, 7):
+            word = sched.sample_word(depth, substream(seed, 0x11EA, depth))
+            for n in cut_points(sched, depth):
+                got = linear.point_trace(sched, word[:n])
+                want = reference_trace(sched, word[:n])
+                for key, col in want.items():
+                    if key == "local_dim":
+                        # log_diam sums the same logs through a different table
+                        np.testing.assert_allclose(got[key], col, rtol=1e-12)
+                        continue
+                    assert np.array_equal(got[key], col), (theta, k1, seed, n, key)
+                    assert np.array_equal(np.signbit(got[key]), np.signbit(col)), key
+
+    def test_first_positions_keep_positive_zero(self):
+        # a one-symbol level-1 window leaves one choice per position: log mass 0
+        sched = linear.build_block_schedule(LUROTH, 0.5, depth=3, k1=1)
+        assert sched.level(1).alphabet_size == 1
+        word = sched.sample_word(3, substream(0, 0x11EA, 3))
+        tr = linear.point_trace(sched, word)
+        ref = reference_trace(sched, word)
+        assert tr["log_mass"][0] == 0.0 and tr["log_mass"][1] == 0.0
+        assert not np.signbit(tr["log_mass"][:2]).any()
+        # +0.0 over a negative log diameter is -0.0, as in the reference
+        assert np.array_equal(np.signbit(tr["local_dim"]), np.signbit(ref["local_dim"]))
+        assert np.signbit(tr["local_dim"][:2]).all()
+
+    def test_log_mass_is_last_trace_entry(self):
+        for theta in (0.3, 0.5, 1):
+            for depth in range(4, 11):
+                sched = linear.build_block_schedule(LUROTH, theta, depth=depth)
+                for seed in range(5):
+                    word = sched.sample_word(depth, substream(seed, 0x11EA, depth))
+                    for w in (word, word[: sched.boundary(depth - 1) + 3]):
+                        assert sched.log_mass(w) == linear.point_trace(sched, w)["log_mass"][-1]
+
+    @given(st.data())
+    def test_first_violation_message(self, data):
+        theta = data.draw(st.sampled_from([0.3, 0.5, 1]))
+        sched = linear.build_block_schedule(LUROTH, theta, depth=5)
+        word = sched.sample_word(5, substream(data.draw(st.integers(0, 50)), 0x11EA, 5))
+        n = data.draw(st.integers(1, word.size))
+        word = word[:n].copy()
+        for _ in range(data.draw(st.integers(1, 3))):
+            i = data.draw(st.integers(0, n - 1))
+            word[i] = data.draw(
+                st.sampled_from([int(word[data.draw(st.integers(0, n - 1))]), int(word[i]) + 1, 1])
+            )
+        expect = reference_violation(sched, word)
+        if expect is None:
+            sched.log_mass(word)
+            return
+        with pytest.raises(NotInSupportError) as exc:
+            sched.log_mass(word)
+        assert str(exc.value) == expect
+        with pytest.raises(NotInSupportError) as exc:
+            linear.point_trace(sched, word)
+        assert str(exc.value) == expect
+
+    def test_overlong_word_errors(self):
+        sched = linear.build_block_schedule(LUROTH, 0.5, depth=3)
+        word = sched.sample_word(3, substream(0, 0))
+        longer = np.concatenate([word, word[:2]])
+        with pytest.raises(DepthError):
+            sched.log_mass(longer)
+        with pytest.raises(DepthError):
+            linear.point_trace(sched, longer)
+        with pytest.raises(DomainError, match="block-aligned"):
+            sched.local_dimension(np.concatenate([word, word[:16]]))  # 30 digits, past depth 3
+
+
+class TestDepthGuard:
+    @pytest.mark.parametrize("depth", [22, 40, 70])
+    def test_too_deep_raises_fast(self, depth):
+        start = time.perf_counter()
+        with pytest.raises(DepthError, match="depth 21"):
+            linear.build_block_schedule(LUROTH, 0.5, depth=depth)
+        assert time.perf_counter() - start < 1.0
+
+    def test_depth_21_passes_the_guard(self):
+        # the finite support stops the build at its first level, after the guard
+        m = weights.finite_model((0.25,) * 4)
+        with pytest.raises(DomainError):
+            linear.build_block_schedule(m, 1.0, depth=21, k1=1)
+        assert linear._MAX_WORD_LENGTH == (1 << 22)
 
 
 class TestIntervalMass:

@@ -69,6 +69,12 @@ class TestExpectedDistinct:
         assert occupancy.expected_distinct(LUROTH, 1) == 1.0
         assert occupancy.expected_distinct(weights.power_model(3.0), 1) == 1.0
 
+    def test_power_log_tilt_out_of_range(self):
+        # the remainder takes a tilted tail at s = 2: gamma * s = -1.8 <= -1
+        m = weights.power_log_model(2.0, -0.9)
+        with pytest.raises(DomainError, match="above -1"):
+            occupancy.expected_distinct(m, 1000)
+
     def test_luroth_n100_oracle(self):
         got = occupancy.expected_distinct(LUROTH, 100)
         assert got == pytest.approx(E_D_100_LUROTH, abs=1e-6)

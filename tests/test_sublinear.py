@@ -40,6 +40,40 @@ def sched_20000():
     return sublinear.build_sublinear_schedule(LUROTH, prof, 0.5)
 
 
+def slope_limited_recurrence(g, horizon):
+    """The per-n recurrence make_admissible replaced, kept as its reference."""
+    values = [0] * (horizon + 1)
+    for n in range(1, horizon + 1):
+        values[n] = max(min(values[n - 1] + 1, math.floor(float(g(n)))), 0)
+    return values
+
+
+def profile_outcome(make):
+    try:
+        return make().values.tolist()
+    except (DomainError, NotAdmissibleError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@given(
+    st.integers(min_value=10, max_value=400),
+    st.lists(st.floats(min_value=-30, max_value=60, allow_nan=False), min_size=400, max_size=400),
+    st.sampled_from(["sorted", "sqrt", "log", "negative-start"]),
+)
+def test_closed_form_matches_recurrence(horizon, steps, shape):
+    steps = sorted(steps)
+    g = {
+        "sorted": lambda n: steps[n - 1],
+        "sqrt": lambda n: math.isqrt(n) + steps[0] / 10,
+        "log": lambda n: 3 * math.log(n + 1.0) + steps[0],
+        "negative-start": lambda n: n / 3.0 - 25.0,
+    }[shape]
+    expect = profile_outcome(
+        lambda: sublinear.profile_from_table(slope_limited_recurrence(g, horizon), "user")
+    )
+    assert profile_outcome(lambda: sublinear.make_admissible(g, horizon)) == expect
+
+
 class TestProfiles:
     def test_sqrt_profile_is_isqrt(self):
         prof = sublinear.profile_from_spec({"kind": "sqrt", "horizon": 5000})
@@ -61,6 +95,16 @@ class TestProfiles:
         for n in (1, 10, 100, 1000, 2000):
             assert vals[n] <= min(n, math.floor(5.0 * math.sqrt(n)))
         assert vals[2000] == math.floor(5.0 * math.sqrt(2000))
+
+    def test_non_finite_generator_rejected(self):
+        with pytest.raises(DomainError, match="not finite at n=4"):  # 1e308 * 2 overflows
+            sublinear.make_admissible(lambda n: 1e308 * n**0.5, 100)
+        with pytest.raises(DomainError, match="not finite at n=1"):
+            sublinear.make_admissible(lambda n: math.nan, 100)
+
+    def test_first_decrease_named(self):
+        with pytest.raises(DomainError, match="decreases at n=7"):
+            sublinear.make_admissible(lambda n: n if n < 7 else (0 if n == 7 else -5), 100)
 
     def test_linear_rate_fails_decay_clause(self):
         with pytest.raises(NotAdmissibleError, match="decay clause"):

@@ -124,6 +124,16 @@ class TestTailSums:
             2 * 0.5**0.5, rel=1e-12
         )
 
+    def test_power_log_log_exponent_range(self):
+        # Gamma(g + 1, x) is only available for g > -1: fail typed, not NaN
+        for gamma in (-1.0, -1.5):
+            with pytest.raises(DomainError, match="above -1"):
+                weights.power_log_model(2.0, gamma)
+        m = weights.power_log_model(2.0, -0.9)
+        assert math.isfinite(weights.tail_sum(m, 10))
+        with pytest.raises(DomainError, match="got -1.8"):
+            weights.tilted_tail_sum(m, 10, 2.0)
+
     def test_power3_tail(self):
         m = weights.power_model(3.0)
         assert weights.tail_sum(m, 10) == pytest.approx(POWER3_TAIL_10, rel=1e-9)
