@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,8 @@ from .errors import IfsDigitsError
 from .rng import DEFAULT_SEED, substream
 
 __all__ = ["main", "build_parser"]
+
+_JSON_BATCH = 1 << 16  # encoder tokens per write
 
 
 def _parse_seed(text: str) -> int:
@@ -179,7 +181,10 @@ def _emit(args, chunks) -> None:
 
 
 def _emit_json(args, obj: dict) -> None:
-    _emit(args, [json.dumps(obj, sort_keys=True, indent=2) + "\n"])
+    """``json.dumps(obj, sort_keys=True, indent=2)``, written in batches of tokens."""
+    tokens = json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj)
+    batches = iter(lambda: "".join(islice(tokens, _JSON_BATCH)), "")
+    _emit(args, chain(batches, ["\n"]))
 
 
 def _emit_csv(args, comment: str, columns: dict) -> None:

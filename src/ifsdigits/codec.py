@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, PrecisionError
-from .weights import WeightModel, log_weights_of, weight, weights_range
+from .weights import _MAX_TABLE, WeightModel, log_weights_of, weight, weights_range
 
 __all__ = [
     "Cylinder",
@@ -171,6 +171,8 @@ def _branch_left_exact(d: int, layout: str) -> Fraction:
 
 @lru_cache(maxsize=64)
 def _cum_table(model: WeightModel, size: int) -> np.ndarray:
+    if size > _MAX_TABLE:
+        raise PrecisionError(f"cumulative table of {size} entries exceeds the cap {_MAX_TABLE}")
     table = np.cumsum(weights_range(model, 1, size + 1))
     table.flags.writeable = False
     return table
@@ -272,8 +274,6 @@ def _canonical_digit_float(model: WeightModel, x: float) -> int:
             if idx >= table.size:
                 raise DomainError("point beyond finite support coverage")
             return idx + 1
-        if size > 1 << 40:
-            raise PrecisionError("digit search exceeded table growth limit")
         size *= 2
 
 

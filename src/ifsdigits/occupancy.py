@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -201,8 +202,11 @@ def monte_carlo_law(
         first = np.sort(np.unique(word, return_index=True)[1])
         return np.searchsorted(first, cps_arr, side="left")
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    # More workers than trials or cores buys nothing; pool.map submits every
+    # trial at once, so an unclamped count could start that many threads.
+    workers = min(threads, trials, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             counts = np.stack(list(pool.map(one_trial, range(trials))))
     else:
         counts = np.stack([one_trial(t) for t in range(trials)])

@@ -2,12 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ifsdigits import cli, codec, sublinear, weights
 from ifsdigits.rng import DEFAULT_SEED
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TILTED_TAIL_100_075 = 0.2000001249977
 
@@ -18,6 +24,11 @@ def run_cli(tmp_path, argv, name="out.txt"):
     code = cli.main(list(argv) + ["--out", str(path)])
     text = path.read_text(encoding="utf-8") if path.exists() else ""
     return code, text
+
+
+def assert_canonical_json(text):
+    """``--format json`` output is exactly ``json.dumps(..., sort_keys=True, indent=2)``."""
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 class TestExitCodes:
@@ -119,6 +130,7 @@ class TestExitCodes:
             ["verify", "quick", "--fail-inject", "--threads", "4", "--format", "json"],
         )
         assert code == 4
+        assert_canonical_json(text)
         report = json.loads(text)
         assert report["passed"] is False
         failed = [c for c in report["checks"] if not c["passed"]]
@@ -186,6 +198,7 @@ class TestSimulate:
             ],
         )
         assert code == 0
+        assert_canonical_json(text)
         obj = json.loads(text)
         assert obj["seed"] == 5
         assert obj["n"] == 64 and obj["trials"] == 200
@@ -388,6 +401,7 @@ class TestCylsum:
             ],
         )
         assert code == 0
+        assert_canonical_json(text)
         obj = json.loads(text)
         assert obj["seed"] == 21
         (rec,) = obj["records"]
@@ -397,6 +411,51 @@ class TestCylsum:
         assert rec["log_sum_bound"] == pytest.approx(
             8 * rec["log_zeta"] + rec["log_binomial_bound"], rel=1e-12
         )
+
+
+JSON_COMMANDS = {
+    "weights": ["weights", "--k-max", "3", "--tail", "10", "--potter", "0.1"],
+    "simulate": ["simulate", "--n", "64", "--trials", "20"],
+    "linear": ["construct", "linear", "--theta", "0.5", "--depth", "12"],
+    "sublinear": ["construct", "sublinear", "--t", "0.5", "--n", "300"],
+    "cylsum": ["cylsum", "--n", "3,4", "--s", "0.75", "--theta", "0.5", "--mode", "exact"],
+}
+
+
+class TestJsonStreaming:
+    @pytest.mark.parametrize("batch", [1, cli._JSON_BATCH])
+    @pytest.mark.parametrize("name", sorted(JSON_COMMANDS))
+    def test_streamed_json_is_canonical(self, tmp_path, monkeypatch, name, batch):
+        monkeypatch.setattr(cli, "_JSON_BATCH", batch)
+        code, text = run_cli(tmp_path, JSON_COMMANDS[name] + ["--format", "json"])
+        assert code == 0
+        assert_canonical_json(text)
+
+
+NO_SCIPY_PROBE = """
+import os, sys
+import ifsdigits.cli as cli
+models = [["--model", "power", "--rho", "3"],
+          ["--model", "power-log", "--rho", "2", "--gamma", "1.5"],
+          ["--model", "explicit-prefix", "--prefix", "0.1,0.3", "--rho", "2.5"]]
+for m in models:
+    for argv in (["weights", "--tail", "10", "--tilted-tail", "100", "0.9", "--potter", "0.1"],
+                 ["simulate", "--n", "1000", "--trials", "5"],
+                 ["cylsum", "--n", "8", "--s", "0.9", "--theta", "0.5", "--trials", "200"],
+                 ["construct", "sublinear", "--t", "0.5", "--n", "200"]):
+        assert cli.main(argv + m + ["--out", os.devnull]) == 0, argv + m
+print(sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+
+
+class TestRuntimeDependencies:
+    def test_commands_import_no_scipy(self):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        out = subprocess.run(
+            [sys.executable, "-c", NO_SCIPY_PROBE],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert out.stdout.splitlines()[-1] == "[]"
 
 
 class TestOutputRouting:

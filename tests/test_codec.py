@@ -1,6 +1,7 @@
 """Digit words, cylinders, branch intervals, encoding, and wire formats."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -99,6 +100,18 @@ class TestPartition:
             left, right = codec.digit_interval(model, 2)
             assert right - left == pytest.approx(weights.weight(model, 2), rel=1e-12)
         assert cache.cache_info().currsize == cache.cache_info().maxsize == 64
+
+    @pytest.mark.parametrize("call", [
+        lambda: codec.cylinder(weights.power_model(3.0), [2**28]),
+        lambda: codec.digit_interval(weights.power_model(3.0), 2**28),
+        lambda: codec.encode(weights.power_model(1.2), 1 - 1e-9, 1),
+    ], ids=["cylinder", "digit_interval", "encode"])
+    def test_oversized_table_raises_before_allocating(self, call):
+        # each of these would ask for a table of 2**23 to 2**29 entries
+        start = time.perf_counter()
+        with pytest.raises(PrecisionError, match="cap"):
+            call()
+        assert time.perf_counter() - start < 1.0
 
     def test_canonical_luroth_closed_form(self):
         # I_k = [1 - 1/k, 1 - 1/(k+1)) for the luroth weights

@@ -24,6 +24,39 @@ PI_MINUS_3_CF = (
 E_D_100_LUROTH = 16.757733546404
 
 
+class FakePool:
+    """Records ``max_workers`` and maps serially: no thread is started."""
+
+    def __init__(self, max_workers):
+        self.seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestThreadClamp:
+    @pytest.mark.parametrize("threads,trials,cpus,workers", [
+        (100_000, 40, 2, 2),  # the core count bounds a huge request
+        (100_000, 3, 64, 3),  # so does the trial count
+        (4, 40, 8, 4),
+        (8, 40, None, None),  # unknown core count: serial
+        (4, 1, 8, None),  # one trial: serial
+    ])
+    def test_workers_clamped(self, monkeypatch, threads, trials, cpus, workers):
+        FakePool.seen = []
+        monkeypatch.setattr(occupancy, "ThreadPoolExecutor", FakePool)
+        monkeypatch.setattr(occupancy.os, "cpu_count", lambda: cpus)
+        report = occupancy.monte_carlo_law(LUROTH, 50, trials, 7, threads=threads)
+        assert FakePool.seen == ([] if workers is None else [workers])
+        assert report == occupancy.monte_carlo_law(LUROTH, 50, trials, 7, threads=1)
+
+
 class TestDistinctCounter:
     def test_hand_counted_stream(self):
         c = occupancy.DistinctCounter()

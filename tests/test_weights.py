@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import gamma as gamma_function
+from scipy.special import gammaincc, zeta
 
 from ifsdigits import weights
 from ifsdigits.errors import (
@@ -142,6 +144,73 @@ class TestTailSums:
         grid = np.linspace(0.55, 1.0, 10)
         vals = [weights.tilted_tail_sum(LUROTH, 1, s) for s in grid]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+def reference_tail_integral(a: float, q: float, g: float) -> float:
+    """The earlier scipy-based tail integral: regularized ``gammaincc`` times ``Gamma``."""
+    ln_a = math.log(a + 1.0)
+    total = 0.0
+    coef = 1.0
+    for j in range(80):
+        p = q + j
+        upper = float(gammaincc(g + 1.0, (p - 1.0) * ln_a)) * math.gamma(g + 1.0)
+        term = coef * (p - 1.0) ** -(g + 1.0) * upper
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            break
+        coef *= (q + j) / (j + 1.0)
+    return total
+
+
+class TestNumpyOnlyTails:
+    """The private Gamma(a, x) and the one tail solver against scipy oracles."""
+
+    @pytest.mark.parametrize("a", [*np.geomspace(0.01, 12.0, 17), 1.0])
+    def test_upper_gamma_against_scipy(self, a):
+        for x in np.geomspace(1e-4, 700.0, 60):
+            want = gammaincc(a, x) * gamma_function(a)
+            got = weights._upper_gamma(float(a), float(x))
+            assert got == pytest.approx(want, rel=1e-12), (a, x)
+
+    @pytest.mark.parametrize("M", [1, 2, 10, 8191, 8192, 8193, 10**5, 2**20 + 1, 10**12])
+    def test_zeta_tail_against_scipy(self, M):
+        for q in np.geomspace(1.001, 20.0, 25):
+            got = weights._powerlog_raw_tail(M, float(q), 0.0)
+            assert got == pytest.approx(zeta(q, M), rel=1e-12), (q, M)
+
+    def test_tail_integral_against_gammaincc_reference(self):
+        for g in np.linspace(-0.9, 5.0, 12):
+            for q in (1.001, 1.1, 1.5, 2.0, 3.0, 6.0):
+                for a in (8192.0, 1e5, 2.0**40):
+                    want = reference_tail_integral(a, q, float(g))
+                    got = weights._powerlog_tail_integral(a, q, float(g))
+                    assert got == pytest.approx(want, rel=1e-12), (g, q, a)
+
+    def test_explicit_prefix_tail_against_scipy(self):
+        m = weights.explicit_prefix_model((0.1, 0.3), rho=2.5)
+        c = 0.6 / zeta(2.5, 3)
+        assert m.power_constant == pytest.approx(c, rel=1e-12)
+        for M in (1, 2, 3, 50, 10**6):
+            want = c * zeta(2.5, max(M, 3)) + sum((0.1, 0.3)[M - 1 :])
+            assert weights.tail_sum(m, M) == pytest.approx(want, rel=1e-12)
+
+    def test_power_is_power_log_at_gamma_zero(self):
+        p, pl = weights.power_model(3.0), weights.power_log_model(3.0, 0.0)
+        assert p.power_constant == pl.power_constant
+        assert np.array_equal(weights.weights_range(p, 1, 5000), weights.weights_range(pl, 1, 5000))
+        assert np.array_equal(weights.weights_range(p, 9000, 9100), weights.weights_range(pl, 9000, 9100))
+        for k in (1, 2, 7, 1000, 10**9):
+            assert weights.weight(p, k) == weights.weight(pl, k)
+            assert weights.log_weight(p, k) == weights.log_weight(pl, k)
+            assert weights.slowly_varying(p, k) == weights.slowly_varying(pl, k)
+        for M, s in ((1, 1.0), (10, 0.75), (8192, 0.5), (10**6, 2.0)):
+            assert weights.tilted_tail_sum(p, M, s) == weights.tilted_tail_sum(pl, M, s)
+            assert weights.tail_sum(p, M) == weights.tail_sum(pl, M)
+
+    def test_power_rejects_gamma(self):
+        with pytest.raises(DomainError, match="power-log"):
+            weights.WeightModel(kind="power", rho=3.0, gamma=1.5)
+        assert weights.WeightModel(kind="power", rho=3.0).gamma == 0.0
 
 
 def _bisect_s2() -> float:
