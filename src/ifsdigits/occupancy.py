@@ -22,13 +22,7 @@ import numpy as np
 from .codec import csv_chunks
 from .errors import DomainError
 from .rng import substream
-from .weights import (
-    DigitSampler,
-    WeightModel,
-    tail_sum,
-    tilted_tail_sum,
-    weights_range,
-)
+from .weights import DigitSampler, WeightModel, tail_sum, tilted_tail_sum, weights_range
 
 __all__ = [
     "DistinctCounter",
@@ -86,15 +80,26 @@ class DistinctCounter:
         return self.count
 
 
-def distinct_counts(word: np.ndarray) -> np.ndarray:
+# Each digit up to _DENSE keeps its first position in a dense table; larger
+# digits share one overflow slot and are resolved with ``np.unique``.
+_DENSE = 1 << 16
+
+
+def distinct_counts(word) -> np.ndarray:
     """Vector ``D_1..D_n`` of running distinct counts for a digit word."""
-    word = np.asarray(word)
-    if word.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    first = np.sort(np.unique(word, return_index=True)[1])
-    return np.searchsorted(first, np.arange(1, word.size + 1), side="left").astype(
-        np.int64
-    )
+    w = np.asarray(word, dtype=np.int64)
+    n = w.size
+    if n and w.min() < 1:
+        raise DomainError("digits must be positive integers")
+    first = np.full(_DENSE + 2, n, dtype=np.int64)
+    np.minimum.at(first, np.minimum(w, _DENSE + 1), np.arange(n))
+    dense = first[1 : _DENSE + 1]
+    new = np.zeros(n, dtype=bool)
+    new[dense[dense < n]] = True
+    if first[_DENSE + 1] < n:
+        big = np.flatnonzero(w > _DENSE)
+        new[big[np.unique(w[big], return_index=True)[1]]] = True
+    return np.cumsum(new, dtype=np.int64)
 
 
 def karlin_constant(rho: float, C: float) -> float:
@@ -197,10 +202,7 @@ def monte_carlo_law(
     sampler = DigitSampler(model)
 
     def one_trial(trial: int) -> np.ndarray:
-        rng = substream(seed, trial)
-        word = sampler.sample(rng, n)
-        first = np.sort(np.unique(word, return_index=True)[1])
-        return np.searchsorted(first, cps_arr, side="left")
+        return distinct_counts(sampler.sample(substream(seed, trial), n))[cps_arr - 1]
 
     # More workers than trials or cores buys nothing; pool.map submits every
     # trial at once, so an unclamped count could start that many threads.
@@ -211,10 +213,7 @@ def monte_carlo_law(
     else:
         counts = np.stack([one_trial(t) for t in range(trials)])
 
-    scale = cps_arr ** (1.0 / model.rho) if math.isfinite(model.rho) else np.ones_like(
-        cps_arr, dtype=float
-    )
-    ratios = counts / scale
+    ratios = counts / (cps_arr ** (1.0 / model.rho) if math.isfinite(model.rho) else 1.0)
     means = tuple(float(v) for v in ratios.mean(axis=0))
     if trials > 1:
         sds = tuple(float(v) for v in ratios.std(axis=0, ddof=1))

@@ -313,10 +313,13 @@ def build_sublinear_schedule(
     reach = np.nonzero(root_f >= k_star)[0]
     n_t = int(reach[0]) + 1 if reach.size else None
     forced_vals = forced_digit[forced_time]
-    assert np.all(np.diff(K) >= 0), "truncation bounds must be nondecreasing"
-    assert forced_vals.size == 0 or np.all(np.diff(forced_vals) > 0), (
-        "forced digits must strictly increase along the new-digit times"
-    )
+    # A profile built without make_admissible can break these; python -O strips asserts.
+    if np.any(np.diff(K) < 0):
+        raise NotAdmissibleError("truncation bounds must be nondecreasing")
+    if np.any(np.diff(forced_vals) <= 0):
+        raise NotAdmissibleError(
+            "forced digits must strictly increase along the new-digit times"
+        )
     kmax = int(max(K.max(), forced_digit.max()))
     sorted_weights, perm = _sorted_weight_table(model, kmax)
     kvals, slot = np.unique(K, return_inverse=True)

@@ -205,7 +205,9 @@ def model_from_spec(spec: dict) -> WeightModel:
     if kind == "luroth":
         return luroth_model()
     if kind == "power":
-        return power_model(_require_number(spec, "rho"))
+        # a given gamma reaches WeightModel, which rejects any value but 0
+        gamma = _require_number(spec, "gamma") if "gamma" in spec else 0.0
+        return WeightModel(kind="power", rho=_require_number(spec, "rho"), gamma=gamma)
     if kind == "power-log":
         return power_log_model(_require_number(spec, "rho"), _require_number(spec, "gamma"))
     if kind == "explicit-prefix":

@@ -116,6 +116,11 @@ class TestExitCodes:
         assert code == 3
         assert "above -1" in capsys.readouterr().err
 
+    def test_power_with_gamma_is_3(self, capsys):
+        code = cli.main(["weights", "--model", "power", "--rho", "3", "--gamma", "1.5"])
+        assert code == 3
+        assert "use power-log" in capsys.readouterr().err
+
     def test_non_finite_profile_is_3(self, capsys):
         code = cli.main([
             "construct", "sublinear", "--t", "0.5", "--n", "100",

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ifsdigits import occupancy, weights
 from ifsdigits.errors import DomainError
+from ifsdigits.rng import substream
 
 LUROTH = weights.luroth_model()
 
@@ -22,6 +23,80 @@ PI_MINUS_3_CF = (
 # E D_100 for the luroth weights, frozen from a 3e6-term direct sum with a
 # second-order remainder bracket (width < 3e-14).
 E_D_100_LUROTH = 16.757733546404
+
+
+def reference_distinct_counts(word):
+    """The sort-based ``distinct_counts`` that the dense kernel replaced."""
+    word = np.asarray(word)
+    if word.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    first = np.sort(np.unique(word, return_index=True)[1])
+    return np.searchsorted(first, np.arange(1, word.size + 1), side="left").astype(
+        np.int64
+    )
+
+
+def reference_trial_counts(model, n, trials, seed, checkpoints):
+    """The per-trial first-occurrence loop that ``monte_carlo_law`` used to run."""
+    sampler = weights.DigitSampler(model)
+    cps = np.asarray(checkpoints, dtype=np.int64)
+    rows = []
+    for trial in range(trials):
+        word = sampler.sample(substream(seed, trial), n)
+        first = np.sort(np.unique(word, return_index=True)[1])
+        rows.append(np.searchsorted(first, cps, side="left"))
+    return np.stack(rows)
+
+
+# Digits on both sides of the dense table's edge (2**16) and far past it.
+KERNEL_DIGITS = st.one_of(
+    st.integers(1, 40),
+    st.sampled_from([65535, 65536, 65537]),
+    st.integers(65538, 2**62),
+)
+
+
+class TestDistinctCountsKernel:
+    @given(st.lists(KERNEL_DIGITS, max_size=400))
+    def test_matches_reference(self, digits):
+        word = np.asarray(digits, dtype=np.int64)
+        assert np.array_equal(occupancy.distinct_counts(word), reference_distinct_counts(word))
+
+    @pytest.mark.parametrize("word", [
+        [],
+        [1],
+        [65536],
+        [2**62],
+        [7] * 50,
+        [65537] * 50,
+        [2**62, 1, 2**62, 65536, 65537, 65536, 1, 3],
+    ])
+    def test_edge_words(self, word):
+        word = np.asarray(word, dtype=np.int64)
+        got = occupancy.distinct_counts(word)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, reference_distinct_counts(word))
+
+    def test_list_and_int32_input(self):
+        digits = [3, 1, 65537, 3, 65536, 2, 1, 70000, 65537]
+        expect = reference_distinct_counts(np.asarray(digits))
+        assert np.array_equal(occupancy.distinct_counts(digits), expect)
+        assert np.array_equal(occupancy.distinct_counts(np.asarray(digits, dtype=np.int32)), expect)
+
+    def test_sampled_words(self):
+        for model in (LUROTH, weights.power_model(1.5), weights.power_model(3.0)):
+            word = weights.DigitSampler(model).sample(substream(11, 0), 200_000)
+            assert np.array_equal(occupancy.distinct_counts(word), reference_distinct_counts(word))
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    @pytest.mark.parametrize("at", [0, 77_777, 99_999])
+    def test_nonpositive_digit_rejected(self, bad, at):
+        word = np.arange(1, 100_001, dtype=np.int64)
+        word[at] = bad
+        with pytest.raises(DomainError, match="positive"):
+            occupancy.distinct_counts(word)
+        with pytest.raises(DomainError, match="positive"):
+            occupancy.distinct_counts([bad])
 
 
 class FakePool:
@@ -165,6 +240,24 @@ class TestMonteCarloLaw:
         b = occupancy.monte_carlo_law(LUROTH, threads=4, **kw)
         assert a.means == b.means
         assert a.sds == b.sds
+
+    @pytest.mark.parametrize("model", [
+        LUROTH, weights.power_model(1.5), weights.power_log_model(2.0, 1.5),
+    ], ids=["luroth", "power-1.5", "power-log"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_matches_reference_loop(self, model, threads):
+        n, trials, seed = 20_000, 4, 21
+        cps = (100, 1000, 4096, 20_000)
+        if model.kind == "power":
+            # fallback draws past the sampler table reach the kernel's overflow slot
+            sampler = weights.DigitSampler(model)
+            assert (sampler.sample(substream(seed, 0), n) > sampler._table_size).any()
+        ref = reference_trial_counts(model, n, trials, seed, cps)
+        rep = occupancy.monte_carlo_law(model, n, trials, seed, checkpoints=cps, threads=threads)
+        ratios = ref / np.asarray(cps) ** (1.0 / model.rho)
+        assert rep.means == tuple(float(v) for v in ratios.mean(axis=0))
+        assert rep.sds == tuple(float(v) for v in ratios.std(axis=0, ddof=1))
+        assert rep.mean_final_distinct == float(ref[:, -1].mean())
 
     def test_seed_replay(self):
         a = occupancy.monte_carlo_law(LUROTH, n=500, trials=4, seed=9)

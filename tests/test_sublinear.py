@@ -1,6 +1,10 @@
 """Forced-digit schedules: profiles, truncation thresholds, sampling, ratios."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from ifsdigits.errors import (
 from ifsdigits.rng import substream
 
 LUROTH = weights.luroth_model()
+ROOT = Path(__file__).resolve().parents[1]
 
 # exponent of the two-digit truncation, used as an s(K_n) oracle below
 S_2 = 0.6009668516136755
@@ -262,6 +267,46 @@ class TestScheduleStructure:
         prof = sublinear.profile_from_spec({"kind": "sqrt", "horizon": 1000})
         with pytest.raises(DomainError):
             sublinear.build_sublinear_schedule(m, prof, 0.5)
+
+
+# Hand-built profiles that bypass make_admissible, each breaking one schedule invariant.
+BROKEN_PROFILES = [
+    # isqrt(f) falls from 10 to 0
+    (list(range(101)) + [0] * 20, "truncation bounds must be nondecreasing"),
+    # f steps up to 2 twice
+    ([0, 1, 2, 1, 2] + [2] * 20, "forced digits must strictly increase"),
+]
+SCHEDULE_INVARIANT_PROBE = """
+import numpy as np
+from ifsdigits import sublinear, weights
+from ifsdigits.errors import NotAdmissibleError
+values = np.asarray(%r, dtype=np.int64)
+prof = sublinear.AdmissibleProfile(values=values, horizon=values.size - 1, provenance="hand")
+try:
+    sublinear.build_sublinear_schedule(weights.luroth_model(), prof, 0.5)
+except NotAdmissibleError as exc:
+    print(exc)
+"""
+
+
+class TestScheduleInvariants:
+    @pytest.mark.parametrize("values,message", BROKEN_PROFILES)
+    def test_hand_built_profile_rejected(self, values, message):
+        prof = sublinear.AdmissibleProfile(
+            values=np.asarray(values, dtype=np.int64), horizon=len(values) - 1, provenance="hand"
+        )
+        with pytest.raises(NotAdmissibleError, match=message):
+            sublinear.build_sublinear_schedule(LUROTH, prof, 0.5)
+
+    @pytest.mark.parametrize("values,message", BROKEN_PROFILES)
+    def test_checked_under_optimize_flag(self, values, message):
+        # ``python -O`` strips assert statements; these checks must survive it
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", SCHEDULE_INVARIANT_PROBE % (values,)],
+            cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert message in out.stdout
 
 
 class TestSampling:

@@ -77,6 +77,16 @@ class TestModelConstruction:
             again = weights.model_from_spec(weights.model_to_spec(m))
             assert weights.weight(m, 7) == weights.weight(again, 7)
 
+    def test_power_spec_gamma(self):
+        # a given gamma is read, not dropped: 0 is power, anything else is rejected
+        m = weights.model_from_spec({"kind": "power", "rho": 3.0, "gamma": 0})
+        assert m == weights.power_model(3.0)
+        assert weights.model_to_spec(m) == {"kind": "power", "rho": 3.0}
+        with pytest.raises(DomainError, match="use power-log"):
+            weights.model_from_spec({"kind": "power", "rho": 3.0, "gamma": 1.5})
+        with pytest.raises(DomainError, match="'gamma' must be a number"):
+            weights.model_from_spec({"kind": "power", "rho": 3.0, "gamma": "1.5"})
+
     def test_normalization_four_kinds(self):
         for m in (
             LUROTH,
