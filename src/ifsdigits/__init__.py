@@ -12,8 +12,6 @@ from .codec import (
     Cylinder,
     apply_expansion,
     cylinder,
-    cylinder_from_json,
-    cylinder_to_json,
     digit_interval,
     encode,
     luroth_series_eval,
@@ -43,13 +41,10 @@ from .linear import (
     sandwich_violations,
 )
 from .occupancy import (
-    DistinctCounter,
     LawReport,
     distinct_counts,
     expected_distinct,
     karlin_constant,
-    law_report_to_csv,
-    law_report_to_json,
     monte_carlo_law,
 )
 from .rng import DEFAULT_SEED, substream
@@ -84,7 +79,6 @@ from .weights import (
     potter_scan,
     power_log_model,
     power_model,
-    sample_digit,
     slowly_varying,
     tail_sum,
     tilted_tail_sum,
@@ -104,7 +98,6 @@ __all__ = [
     "DEFAULT_SEED",
     "DepthError",
     "DigitSampler",
-    "DistinctCounter",
     "DivergenceError",
     "DomainError",
     "EnumerationSizeError",
@@ -125,10 +118,8 @@ __all__ = [
     "build_sublinear_schedule",
     "count_blocks",
     "cylinder",
-    "cylinder_from_json",
     "cylinder_sum_exact",
     "cylinder_sum_mc",
-    "cylinder_to_json",
     "digit_interval",
     "distinct_counts",
     "distinct_forces_large_check",
@@ -139,8 +130,6 @@ __all__ = [
     "explicit_prefix_model",
     "finite_model",
     "karlin_constant",
-    "law_report_to_csv",
-    "law_report_to_json",
     "luroth_model",
     "luroth_series_eval",
     "make_admissible",
@@ -155,7 +144,6 @@ __all__ = [
     "profile_from_spec",
     "profile_from_table",
     "run_suite",
-    "sample_digit",
     "sandwich_violations",
     "slowly_varying",
     "substream",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import nullcontext
 from itertools import chain, islice
@@ -237,9 +238,29 @@ def cmd_simulate(args) -> int:
         threads=max(1, args.threads),
     )
     if args.format == "json":
-        _emit(args, [occupancy.law_report_to_json(report)])
+        _emit_json(args, {
+            "model": report.model_desc,
+            "rho": report.rho,
+            "n": report.n,
+            "trials": report.trials,
+            "seed": report.seed,
+            "checkpoints": report.checkpoints,
+            "means": report.means,
+            "sds": report.sds,
+            "exact_expectations": report.exact_expectations,
+            "karlin_constant": report.karlin,
+            "mean_final_distinct": report.mean_final_distinct,
+        })
     else:
-        _emit(args, [occupancy.law_report_to_csv(report)])
+        rows = len(report.checkpoints)
+        _emit_csv(args, f"seed={report.seed} model={report.model_desc} trials={report.trials}", {
+            "n": [report.n] * rows,
+            "checkpoint": report.checkpoints,
+            "mean": report.means,
+            "sd": report.sds,
+            "exact_expectation": report.exact_expectations,
+            "karlin_constant": [report.karlin] * rows,
+        })
     return 0
 
 
@@ -346,8 +367,10 @@ def cmd_cylsum(args) -> int:
             ],
         })
     else:
-        body = tilt.cylinder_records_to_csv(records, bounds)
-        _emit(args, [f"# seed={seed} model={model.describe()}\n", body])
+        names = ("n", "s", "theta", "mode", "value", "stderr", "truncation_deficit")
+        columns = {name: [getattr(r, name) for r in records] for name in names}
+        columns["binomial_bound"] = [math.exp(min(b.log_binomial_bound, 0.0)) for b in bounds]
+        _emit_csv(args, f"seed={seed} model={model.describe()}", columns)
     return 0
 
 

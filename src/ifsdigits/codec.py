@@ -10,10 +10,10 @@ its cylinder interval.
 For the ``luroth`` model a second, *classical* layout is supported: the
 branch with digit index ``k`` lives on ``(1/(k+1), 1/k]`` and the expansion
 map is ``x -> k(k+1)x - k``.  The classical digit value of tradition is
-``k + 1``; this module indexes branches by ``k`` everywhere and offers
-explicit converters.  Classical-layout cylinders are reported as closed
-intervals (the closure of the half-open branch image) so a cylinder always
-contains the partial sums of its series expansion.
+``k + 1``; this module indexes branches by ``k`` everywhere.
+Classical-layout cylinders are reported as closed intervals (the closure of
+the half-open branch image) so a cylinder always contains the partial sums
+of its series expansion.
 
 Luroth arithmetic is exact over ``fractions.Fraction`` up to a configurable
 depth; everything else, and anything deeper, runs in float/log space.
@@ -39,10 +39,6 @@ __all__ = [
     "apply_expansion",
     "digit_interval",
     "luroth_series_eval",
-    "to_classical_digits",
-    "from_classical_digits",
-    "cylinder_to_json",
-    "cylinder_from_json",
     "word_to_line",
     "word_from_line",
     "csv_chunks",
@@ -280,12 +276,12 @@ def _canonical_digit_float(model: WeightModel, x: float) -> int:
 # -- series evaluation ----------------------------------------------------------
 
 
-def luroth_series_eval(classical_digits, terms: int | None = None) -> Fraction:
+def luroth_series_eval(values, terms: int | None = None) -> Fraction:
     """Partial sum of ``sum_n 1/(d_n * prod_{j<n} d_j (d_j - 1))``.
 
-    ``classical_digits`` are the traditional values ``d = k + 1 >= 2``.
+    ``values`` are the traditional digit values ``d = k + 1 >= 2``.
     """
-    digits = tuple(int(d) for d in classical_digits)
+    digits = tuple(int(d) for d in values)
     if any(d < 2 for d in digits):
         raise DomainError("classical digits must be at least 2")
     if terms is None:
@@ -299,18 +295,6 @@ def luroth_series_eval(classical_digits, terms: int | None = None) -> Fraction:
         total += scale / d
         scale /= d * (d - 1)
     return total
-
-
-def to_classical_digits(word) -> tuple[int, ...]:
-    """Branch indices ``k`` to traditional luroth digit values ``k + 1``."""
-    return tuple(int(d) + 1 for d in _check_word(word))
-
-
-def from_classical_digits(classical) -> tuple[int, ...]:
-    digits = tuple(int(d) - 1 for d in classical)
-    if any(d < 1 for d in digits):
-        raise DomainError("classical digits must be at least 2")
-    return digits
 
 
 # -- wire formats ---------------------------------------------------------------
@@ -348,27 +332,3 @@ def csv_chunks(columns: dict) -> Iterator[str]:
     for start in range(0, rows, CSV_CHUNK_ROWS):
         cells = [_csv_cells(col[start : start + CSV_CHUNK_ROWS]) for col in columns.values()]
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
-
-
-def cylinder_to_json(cyl: Cylinder) -> dict:
-    """Wire form: digits, log-diameter, and the left endpoint.
-
-    The left endpoint is a ``"p/q"`` string in exact mode, else a float.
-    """
-    left = (
-        f"{cyl.left_exact.numerator}/{cyl.left_exact.denominator}"
-        if cyl.left_exact is not None
-        else cyl.left
-    )
-    return {"digits": list(cyl.digits), "log_diam": cyl.log_diam, "left": left}
-
-
-def cylinder_from_json(model: WeightModel, obj: dict, layout: str = "canonical") -> Cylinder:
-    if not isinstance(obj, dict) or "digits" not in obj:
-        raise DomainError("cylinder object needs a 'digits' field")
-    cyl = cylinder(model, obj["digits"], layout=layout)
-    if isinstance(obj.get("left"), str) and cyl.left_exact is not None:
-        num, _, den = obj["left"].partition("/")
-        if Fraction(int(num), int(den or "1")) != cyl.left_exact:
-            raise DomainError("cylinder left endpoint does not match its digits")
-    return cyl

@@ -23,12 +23,11 @@ exact.  Words are limited to ``2**22`` digits (depth 21).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .codec import cylinder
 from .errors import (
     DepthError,
     DomainError,
@@ -82,9 +81,6 @@ class BlockProfile:
     r: np.ndarray  # int64, index t in [0, length]
     is_new: np.ndarray  # bool, True where r steps up; index 0 unused
     new_count: int  # r(length)
-
-    def new_times(self) -> tuple[int, ...]:
-        return tuple(int(t) for t in np.nonzero(self.is_new)[0])
 
 
 def distinctness_profile(theta, L: int) -> BlockProfile:
@@ -179,14 +175,13 @@ def enumerate_blocks(N: int, L: int, theta, alphabet=None, limit: int = 2_000_00
 
 @dataclass(frozen=True, eq=False)
 class BlockLevel:
-    """One level of a schedule: block shape, alphabet window, block count."""
+    """One level of a schedule: block shape and alphabet window."""
 
     j: int
     length: int  # 2**j
     profile: BlockProfile
     alphabet_start: int  # alphabet is [start, start + size)
     alphabet_size: int
-    exact_count: int | None
 
     @property
     def new_count(self) -> int:
@@ -201,7 +196,6 @@ class BlockSchedule:
     theta: Fraction
     k1: int
     levels: tuple[BlockLevel, ...]
-    _block_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def depth(self) -> int:
@@ -311,72 +305,6 @@ class BlockSchedule:
             raise DepthError("word runs past the schedule depth")
         return level, distinct, log_mass
 
-    # -- interval bracketing ----------------------------------------------------
-
-    def interval_mass(
-        self, a: float, b: float, depth_cap: int, enum_limit: int = 200_000
-    ) -> tuple[float, float]:
-        """Bracket the measure of ``[a, b)`` by block cylinders.
-
-        Returns ``(lower, upper)``; the gap is at most the mass of the two
-        boundary cylinders at ``depth_cap``.  Needs enumerable levels, so it
-        is a desk-scale tool for small schedules.
-        """
-        if depth_cap < 1 or depth_cap > self.depth:
-            raise DomainError("depth_cap outside schedule")
-        a, b = float(a), float(b)
-        if not b > a:
-            return (0.0, 0.0)
-        if a <= 0.0 and b >= 1.0:
-            return (1.0, 1.0)
-        lower, slack = self._mass_rec(1, depth_cap, 0.0, 1.0, 1.0, a, b, enum_limit)
-        return lower, lower + slack
-
-    def _mass_rec(self, j, depth_cap, x0, scale, mass, a, b, enum_limit):
-        blocks = self._enumerated_geometry(j, enum_limit)
-        share = mass / len(blocks)
-        lower = 0.0
-        slack = 0.0
-        for left_rel, diam_rel in blocks:
-            left = x0 + scale * left_rel
-            right = left + scale * diam_rel
-            if right <= a or left >= b:
-                continue
-            if a <= left and right <= b:
-                lower += share
-            elif j >= depth_cap:
-                slack += share
-            else:
-                sub_lower, sub_slack = self._mass_rec(
-                    j + 1, depth_cap, left, scale * diam_rel, share, a, b, enum_limit
-                )
-                lower += sub_lower
-                slack += sub_slack
-        return lower, slack
-
-    def _enumerated_geometry(self, j: int, enum_limit: int):
-        cached = self._block_cache.get(j)
-        if cached is not None:
-            return cached
-        lev = self.level(j)
-        if lev.exact_count is None or lev.exact_count > enum_limit:
-            raise EnumerationSizeError(
-                f"level {j} has too many blocks to enumerate"
-            )
-        alphabet = range(lev.alphabet_start, lev.alphabet_start + lev.alphabet_size)
-        geoms = []
-        for block in enumerate_blocks(
-            lev.alphabet_size,
-            lev.length,
-            self.theta,
-            alphabet=alphabet,
-            limit=enum_limit,
-        ):
-            cyl = cylinder(self.model, block, exact=False)
-            geoms.append((cyl.left, cyl.diam))
-        self._block_cache[j] = geoms
-        return geoms
-
 
 def build_block_schedule(
     model: WeightModel, theta, depth: int, k1: int | None = None
@@ -427,7 +355,6 @@ def build_block_schedule(
                 profile=prof,
                 alphabet_start=start,
                 alphabet_size=size,
-                exact_count=_count_profile(size, prof).exact,
             )
         )
     return BlockSchedule(model=model, theta=theta, k1=int(k1), levels=tuple(levels))

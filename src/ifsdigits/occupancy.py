@@ -4,14 +4,13 @@ For digits drawn independently with weights ``p_k ~ C k**-rho`` the number
 ``D_n`` of distinct digits seen in the first ``n`` draws grows like
 ``Gamma(1 - 1/rho) * C**(1/rho) * n**(1/rho)`` (Karlin's occupancy law);
 for the luroth weights the constant is ``sqrt(pi)``.  This module provides
-a streaming counter, the exact expectation ``E D_n = sum_k (1-(1-p_k)**n)``,
-the law constant, and a reproducible Monte Carlo harness with per-trial
-substreams.
+the running distinct counts of a word, the exact expectation
+``E D_n = sum_k (1-(1-p_k)**n)``, the law constant, and a reproducible
+Monte Carlo harness with per-trial substreams.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -19,65 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import csv_chunks
 from .errors import DomainError
 from .rng import substream
-from .weights import DigitSampler, WeightModel, tail_sum, tilted_tail_sum, weights_range
+from .weights import (_MAX_DRAWS, DigitSampler, WeightModel, tail_sum, tilted_tail_sum,
+                      weights_range)
 
 __all__ = [
-    "DistinctCounter",
     "LawReport",
     "karlin_constant",
     "expected_distinct",
     "distinct_counts",
     "monte_carlo_law",
-    "law_report_to_csv",
-    "law_report_to_json",
 ]
-
-
-class DistinctCounter:
-    """Streaming distinct-value counter.
-
-    Small digits are tracked in a dense byte table, everything else in an
-    overflow set; feeding a digit is O(1) either way.  Optionally records
-    the first-occurrence time of every digit.  Instances are single-owner
-    mutable state: share models across threads, not counters.
-    """
-
-    __slots__ = ("count", "steps", "first_occurrence", "_dense", "_overflow", "_track")
-
-    def __init__(self, dense_limit: int = 1024, track_first: bool = False):
-        self.count = 0
-        self.steps = 0
-        self._dense = bytearray(dense_limit)
-        self._overflow: set[int] = set()
-        self._track = track_first
-        self.first_occurrence: dict[int, int] = {}
-
-    def feed(self, digit: int) -> int:
-        """Count ``digit``; returns the updated distinct count."""
-        d = int(digit)
-        if d < 1:
-            raise DomainError("digits must be positive integers")
-        self.steps += 1
-        if d <= len(self._dense):
-            if not self._dense[d - 1]:
-                self._dense[d - 1] = 1
-                self.count += 1
-                if self._track:
-                    self.first_occurrence[d] = self.steps
-        elif d not in self._overflow:
-            self._overflow.add(d)
-            self.count += 1
-            if self._track:
-                self.first_occurrence[d] = self.steps
-        return self.count
-
-    def feed_many(self, digits) -> int:
-        for d in digits:
-            self.feed(d)
-        return self.count
 
 
 # Each digit up to _DENSE keeps its first position in a dense table; larger
@@ -195,6 +147,8 @@ def monte_carlo_law(
     """
     if n < 1 or trials < 1:
         raise DomainError("n and trials must be positive")
+    if n > _MAX_DRAWS:
+        raise DomainError(f"n = {n} digits per trial exceeds the limit of {_MAX_DRAWS}")
     cps = tuple(int(c) for c in (checkpoints or _default_checkpoints(n)))
     if any(c < 1 or c > n for c in cps):
         raise DomainError("checkpoints must lie in [1, n]")
@@ -236,35 +190,3 @@ def monte_carlo_law(
         karlin=const,
         mean_final_distinct=float(counts[:, -1].mean()),
     )
-
-
-def law_report_to_csv(report: LawReport) -> str:
-    """CSV wire form, one row per checkpoint, seed in a header comment."""
-    rows = len(report.checkpoints)
-    columns = {
-        "n": [report.n] * rows,
-        "checkpoint": report.checkpoints,
-        "mean": report.means,
-        "sd": report.sds,
-        "exact_expectation": report.exact_expectations,
-        "karlin_constant": [report.karlin] * rows,
-    }
-    header = f"# seed={report.seed} model={report.model_desc} trials={report.trials}\n"
-    return header + "".join(csv_chunks(columns))
-
-
-def law_report_to_json(report: LawReport) -> str:
-    obj = {
-        "model": report.model_desc,
-        "rho": report.rho,
-        "n": report.n,
-        "trials": report.trials,
-        "seed": report.seed,
-        "checkpoints": list(report.checkpoints),
-        "means": list(report.means),
-        "sds": list(report.sds),
-        "exact_expectations": list(report.exact_expectations),
-        "karlin_constant": report.karlin,
-        "mean_final_distinct": report.mean_final_distinct,
-    }
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"

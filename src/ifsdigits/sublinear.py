@@ -31,6 +31,7 @@ from .errors import (
     PrecisionError,
     TiltThresholdError,
 )
+from .linear import _MAX_WORD_LENGTH
 from .occupancy import distinct_counts
 from .weights import WeightModel, exponent_root, partial_sum_exponent, weights_range
 
@@ -74,6 +75,8 @@ def make_admissible(g: Callable[[int], float], horizon: int, provenance: str = "
     """
     if horizon < 10:
         raise DomainError("profile horizon must be at least 10")
+    if horizon > _MAX_WORD_LENGTH:
+        raise DomainError(f"profile horizon {horizon} exceeds the limit of {_MAX_WORD_LENGTH}")
     gs = np.array([float(g(n)) for n in range(1, horizon + 1)])
     bad = np.flatnonzero(~np.isfinite(gs))
     if bad.size:

@@ -25,37 +25,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import csv_chunks
 from .errors import DomainError, EnumerationSizeError
 from .rng import substream
-from .weights import DigitSampler, WeightModel, tilted_tail_sum, weights_range
+from .weights import _MAX_DRAWS, DigitSampler, WeightModel, tilted_tail_sum, weights_range
 
 __all__ = [
     "CylinderSumRecord",
     "BoundChainRecord",
     "LemmaScanReport",
-    "high_digit_positions",
     "distinct_forces_large_check",
     "distinct_threshold",
     "cylinder_sum_exact",
     "cylinder_sum_mc",
     "bound_chain",
-    "cylinder_records_to_csv",
 ]
 
 _EXACT_WORD_LIMIT = 10_000_000
 
 
 # -- the combinatorial lemma ------------------------------------------------------
-
-
-def high_digit_positions(word, m: int) -> int:
-    """Count positions carrying a digit ``>= ceil(m/2)``."""
-    if m < 1:
-        raise DomainError("m must be a positive integer")
-    digits = np.asarray(word, dtype=np.int64)
-    cut = (m + 1) // 2
-    return int(np.count_nonzero(digits >= cut))
 
 
 @dataclass(frozen=True)
@@ -190,6 +178,8 @@ def cylinder_sum_mc(
     """
     if n < 1 or trials < 1:
         raise DomainError("n and trials must be positive")
+    if n > _MAX_DRAWS:
+        raise DomainError(f"word length n = {n} exceeds the limit of {_MAX_DRAWS}")
     if not 0.0 < theta <= 1.0:
         raise DomainError("theta must lie in (0, 1]")
     zeta = tilted_tail_sum(model, 1, s)
@@ -295,13 +285,3 @@ def bound_chain(
         record["prob_se"] = (mc.stderr or 0.0) / math.exp(n * math.log(zeta))
         record["chain_ok"] = mc.prob <= bound + 3.0 * (record["prob_se"] or 0.0)
     return BoundChainRecord(**record)
-
-
-def cylinder_records_to_csv(records, bounds=None) -> str:
-    """CSV rows: n, s, theta, mode, value, stderr, truncation_deficit,
-    binomial_bound (joined from ``bounds`` by matching n when given)."""
-    bound = {b.n: math.exp(min(b.log_binomial_bound, 0.0)) for b in bounds or ()}
-    names = ("n", "s", "theta", "mode", "value", "stderr", "truncation_deficit")
-    columns = {name: [getattr(rec, name) for rec in records] for name in names}
-    columns["binomial_bound"] = [bound.get(rec.n) for rec in records]
-    return "".join(csv_chunks(columns))

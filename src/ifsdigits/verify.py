@@ -197,9 +197,7 @@ _PI_MINUS_3_PARTIAL_QUOTIENTS = (
 
 
 def check_occupancy_counter(seed: int, threads: int) -> str:
-    counter = occupancy.DistinctCounter()
-    for d in (7, 15, 1, 292, 1, 1, 1, 2):
-        count = counter.feed(d)
+    count = int(occupancy.distinct_counts((7, 15, 1, 292, 1, 1, 1, 2))[-1])
     _require(count == 5, f"eight-digit stream counted {count}, expected 5")
     counts = occupancy.distinct_counts(_PI_MINUS_3_PARTIAL_QUOTIENTS)
     _require(

@@ -58,7 +58,6 @@ __all__ = [
     "exponent_root",
     "potter_scan",
     "verify_potter_report",
-    "sample_digit",
     "DigitSampler",
 ]
 
@@ -71,6 +70,10 @@ _EM_CUT = 8192
 
 # Largest explicit weight table (entries) built for one lookup.
 _MAX_TABLE = 1 << 22
+
+# Longest word a command may draw at once.  Drawing and counting a word keeps
+# about 40 bytes per digit live in each worker, so this is about 670 MB.
+_MAX_DRAWS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -604,13 +607,13 @@ def _dyadic_window_min(logp: np.ndarray) -> np.ndarray:
         prev = table[-1]
         table.append(np.minimum(prev[: prev.size - width], prev[width:]))
         width *= 2
+    i = np.arange(n)
+    hi = np.minimum(2 * i + 1, n)  # digits i+1 .. hi, zero-based i .. hi-1
+    lev = np.frexp(hi - i)[1] - 1  # floor(log2(window length)), exact
     out = np.empty(n)
-    for i in range(n):
-        hi = min(2 * (i + 1) - 1, n)  # digits i+1 .. hi, zero-based i .. hi-1
-        length = hi - i
-        lev = length.bit_length() - 1
-        w = 1 << lev
-        out[i] = min(table[lev][i], table[lev][hi - w])
+    for j, level in enumerate(table):
+        at = np.flatnonzero(lev == j)
+        out[at] = np.minimum(level[at], level[hi[at] - (1 << j)])
     return out
 
 
@@ -631,16 +634,6 @@ def verify_potter_report(
 
 
 # -- sampling -----------------------------------------------------------------
-
-
-def sample_digit(model: WeightModel, u: float) -> int:
-    """Inverse-CDF digit: the ``k`` with ``sum_{j<k} p_j <= u < sum_{j<=k} p_j``."""
-    if not 0.0 < u < 1.0:
-        raise DomainError("u must lie strictly between 0 and 1")
-    if model.kind == "luroth":
-        # cumulative mass through k is k/(k+1), so k = floor(1/(1-u))
-        return int(1.0 / (1.0 - u))
-    return _invert_tail(model, 1.0, 1.0 - u, 1)
 
 
 def _invert_tail(model: WeightModel, s: float, target: float, lo: int) -> int:

@@ -1,16 +1,18 @@
 """Command-line behavior: exit codes, reproducibility, wire formats."""
 
+import importlib
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ifsdigits import cli, codec, sublinear, weights
+from ifsdigits import cli, codec, occupancy, sublinear, tilt, weights
 from ifsdigits.rng import DEFAULT_SEED
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -99,6 +101,33 @@ class TestExitCodes:
         code = cli.main(["construct", "linear", "--theta", "0.5", "--depth", depth])
         assert code == 3
         assert "depth 21" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "10000000000000", "--trials", "1"],
+        ["simulate", "--n", str((1 << 24) + 1), "--trials", "2", "--threads", "2"],
+        ["cylsum", "--n", "10000000000000", "--s", "0.75", "--theta", "0.5"],
+        ["construct", "sublinear", "--t", "0.5", "--n", "10000000000"],
+        ["construct", "sublinear", "--t", "0.5", "--n", str((1 << 22) + 1)],
+    ], ids=["simulate", "simulate-cap", "cylsum", "sublinear", "sublinear-cap"])
+    def test_oversized_word_is_3(self, capsys, argv):
+        # refused before any digit is drawn, so no memory is committed first
+        start = time.perf_counter()
+        code = cli.main(argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert "exceeds the limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("module, name, argv", [
+        (occupancy, "_MAX_DRAWS", ["simulate", "--trials", "2", "--n"]),
+        (tilt, "_MAX_DRAWS", ["cylsum", "--s", "1.5", "--theta", "0.5", "--trials", "20", "--n"]),
+        (sublinear, "_MAX_WORD_LENGTH", ["construct", "sublinear", "--t", "0.5", "--n"]),
+    ], ids=["simulate", "cylsum", "sublinear"])
+    def test_word_limit_is_inclusive(self, tmp_path, capsys, monkeypatch, module, name, argv):
+        # the sublinear horizon is max(--n, 1024), so the limit sits above that
+        monkeypatch.setattr(module, name, 2000)
+        assert run_cli(tmp_path, argv + ["2000"])[0] == 0
+        assert run_cli(tmp_path, argv + ["2001"])[0] == 3
+        assert "exceeds the limit of 2000" in capsys.readouterr().err
 
     @pytest.mark.parametrize("gamma", ["-0.9", "-1.5", "-1"])
     def test_power_log_below_range_is_3(self, capsys, gamma):
@@ -475,3 +504,17 @@ class TestOutputRouting:
         assert code == 0
         assert capsys.readouterr().out == ""
         assert "quantity,k,value" in path.read_text(encoding="utf-8")
+
+
+MODULES = ("", ".cli", ".codec", ".errors", ".linear", ".occupancy", ".rng", ".sublinear",
+           ".tilt", ".verify", ".weights")
+
+
+class TestPublicNames:
+    @pytest.mark.parametrize("suffix", MODULES)
+    def test_every_export_resolves(self, suffix):
+        # a name left in __all__ after its definition is deleted fails here
+        module = importlib.import_module("ifsdigits" + suffix)
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == []
+        assert len(set(module.__all__)) == len(module.__all__)

@@ -202,12 +202,8 @@ class TestLurothSeries:
     def test_value_lies_in_cylinder(self):
         classical = (3, 2, 5, 4)
         value = codec.luroth_series_eval(classical)
-        word = codec.from_classical_digits(classical)
+        word = tuple(d - 1 for d in classical)  # branch index k = d - 1
         assert codec.cylinder(LUROTH, word, layout="classical").contains(value)
-
-    def test_digit_translation_roundtrip(self):
-        word = (1, 2, 2, 2)
-        assert codec.from_classical_digits(codec.to_classical_digits(word)) == word
 
 
 class TestWireFormats:
@@ -221,25 +217,6 @@ class TestWireFormats:
     def test_bad_line(self):
         with pytest.raises(DomainError):
             codec.word_from_line("3,x,4")
-
-    def test_cylinder_json_roundtrip(self):
-        cyl = codec.cylinder(LUROTH, (1, 2, 2, 2), layout="classical")
-        obj = codec.cylinder_to_json(cyl)
-        assert obj["left"] == "151/216"
-        back = codec.cylinder_from_json(LUROTH, obj, layout="classical")
-        assert back.digits == cyl.digits
-        assert back.left_exact == cyl.left_exact
-
-    def test_cylinder_json_mismatch_rejected(self):
-        cyl = codec.cylinder(LUROTH, (1, 2, 2, 2), layout="classical")
-        obj = codec.cylinder_to_json(cyl)
-        obj["left"] = "1/2"
-        with pytest.raises(DomainError):
-            codec.cylinder_from_json(LUROTH, obj, layout="classical")
-
-    def test_cylinder_json_needs_digits(self):
-        with pytest.raises(DomainError):
-            codec.cylinder_from_json(LUROTH, {"left": "0/1"})
 
 
 def f_string_rows(rows, fmt):
@@ -301,15 +278,17 @@ class TestCsvChunks:
         assert all(chunk.endswith("\n") for chunk in chunks)
         assert "".join(chunks) == want
 
-    def test_occupancy_law_report(self):
-        from ifsdigits import occupancy
+    def test_occupancy_law_report(self, tmp_path, monkeypatch):
+        from ifsdigits import cli, occupancy
 
+        path = tmp_path / "law.csv"
         for karlin in (None, math.sqrt(math.pi)):
             report = occupancy.LawReport(
                 model_desc="m", rho=2.0, n=8, trials=3, seed=7, checkpoints=(2, 4, 8),
                 means=(1.0, -0.0, 0.1), sds=(0.0, 0.5, 1e-17),
                 exact_expectations=(1.5, 2.25, 3.0), karlin=karlin, mean_final_distinct=3.0,
             )
+            monkeypatch.setattr(occupancy, "monte_carlo_law", lambda *a, **k: report)
             k = "" if karlin is None else repr(karlin)
             want = (
                 "# seed=7 model=m trials=3\n"
@@ -320,29 +299,39 @@ class TestCsvChunks:
                     for i, c in enumerate(report.checkpoints)
                 )
             )
-            assert occupancy.law_report_to_csv(report) == want
+            assert cli.main(["simulate", "--n", "8", "--trials", "3", "--out", str(path)]) == 0
+            assert path.read_text(encoding="utf-8") == want
 
-    def test_tilt_records_with_empty_cells(self):
-        from ifsdigits import tilt
+    def test_tilt_records_with_empty_cells(self, tmp_path):
+        from ifsdigits import cli, tilt
+        from ifsdigits.rng import DEFAULT_SEED
 
-        records = [
-            tilt.cylinder_sum_exact(LUROTH, 3, 0.75, 0.5, 4),  # stderr is None
-            tilt.cylinder_sum_mc(LUROTH, 4, 0.75, 0.5, 200, 1),  # deficit is None
+        path = tmp_path / "cylsum.csv"
+        runs = [
+            (["--n", "3", "--mode", "exact", "--cap", "4"],
+             tilt.cylinder_sum_exact(LUROTH, 3, 0.75, 0.5, 4)),  # stderr is None
+            (["--n", "4", "--trials", "200", "--seed", "1"],
+             tilt.cylinder_sum_mc(LUROTH, 4, 0.75, 0.5, 200, 1)),  # deficit is None
         ]
-        bounds = [tilt.bound_chain(LUROTH, 3, 0.75, 0.5)]  # no bound for n = 4
-        by_n = {b.n: b for b in bounds}
-        lines = ["n,s,theta,mode,value,stderr,truncation_deficit,binomial_bound"]
-        for rec in records:
-            b = by_n.get(rec.n)
-            bound_txt = repr(math.exp(min(b.log_binomial_bound, 0.0))) if b else ""
-            lines.append(
+        rows = []
+        for flags, rec in runs:
+            b = tilt.bound_chain(LUROTH, rec.n, 0.75, 0.5)
+            row = (
                 f"{rec.n},{rec.s!r},{rec.theta!r},{rec.mode},{rec.value!r},"
                 f"{'' if rec.stderr is None else repr(rec.stderr)},"
                 f"{'' if rec.truncation_deficit is None else repr(rec.truncation_deficit)},"
-                f"{bound_txt}"
+                f"{math.exp(min(b.log_binomial_bound, 0.0))!r}"
             )
-        assert tilt.cylinder_records_to_csv(records, bounds) == "\n".join(lines) + "\n"
-        assert lines[2].endswith(",,")  # None deficit next to the missing bound
+            want = (
+                f"# seed={rec.seed or DEFAULT_SEED} model=luroth\n"
+                "n,s,theta,mode,value,stderr,truncation_deficit,binomial_bound\n" + row + "\n"
+            )
+            argv = ["cylsum", "--s", "0.75", "--theta", "0.5", *flags, "--out", str(path)]
+            assert cli.main(argv) == 0
+            assert path.read_text(encoding="utf-8") == want
+            rows.append(row.split(","))
+        assert rows[0][5] == "" and rows[0][6] != ""  # exact: no stderr
+        assert rows[1][5] != "" and rows[1][6] == ""  # Monte Carlo: no deficit
 
     def test_empty_table_is_header_only(self):
         assert "".join(codec.csv_chunks({"a": [], "b": []})) == "a,b\n"

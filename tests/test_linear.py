@@ -42,12 +42,12 @@ class TestRateAndProfile:
 
     def test_new_times(self):
         prof = linear.distinctness_profile(Fraction(1, 2), 8)
-        assert prof.new_times() == (1, 3, 5, 7)
+        assert np.flatnonzero(prof.is_new).tolist() == [1, 3, 5, 7]
         assert prof.new_count == 4
 
     def test_theta_one_all_new(self):
         prof = linear.distinctness_profile(1, 6)
-        assert prof.new_times() == (1, 2, 3, 4, 5, 6)
+        assert np.flatnonzero(prof.is_new).tolist() == [1, 2, 3, 4, 5, 6]
 
 
 class TestCountBlocks:
@@ -423,47 +423,6 @@ class TestDepthGuard:
         with pytest.raises(DomainError):
             linear.build_block_schedule(m, 1.0, depth=21, k1=1)
         assert linear._MAX_WORD_LENGTH == (1 << 22)
-
-
-class TestIntervalMass:
-    def test_full_interval(self):
-        sched = linear.build_block_schedule(LUROTH, 0.5, depth=3)
-        assert sched.interval_mass(0.0, 1.0, depth_cap=2) == (1.0, 1.0)
-
-    def test_bracket_contains_enumerated_mass(self):
-        sched = linear.build_block_schedule(LUROTH, 0.5, depth=3)
-        a, b = 0.05, 0.2
-        lower, upper = sched.interval_mass(a, b, depth_cap=2)
-        assert 0.0 <= lower <= upper <= 1.0
-        # brute force from the full depth-2 cylinder decomposition
-        from ifsdigits import codec
-
-        total_in = 0.0
-        total_touch = 0.0
-        lev1, lev2 = sched.levels[0], sched.levels[1]
-        for b1 in linear.enumerate_blocks(
-            lev1.alphabet_size, lev1.length, sched.theta,
-            alphabet=range(lev1.alphabet_start, lev1.alphabet_start + lev1.alphabet_size),
-        ):
-            for b2 in linear.enumerate_blocks(
-                lev2.alphabet_size, lev2.length, sched.theta,
-                alphabet=range(lev2.alphabet_start, lev2.alphabet_start + lev2.alphabet_size),
-            ):
-                word = b1 + b2
-                mass = math.exp(sched.log_mass(np.asarray(word)))
-                cyl = codec.cylinder(LUROTH, word, exact=False)
-                lo, hi = cyl.left, cyl.left + cyl.diam
-                if lo >= a and hi <= b:
-                    total_in += mass
-                if hi > a and lo < b:
-                    total_touch += mass
-        assert lower <= total_in + 1e-12
-        assert upper >= total_in - 1e-12
-        assert upper <= total_touch + 1e-12
-
-    def test_degenerate_interval(self):
-        sched = linear.build_block_schedule(LUROTH, 0.5, depth=2)
-        assert sched.interval_mass(0.7, 0.3, depth_cap=1) == (0.0, 0.0)
 
 
 @given(

@@ -1,5 +1,6 @@
 """Distinct-digit counting, exact expectations, and the occupancy growth law."""
 
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ifsdigits import occupancy, weights
+from ifsdigits import cli, occupancy, weights
 from ifsdigits.errors import DomainError
 from ifsdigits.rng import substream
 
@@ -133,43 +134,41 @@ class TestThreadClamp:
 
 
 class TestDistinctCounter:
+    """Hand-counted streams for ``distinct_counts``, the one distinct counter."""
+
     def test_hand_counted_stream(self):
-        c = occupancy.DistinctCounter()
-        counts = [c.feed(d) for d in (7, 15, 1, 292, 1, 1, 1, 2)]
-        assert counts == [1, 2, 3, 4, 4, 4, 4, 5]
+        counts = occupancy.distinct_counts((7, 15, 1, 292, 1, 1, 1, 2))
+        assert counts.tolist() == [1, 2, 3, 4, 4, 4, 4, 5]
 
     def test_pi_partial_quotients(self):
-        c = occupancy.DistinctCounter()
-        assert c.feed_many(PI_MINUS_3_CF) == 10
+        assert occupancy.distinct_counts(PI_MINUS_3_CF)[-1] == 10
 
     def test_increments_bounded(self):
-        c = occupancy.DistinctCounter()
-        prev = 0
-        for d in PI_MINUS_3_CF:
-            cur = c.feed(d)
-            assert cur - prev in (0, 1)
-            prev = cur
+        steps = np.diff(occupancy.distinct_counts(PI_MINUS_3_CF), prepend=0)
+        assert set(steps.tolist()) <= {0, 1}
 
     def test_first_occurrence_times(self):
-        c = occupancy.DistinctCounter(track_first=True)
-        c.feed_many((7, 15, 1, 292, 1, 1, 1, 2))
-        assert c.first_occurrence == {7: 1, 15: 2, 1: 3, 292: 4, 2: 8}
+        word = (7, 15, 1, 292, 1, 1, 1, 2)
+        steps = np.diff(occupancy.distinct_counts(word), prepend=0)
+        first = {word[i]: i + 1 for i in np.flatnonzero(steps)}
+        assert first == {7: 1, 15: 2, 1: 3, 292: 4, 2: 8}
 
     def test_overflow_digits(self):
-        c = occupancy.DistinctCounter(dense_limit=4)
-        assert c.feed_many((1, 10**12, 10**12, 2)) == 3
+        # 10**12 lies far past the dense table, in the shared overflow slot
+        assert occupancy.distinct_counts((1, 10**12, 10**12, 2)).tolist() == [1, 2, 2, 3]
 
     def test_nonpositive_rejected(self):
         with pytest.raises(DomainError):
-            occupancy.DistinctCounter().feed(0)
+            occupancy.distinct_counts((3, 0, 1))
 
     @given(st.lists(st.integers(min_value=1, max_value=30), max_size=200))
     def test_matches_vectorized_counts(self, digits):
-        c = occupancy.DistinctCounter()
-        streamed = [c.feed(d) for d in digits]
-        vector = occupancy.distinct_counts(np.asarray(digits, dtype=np.int64))
-        assert streamed == list(vector)
-        assert c.count == len(set(digits))
+        seen = set()
+        streamed = []
+        for d in digits:
+            seen.add(d)
+            streamed.append(len(seen))
+        assert occupancy.distinct_counts(np.asarray(digits, dtype=np.int64)).tolist() == streamed
 
 
 class TestExpectedDistinct:
@@ -284,20 +283,23 @@ class TestMonteCarloLaw:
         rep = occupancy.monte_carlo_law(LUROTH, n=100, trials=2, seed=0)
         assert rep.checkpoints == (2, 4, 8, 16, 32, 64, 100)
 
-    def test_csv_shape(self):
+    def test_csv_shape(self, tmp_path):
         rep = occupancy.monte_carlo_law(LUROTH, n=64, trials=3, seed=1)
-        text = occupancy.law_report_to_csv(rep)
+        path = tmp_path / "law.csv"
+        assert cli.main(["simulate", "--n", "64", "--trials", "3", "--seed", "1",
+                         "--out", str(path)]) == 0
+        text = path.read_text(encoding="utf-8")
         lines = text.strip().splitlines()
-        assert lines[0].startswith("# seed=1")
+        assert lines[0] == "# seed=1 model=luroth trials=3"
         assert lines[1] == "n,checkpoint,mean,sd,exact_expectation,karlin_constant"
         assert len(lines) == 2 + len(rep.checkpoints)
         assert text.endswith("\n")
 
-    def test_json_fields(self):
-        import json
-
-        rep = occupancy.monte_carlo_law(LUROTH, n=64, trials=3, seed=1)
-        obj = json.loads(occupancy.law_report_to_json(rep))
+    def test_json_fields(self, tmp_path):
+        path = tmp_path / "law.json"
+        assert cli.main(["simulate", "--n", "64", "--trials", "3", "--seed", "1",
+                         "--format", "json", "--out", str(path)]) == 0
+        obj = json.loads(path.read_text(encoding="utf-8"))
         assert obj["seed"] == 1
         assert len(obj["means"]) == len(obj["checkpoints"])
         assert obj["karlin_constant"] == pytest.approx(math.sqrt(math.pi))

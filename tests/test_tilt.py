@@ -54,14 +54,6 @@ class TestTiltedDistribution:
 
 
 class TestDistinctLemma:
-    def test_hand_counts(self):
-        assert tilt.high_digit_positions((1, 1, 2, 3, 2), 3) == 3  # entries >= 2
-        assert tilt.high_digit_positions((1, 1, 1), 1) == 3  # entries >= 1
-        assert tilt.high_digit_positions((1, 1, 1), 2) == 3
-        assert tilt.high_digit_positions((5, 1, 1), 4) == 1
-        with pytest.raises(DomainError):
-            tilt.high_digit_positions((1, 2), 0)
-
     def test_exhaustive_scan(self):
         report = tilt.distinct_forces_large_check(6, 6)
         assert report.passed
@@ -78,7 +70,7 @@ class TestDistinctLemma:
     def test_lemma_property(self, word):
         m = len(set(word))
         cut = (m + 1) // 2
-        assert tilt.high_digit_positions(word, m) >= cut
+        assert sum(1 for d in word if d >= cut) >= cut  # positions with a digit >= ceil(m/2)
 
 
 class TestThreshold:
@@ -270,19 +262,26 @@ class TestBoundChain:
 
 
 class TestCsvExport:
-    def test_rows_and_join(self):
+    def test_rows_and_join(self, tmp_path):
+        from ifsdigits import cli
+
         exact = tilt.cylinder_sum_exact(LUROTH, 4, 0.75, 0.5, alphabet_cap=4)
         mc = tilt.cylinder_sum_mc(LUROTH, 8, 0.75, 0.5, trials=5_000, seed=7)
         bound = tilt.bound_chain(LUROTH, 8, 0.75, 0.5)
-        text = tilt.cylinder_records_to_csv([exact, mc], bounds=[bound])
-        lines = text.strip().split("\n")
-        assert lines[0] == "n,s,theta,mode,value,stderr,truncation_deficit,binomial_bound"
-        assert len(lines) == 3
-        first = lines[1].split(",")
+        path = tmp_path / "cylsum.csv"
+        rows = []
+        for flags in (["--n", "4", "--mode", "exact", "--cap", "4"],
+                      ["--n", "8", "--trials", "5000", "--seed", "7"]):
+            argv = ["cylsum", "--s", "0.75", "--theta", "0.5", *flags, "--out", str(path)]
+            assert cli.main(argv) == 0
+            lines = path.read_text(encoding="utf-8").strip().split("\n")
+            assert lines[1] == "n,s,theta,mode,value,stderr,truncation_deficit,binomial_bound"
+            assert len(lines) == 3
+            rows.append(lines[2].split(","))
+        first, second = rows
         assert first[0] == "4" and first[3] == "exact-enumeration"
         assert first[5] == ""  # no stderr in exact mode
         assert float(first[6]) == pytest.approx(exact.truncation_deficit)
-        second = lines[2].split(",")
         assert second[3] == "monte-carlo"
         assert float(second[4]) == pytest.approx(mc.value)
         assert second[6] == ""  # no truncation in MC mode

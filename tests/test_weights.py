@@ -297,6 +297,39 @@ class TestPotterScan:
         assert weights.verify_potter_report(m, rep)
 
 
+def reference_dyadic_window_min(logp):
+    """The per-element sparse-table lookup that ``_dyadic_window_min`` replaced."""
+    n = logp.size
+    table = [logp]
+    width = 1
+    while width * 2 <= n:
+        prev = table[-1]
+        table.append(np.minimum(prev[: prev.size - width], prev[width:]))
+        width *= 2
+    out = np.empty(n)
+    for i in range(n):
+        hi = min(2 * (i + 1) - 1, n)  # digits i+1 .. hi, zero-based i .. hi-1
+        length = hi - i
+        lev = length.bit_length() - 1
+        w = 1 << lev
+        out[i] = min(table[lev][i], table[lev][hi - w])
+    return out
+
+
+class TestDyadicWindowMin:
+    def test_matches_reference_loop(self):
+        for n in [*range(1, 70), 1000, 4097, 10_000, 65_536]:
+            rng = substream(n, 0xD1)
+            for logp in (rng.normal(size=n), np.log(weights.weights_range(LUROTH, 1, n + 1))):
+                got = weights._dyadic_window_min(logp)
+                assert np.array_equal(got, reference_dyadic_window_min(logp)), n
+
+    def test_brute_force_windows(self):
+        logp = substream(3, 0xD2).normal(size=300)
+        want = [logp[i : min(2 * (i + 1) - 1, 300)].min() for i in range(300)]
+        assert weights._dyadic_window_min(logp).tolist() == want
+
+
 class TestSampling:
     def test_luroth_frequencies(self):
         rng = substream(17, 0xA11)
@@ -325,13 +358,18 @@ class TestSampling:
         assert np.array_equal(a, b)
 
     def test_single_draw_helper(self):
-        # inverse CDF at u: cumulative through k is k/(k+1)
-        assert weights.sample_digit(LUROTH, 0.75) == 4
-        assert weights.sample_digit(LUROTH, 0.4999) == 1
+        # inverse CDF at a fixed u: cumulative through k is k/(k+1)
+        class FixedU:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self, size):
+                return np.full(size, self.u)
+
+        assert weights.DigitSampler(LUROTH).sample(FixedU(0.75), 1).tolist() == [4]
+        assert weights.DigitSampler(LUROTH).sample(FixedU(0.4999), 1).tolist() == [1]
         m = weights.power_model(3.0)
-        assert weights.sample_digit(m, 0.5) == 1
-        with pytest.raises(DomainError):
-            weights.sample_digit(LUROTH, 1.0)
+        assert weights.DigitSampler(m).sample(FixedU(0.5), 1).tolist() == [1]
 
     def test_deep_tail_draws_valid(self):
         # a heavy tail pushes some draws past the cumulative table
