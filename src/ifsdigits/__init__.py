@@ -71,7 +71,6 @@ from .weights import (
     PotterReport,
     WeightModel,
     explicit_prefix_model,
-    finite_model,
     luroth_model,
     model_from_spec,
     model_to_spec,
@@ -128,7 +127,6 @@ __all__ = [
     "enumerate_blocks",
     "expected_distinct",
     "explicit_prefix_model",
-    "finite_model",
     "karlin_constant",
     "luroth_model",
     "luroth_series_eval",

@@ -68,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_parse_seed, default=None, help="RNG seed (default 0xD1617)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--threads", type=int, default=1)
 
     w = sub.add_parser("weights", help="weight tables and derived scalars")
     add_common(w)
@@ -85,6 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("simulate", help="Monte Carlo occupancy law")
     add_common(s)
+    s.add_argument("--threads", type=int, default=1)
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--trials", type=int, required=True)
     s.add_argument("--checkpoints", type=_parse_int_list, default=None)
@@ -127,6 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--fail-inject", action="store_true",
                    help="append a check that always fails (harness self-test)")
     add_common(v, model=False)
+    v.add_argument("--threads", type=int, default=1)
     v.set_defaults(func=cmd_verify)
 
     return parser

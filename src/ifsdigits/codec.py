@@ -119,8 +119,6 @@ def cylinder(
     """
     _check_layout(model, layout)
     digits = _check_word(word)
-    if model.kind == "finite" and digits and max(digits) > len(model.probs):
-        raise DomainError("digit outside finite support")
     if exact is None:
         exact = model.kind == "luroth" and len(digits) <= exact_depth
     if exact:
@@ -180,8 +178,6 @@ def _branch_left_float(model: WeightModel, d: int, layout: str) -> float:
     if model.kind == "luroth":
         return (d - 1.0) / d
     size = 1 << max(4, int(d).bit_length())
-    if model.support_size is not None:
-        size = model.support_size
     return 0.0 if d == 1 else float(_cum_table(model, size)[d - 2])
 
 
@@ -202,8 +198,6 @@ def digit_interval(
     if model.kind == "luroth":
         return return_cyl.left, k / (k + 1.0)
     size = 1 << max(4, int(k).bit_length())
-    if model.support_size is not None:
-        size = model.support_size
     return return_cyl.left, float(_cum_table(model, size)[k - 1])
 
 
@@ -262,13 +256,9 @@ def apply_expansion(model: WeightModel, x, layout: str = "canonical"):
 def _canonical_digit_float(model: WeightModel, x: float) -> int:
     size = 1 << 10
     while True:
-        if model.support_size is not None:
-            size = model.support_size
         table = _cum_table(model, size)
         idx = int(np.searchsorted(table, x, side="right"))
-        if idx < table.size or model.support_size is not None:
-            if idx >= table.size:
-                raise DomainError("point beyond finite support coverage")
+        if idx < table.size:
             return idx + 1
         size *= 2
 

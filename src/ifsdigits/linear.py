@@ -343,11 +343,6 @@ def build_block_schedule(
             raise InfeasibleError(
                 f"level {j} needs {prof.new_count} new symbols, window has {size}"
             )
-        if model.support_size is not None and 2 * start - 1 > model.support_size:
-            raise DomainError(
-                f"level {j} alphabet exceeds the model support "
-                f"({2 * start - 1} > {model.support_size})"
-            )
         levels.append(
             BlockLevel(
                 j=j,

@@ -77,9 +77,6 @@ def expected_distinct(model: WeightModel, n: int) -> float:
     n = int(n)
     if n == 1:
         return 1.0
-    if model.support_size is not None:
-        p = np.asarray(model.probs)
-        return float(np.sum(-np.expm1(n * np.log1p(-p))))
     total = 0.0
     lo = 1
     chunk = 1 << 14
@@ -167,7 +164,7 @@ def monte_carlo_law(
     else:
         counts = np.stack([one_trial(t) for t in range(trials)])
 
-    ratios = counts / (cps_arr ** (1.0 / model.rho) if math.isfinite(model.rho) else 1.0)
+    ratios = counts / cps_arr ** (1.0 / model.rho)
     means = tuple(float(v) for v in ratios.mean(axis=0))
     if trials > 1:
         sds = tuple(float(v) for v in ratios.std(axis=0, ddof=1))
@@ -175,7 +172,7 @@ def monte_carlo_law(
         sds = tuple(0.0 for _ in cps)
     exacts = tuple(expected_distinct(model, int(c)) for c in cps)
     const = None
-    if model.power_constant is not None and math.isfinite(model.rho):
+    if model.power_constant is not None:
         const = karlin_constant(model.rho, model.power_constant)
     return LawReport(
         model_desc=model.describe(),

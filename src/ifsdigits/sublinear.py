@@ -357,19 +357,7 @@ def _sorted_weight_table(model: WeightModel, kmax: int):
     label refers to.  The search window grows until the settled tail can
     no longer push a weight into the first ``kmax`` slots.
     """
-    if model.support_size is not None:
-        n = model.support_size
-        if kmax > n:
-            raise DomainError(
-                "construction needs more digits than the finite support offers"
-            )
-        p = weights_range(model, 1, n + 1)
-        if _non_increasing(p[:kmax]) and (n == kmax or p[kmax:].max() <= p[kmax - 1]):
-            return p[:kmax].copy(), None
-        order = np.argsort(-p, kind="stable")
-        return p[order[:kmax]].copy(), (order[:kmax] + 1).astype(np.int64)
-    prefix_len = len(model.prefix) if model.prefix is not None else 0
-    ext = max(4 * kmax + 64, 2 * prefix_len + kmax)
+    ext = max(4 * kmax + 64, 2 * len(model.prefix) + kmax)
     while True:
         p = weights_range(model, 1, ext + 1)
         tail = p[ext // 2 :]

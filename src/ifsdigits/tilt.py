@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,12 +95,24 @@ class CylinderSumRecord:
     mode: str  # "exact-enumeration" or "monte-carlo"
     value: float
     stderr: float | None
-    truncation_cap: int | None
     truncation_deficit: float | None
     log_zeta: float
     prob: float  # tilted probability of the distinct-count event
     trials: int | None = None
     seed: int | None = None
+
+
+def _zeta_power(zeta: float, n: int) -> float:
+    """``zeta**n``, or :class:`DomainError` unless it is a normal float."""
+    try:
+        power = zeta**n
+    except OverflowError:
+        power = math.inf
+    if not sys.float_info.min <= power < math.inf:
+        raise DomainError(
+            f"Z(s)**n is not a normal float: Z(s) = {zeta!r}, n = {n}"
+        )
+    return power
 
 
 def cylinder_sum_exact(
@@ -109,7 +122,8 @@ def cylinder_sum_exact(
 
     Dynamic programming over (position, set of used digits); words using a
     digit above the cap are excluded, and the omitted mass is bracketed by
-    ``n * (tilted tail past the cap) * Z(s)**(n-1)``.
+    ``n * (tilted tail past the cap) * Z(s)**(n-1)``.  Both the capped and
+    the full ``Z(s)**n`` must be normal floats.
     """
     if n < 1:
         raise DomainError("word length must be positive")
@@ -117,8 +131,6 @@ def cylinder_sum_exact(
         raise DomainError("theta must lie in (0, 1]")
     if alphabet_cap < 1:
         raise DomainError("alphabet cap must be positive")
-    if model.support_size is not None:
-        alphabet_cap = min(alphabet_cap, model.support_size)
     if alphabet_cap**n > _EXACT_WORD_LIMIT:
         raise EnumerationSizeError(
             f"{alphabet_cap}**{n} words exceed the exact-mode limit"
@@ -126,6 +138,11 @@ def cylinder_sum_exact(
     if s <= 0.0:
         raise DomainError("tilt exponent must be positive")
     w = weights_range(model, 1, alphabet_cap + 1) ** s
+    z_capped = float(w.sum())
+    tail = tilted_tail_sum(model, alphabet_cap + 1, s)
+    z_full = z_capped + tail
+    z_capped_n = _zeta_power(z_capped, n)
+    _zeta_power(z_full, n)
     # dp[mask] = sum over words with used-digit set == mask of the word mass
     dp = {0: 1.0}
     for _ in range(n):
@@ -139,15 +156,7 @@ def cylinder_sum_exact(
     total = math.fsum(
         val for mask, val in dp.items() if mask.bit_count() >= threshold
     )
-    z_capped = float(w.sum())
-    prob = total / z_capped**n if z_capped > 0 else 0.0
-    if model.support_size is not None and alphabet_cap >= model.support_size:
-        deficit = 0.0
-        z_full = z_capped
-    else:
-        tail = tilted_tail_sum(model, alphabet_cap + 1, s)
-        z_full = z_capped + tail
-        deficit = n * tail * z_full ** (n - 1)
+    deficit = n * tail * z_full ** (n - 1)
     return CylinderSumRecord(
         n=n,
         s=float(s),
@@ -155,10 +164,9 @@ def cylinder_sum_exact(
         mode="exact-enumeration",
         value=total,
         stderr=None,
-        truncation_cap=alphabet_cap,
         truncation_deficit=deficit,
         log_zeta=math.log(z_full),
-        prob=prob,
+        prob=total / z_capped_n,
     )
 
 
@@ -183,6 +191,7 @@ def cylinder_sum_mc(
     if not 0.0 < theta <= 1.0:
         raise DomainError("theta must lie in (0, 1]")
     zeta = tilted_tail_sum(model, 1, s)
+    scale = _zeta_power(zeta, n)
     sampler = DigitSampler(model, s=s)
     threshold = distinct_threshold(n, theta)
     rng = substream(seed, 0x7117)
@@ -198,7 +207,6 @@ def cylinder_sum_mc(
         done += batch
     phat = hits / trials
     se = math.sqrt(phat * (1.0 - phat) / trials)
-    scale = zeta**n
     return CylinderSumRecord(
         n=n,
         s=float(s),
@@ -206,7 +214,6 @@ def cylinder_sum_mc(
         mode="monte-carlo",
         value=scale * phat,
         stderr=scale * se,
-        truncation_cap=None,
         truncation_deficit=None,
         log_zeta=math.log(zeta),
         prob=phat,
@@ -231,7 +238,6 @@ class BoundChainRecord:
     log_sum_bound: float  # n ln Z + the binomial log-bound
     prob_mc: float | None
     prob_se: float | None
-    guard_ok: bool  # r >= the caller's tail-threshold proxy
     chain_ok: bool | None  # MC probability below the bound (within 3 se)
 
 
@@ -242,17 +248,13 @@ def bound_chain(
     theta: float,
     trials: int | None = None,
     seed: int = 0,
-    tail_threshold_proxy: int = 1,
 ) -> BoundChainRecord:
     """Evaluate the binomial bound on the tilted distinct-count probability.
 
     With ``r = ceil(theta n / 4)`` and ``Q`` the tilted mass of digits
     ``>= r``, the probability of the distinct-count event is at most
     ``(e n Q / r) ** r``.  When ``trials`` is given, a Monte Carlo estimate
-    of the probability is attached and checked against the bound.  The
-    analytic guard requiring ``r`` beyond the tail-settling index cannot be
-    derived from finite data, so it is recorded as ``r >= proxy`` with the
-    proxy supplied by the caller.
+    of the probability is attached and checked against the bound.
     """
     if n < 1:
         raise DomainError("n must be positive")
@@ -275,7 +277,6 @@ def bound_chain(
         log_sum_bound=n * math.log(zeta) + log_bound,
         prob_mc=None,
         prob_se=None,
-        guard_ok=r >= tail_threshold_proxy,
         chain_ok=None,
     )
     if trials is not None:

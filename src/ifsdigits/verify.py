@@ -407,15 +407,20 @@ def check_tilt_monotonicity(seed: int, threads: int) -> str:
 
 
 def check_tilt_mc(seed: int, threads: int) -> str:
-    model = weights.finite_model((0.5, 0.5))
-    rec = tilt.cylinder_sum_mc(model, 4, 0.5, 1.0, trials=200_000, seed=seed)
+    # At n = 4, theta = 1 the threshold is 2: every word but the constant ones
+    # counts, so S_4(s, 1) = Z(s)**4 - Z(4s), on the full alphabet or any cap.
+    model, s, cap = weights.luroth_model(), 0.75, 6
+    full = weights.tilted_tail_sum(model, 1, s) ** 4 - weights.tilted_tail_sum(model, 1, 4 * s)
+    rec = tilt.cylinder_sum_mc(model, 4, s, 1.0, trials=200_000, seed=seed)
     _require(
-        abs(rec.value - 3.5) < 4 * (rec.stderr or 1e-9),
-        f"uniform-pair estimate {rec.value:.4f} vs exact 3.5",
+        abs(rec.value - full) < 4 * (rec.stderr or 1e-9),
+        f"Monte Carlo estimate {rec.value:.4f} vs exact {full:.4f}",
     )
-    exact = tilt.cylinder_sum_exact(model, 4, 0.5, 1.0, alphabet_cap=2)
-    _require(abs(exact.value - 3.5) < 1e-12, f"exact mode gave {exact.value}")
-    return f"S_4(0.5, 1) on the fair pair: exact 3.5, MC {rec.value:.3f}"
+    w = weights.weights_range(model, 1, cap + 1) ** s
+    capped = math.fsum(w) ** 4 - math.fsum(w**4)
+    rel = abs(tilt.cylinder_sum_exact(model, 4, s, 1.0, cap).value - capped) / capped
+    _require(rel < 1e-12, f"exact mode at cap {cap}: rel {rel:.2e}")
+    return f"S_4(0.75, 1) on luroth: {full:.4f}, MC {rec.value:.4f}; cap {cap} exact to {rel:.1e}"
 
 
 def check_tilt_bound_chain(seed: int, threads: int) -> str:

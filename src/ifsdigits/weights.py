@@ -9,8 +9,6 @@ any explicit prefix.  Built-in families:
 * ``power``           -- ``p_k = k**-rho / zeta(rho)``: ``power-log`` at ``gamma = 0``
 * ``power-log``       -- ``p_k`` proportional to ``k**-rho * log(k+1)**gamma``
 * ``explicit-prefix`` -- finitely many explicit weights, power tail beyond
-* ``finite``          -- an explicit finite distribution (for enumeration
-  tests; it has no regularly varying tail and reports ``rho = inf``)
 
 This module owns every scalar quantity derived from the weights: tail sums,
 tilted tail sums ``sum_{k>=M} p_k**s``, the exponent at which a truncated
@@ -45,7 +43,6 @@ __all__ = [
     "power_model",
     "power_log_model",
     "explicit_prefix_model",
-    "finite_model",
     "model_from_spec",
     "model_to_spec",
     "weight",
@@ -61,7 +58,7 @@ __all__ = [
     "DigitSampler",
 ]
 
-_KINDS = ("luroth", "power", "power-log", "explicit-prefix", "finite")
+_KINDS = ("luroth", "power", "power-log", "explicit-prefix")
 
 # Explicit-head length before switching to the integral remainder.  Beyond
 # this index the Euler-Maclaurin correction error is below 1e-12 relative
@@ -82,14 +79,13 @@ class WeightModel:
 
     ``rho`` is the declared tail index; ``gamma`` is the log exponent of
     ``power-log`` (and must be 0 for ``power``); ``prefix`` applies to
-    ``explicit-prefix``; ``probs`` to ``finite``.
+    ``explicit-prefix``.
     """
 
     kind: str
     rho: float
     gamma: float = 0.0
     prefix: tuple[float, ...] = ()
-    probs: tuple[float, ...] = ()
     # Normalizer, meaning depends on kind: the full weighted zeta sum for
     # power and power-log (zeta(rho) at gamma = 0), the tail coefficient c
     # for explicit-prefix.  Computed once at construction.
@@ -115,19 +111,9 @@ class WeightModel:
                 raise DomainError("prefix weights must be positive")
             if sum(self.prefix) >= 1.0:
                 raise DomainError("prefix weights must sum to less than 1")
-        elif self.kind == "finite":
-            if not self.probs or any(q <= 0.0 for q in self.probs):
-                raise DomainError("finite model needs positive probabilities")
-            if abs(sum(self.probs) - 1.0) > 1e-12:
-                raise DomainError("finite model probabilities must sum to 1")
         object.__setattr__(self, "_norm", _compute_norm(self))
 
     # -- descriptive helpers -------------------------------------------------
-
-    @property
-    def support_size(self) -> int | None:
-        """Number of digits with positive weight (None = countably infinite)."""
-        return len(self.probs) if self.kind == "finite" else None
 
     @property
     def power_constant(self) -> float | None:
@@ -147,8 +133,6 @@ class WeightModel:
             return f"power-log(rho={self.rho:g}, gamma={self.gamma:g})"
         if self.kind == "explicit-prefix":
             return f"explicit-prefix({len(self.prefix)} entries, rho={self.rho:g})"
-        if self.kind == "finite":
-            return f"finite({len(self.probs)} symbols)"
         return "luroth"
 
 
@@ -186,13 +170,6 @@ def explicit_prefix_model(prefix, rho: float) -> WeightModel:
         kind="explicit-prefix",
         rho=float(rho),
         prefix=tuple(float(q) for q in prefix),
-    )
-
-
-def finite_model(probs) -> WeightModel:
-    """Explicit finite distribution.  Used by enumeration tests."""
-    return WeightModel(
-        kind="finite", rho=math.inf, probs=tuple(float(q) for q in probs)
     )
 
 
@@ -246,46 +223,33 @@ def _require_number(spec: dict, key: str) -> float:
 
 def weight(model: WeightModel, k: int) -> float:
     """``p_k``.  Digits are indexed from 1."""
-    k = _check_digit(model, k)
+    k = _positive_int(k, "digit index")
     if model.kind == "luroth":
         return 1.0 / (k * (k + 1.0))
     if model.kind in ("power", "power-log"):
         return k ** -model.rho * math.log(k + 1.0) ** model.gamma / model._norm
-    if model.kind == "explicit-prefix":
-        if k <= len(model.prefix):
-            return model.prefix[k - 1]
-        return model._norm * k ** -model.rho
-    return model.probs[k - 1]
+    if k <= len(model.prefix):
+        return model.prefix[k - 1]
+    return model._norm * k ** -model.rho
 
 
 def log_weight(model: WeightModel, k: int) -> float:
     """``log p_k``, stable for digits far beyond float overflow of ``1/p_k``."""
-    k = _check_digit(model, k)
+    k = _positive_int(k, "digit index")
     if model.kind == "luroth":
         return -math.log(k) - math.log(k + 1.0)
     if model.kind in ("power", "power-log"):
         return (-model.rho * math.log(k) + model.gamma * math.log(math.log(k + 1.0))
                 - math.log(model._norm))
-    if model.kind == "explicit-prefix":
-        if k <= len(model.prefix):
-            return math.log(model.prefix[k - 1])
-        return math.log(model._norm) - model.rho * math.log(k)
-    return math.log(model.probs[k - 1])
+    if k <= len(model.prefix):
+        return math.log(model.prefix[k - 1])
+    return math.log(model._norm) - model.rho * math.log(k)
 
 
 def _positive_int(value, what: str) -> int:
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
         raise DomainError(f"{what} must be a positive integer, got {value!r}")
     return int(value)
-
-
-def _check_digit(model: WeightModel, k) -> int:
-    k = _positive_int(k, "digit index")
-    if model.kind == "finite" and k > len(model.probs):
-        raise DomainError(
-            f"digit {k} outside finite support of size {len(model.probs)}"
-        )
-    return k
 
 
 def weights_range(model: WeightModel, lo: int, hi: int) -> np.ndarray:
@@ -297,14 +261,10 @@ def weights_range(model: WeightModel, lo: int, hi: int) -> np.ndarray:
         return 1.0 / (k * (k + 1.0))
     if model.kind in ("power", "power-log"):
         return _powerlog_terms(k, model.rho, model.gamma) / model._norm
-    if model.kind == "explicit-prefix":
-        out = model._norm * k ** -model.rho
-        head = np.asarray(model.prefix[lo - 1 : hi - 1], dtype=np.float64)
-        out[: head.size] = head
-        return out
-    if hi - 1 > len(model.probs):
-        raise DomainError("range exceeds finite support")
-    return np.asarray(model.probs[lo - 1 : hi - 1], dtype=np.float64)
+    out = model._norm * k ** -model.rho
+    head = np.asarray(model.prefix[lo - 1 : hi - 1], dtype=np.float64)
+    out[: head.size] = head
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -322,8 +282,6 @@ def log_weights_of(model: WeightModel, word: np.ndarray) -> np.ndarray:
     if model.kind == "luroth":
         df = d.astype(np.float64)
         return -np.log(df) - np.log(df + 1.0)
-    if model.kind == "finite" and d.size and d.max() > len(model.probs):
-        raise DomainError("digit outside finite support")
     kmax = int(d.max()) if d.size else 1
     if kmax <= _MAX_TABLE:
         table = np.log(_weights_prefix(model, kmax))
@@ -333,14 +291,12 @@ def log_weights_of(model: WeightModel, word: np.ndarray) -> np.ndarray:
 
 def slowly_varying(model: WeightModel, k: int) -> float:
     """The declared slowly varying factor ``L(k)`` with ``p_k = k**-rho L(k)``."""
-    k = _check_digit(model, k)
+    k = _positive_int(k, "digit index")
     if model.kind == "luroth":
         return k / (k + 1.0)
     if model.kind in ("power", "power-log"):
         return math.log(k + 1.0) ** model.gamma / model._norm
-    if model.kind == "explicit-prefix":
-        return model._norm
-    raise DomainError("finite models have no regularly varying tail")
+    return model._norm
 
 
 # -- tail sums ---------------------------------------------------------------
@@ -357,8 +313,6 @@ def tilted_tail_sum(model: WeightModel, M: int, s: float) -> float:
     s = float(s)
     if s <= 0.0:
         raise DomainError("tilt exponent must be positive")
-    if model.kind == "finite":
-        return float(np.sum(np.asarray(model.probs[M - 1 :]) ** s))
     if not model.rho * s > 1.0:
         raise DivergenceError(
             f"sum of p_k**s diverges: rho*s = {model.rho * s:g} <= 1"
@@ -490,8 +444,6 @@ def partial_sum_exponent(model: WeightModel, K: int) -> float:
     up to 1e4.
     """
     K = _positive_int(K, "K")
-    if model.support_size is not None and K > model.support_size:
-        raise DomainError("K exceeds the finite support")
     if K == 1:
         return 0.0
     p = _weights_prefix(model, K)
@@ -557,8 +509,6 @@ def potter_scan(
     ``scan_limit // 2`` certifies the half-bound, so that at least one
     genuine dyadic pair is covered.
     """
-    if model.kind == "finite":
-        raise DomainError("finite models have no regularly varying tail")
     epsilon = float(epsilon)
     if epsilon <= 0.0:
         raise DomainError("epsilon must be positive")
@@ -668,20 +618,14 @@ class DigitSampler:
     def __init__(self, model: WeightModel, s: float = 1.0, table_size: int = 1 << 20):
         self.model = model
         self.s = float(s)
-        if self.s != 1.0 or model.kind == "finite":
-            self.total = tilted_tail_sum(model, 1, self.s)
-        else:
-            self.total = 1.0
-        size = table_size
-        if model.support_size is not None:
-            size = model.support_size
+        self.total = tilted_tail_sum(model, 1, self.s) if self.s != 1.0 else 1.0
         self._fast_luroth = model.kind == "luroth" and self.s == 1.0
         if self._fast_luroth:
             self._cum = None
         else:
-            pmf = weights_range(model, 1, size + 1) ** self.s
+            pmf = weights_range(model, 1, table_size + 1) ** self.s
             self._cum = np.cumsum(pmf)
-            self._table_size = size
+            self._table_size = table_size
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random(size)

@@ -119,7 +119,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("module, name, argv", [
         (occupancy, "_MAX_DRAWS", ["simulate", "--trials", "2", "--n"]),
-        (tilt, "_MAX_DRAWS", ["cylsum", "--s", "1.5", "--theta", "0.5", "--trials", "20", "--n"]),
+        (tilt, "_MAX_DRAWS", ["cylsum", "--s", "1", "--theta", "0.5", "--trials", "20", "--n"]),
         (sublinear, "_MAX_WORD_LENGTH", ["construct", "sublinear", "--t", "0.5", "--n"]),
     ], ids=["simulate", "cylsum", "sublinear"])
     def test_word_limit_is_inclusive(self, tmp_path, capsys, monkeypatch, module, name, argv):
@@ -128,6 +128,43 @@ class TestExitCodes:
         assert run_cli(tmp_path, argv + ["2000"])[0] == 0
         assert run_cli(tmp_path, argv + ["2001"])[0] == 3
         assert "exceeds the limit of 2000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--n", "3000", "--trials", "10"],
+        ["--n", "1500", "--mode", "exact", "--cap", "1"],
+    ], ids=["mc-overflow", "exact-underflow"])
+    def test_cylsum_zeta_power_is_3(self, capsys, flags):
+        # Z(0.75)**3000 overflows and (p_1**0.75)**1500 underflows; both are
+        # refused before any table, DP or draw
+        start = time.perf_counter()
+        code = cli.main(["cylsum", "--s", "0.75", "--theta", "0.5", *flags])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert "error: Z(s)**n is not a normal float" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--trials", "10"],
+        ["--mode", "exact", "--cap", "1"],
+    ], ids=["mc", "exact"])
+    def test_cylsum_zeta_power_limit(self, tmp_path, capsys, flags):
+        # for luroth, Z(0.75)**n is a normal float up to n = 1016
+        argv = ["cylsum", "--s", "0.75", "--theta", "0.5", *flags, "--n"]
+        assert run_cli(tmp_path, argv + ["1016"])[0] == 0
+        assert run_cli(tmp_path, argv + ["1017"])[0] == 3
+        assert "n = 1017" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["weights"],
+        ["construct", "linear", "--theta", "0.5", "--depth", "3"],
+        ["construct", "sublinear", "--t", "0.5", "--n", "100"],
+        ["cylsum", "--n", "4", "--s", "0.75", "--theta", "0.5"],
+    ], ids=["weights", "linear", "sublinear", "cylsum"])
+    def test_threads_only_where_read(self, capsys, argv):
+        # simulate and verify read --threads; the other subcommands reject it
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     @pytest.mark.parametrize("gamma", ["-0.9", "-1.5", "-1"])
     def test_power_log_below_range_is_3(self, capsys, gamma):

@@ -112,11 +112,6 @@ class TestScheduleShape:
         sched = linear.build_block_schedule(LUROTH, 0.5, depth=3)
         assert sched.k1 == weights.potter_scan(LUROTH, 1.0).k_eps
 
-    def test_finite_support_guard(self):
-        m = weights.finite_model((0.25,) * 4)
-        with pytest.raises(DomainError):
-            linear.build_block_schedule(m, 1.0, depth=4)
-
 
 class TestSamplingAndSandwich:
     def test_sandwich_exact(self):
@@ -418,10 +413,9 @@ class TestDepthGuard:
         assert time.perf_counter() - start < 1.0
 
     def test_depth_21_passes_the_guard(self):
-        # the finite support stops the build at its first level, after the guard
-        m = weights.finite_model((0.25,) * 4)
-        with pytest.raises(DomainError):
-            linear.build_block_schedule(m, 1.0, depth=21, k1=1)
+        # level 1 starts at 2**61; the index-overflow check stops level 2, after the guard
+        with pytest.raises(DepthError, match="overflow at level 2"):
+            linear.build_block_schedule(LUROTH, 1.0, depth=21, k1=2**61)
         assert linear._MAX_WORD_LENGTH == (1 << 22)
 
 

@@ -195,12 +195,6 @@ class TestExpectedDistinct:
         got = occupancy.expected_distinct(LUROTH, n)
         assert brute <= got <= brute + tail + 1e-9
 
-    def test_finite_model_closed_form(self):
-        m = weights.finite_model((0.5, 0.25, 0.25))
-        got = occupancy.expected_distinct(m, 3)
-        expect = sum(1 - (1 - p) ** 3 for p in (0.5, 0.25, 0.25))
-        assert got == pytest.approx(expect, rel=1e-12)
-
     def test_monotone_in_n(self):
         vals = [occupancy.expected_distinct(LUROTH, n) for n in (1, 2, 5, 10, 100, 1000)]
         assert all(b > a for a, b in zip(vals, vals[1:]))

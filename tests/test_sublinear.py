@@ -262,12 +262,6 @@ class TestScheduleStructure:
             sched.to_model_digits(word), perm[word - 1]
         )
 
-    def test_finite_support_exhaustion(self):
-        m = weights.finite_model((0.5, 0.3, 0.2))
-        prof = sublinear.profile_from_spec({"kind": "sqrt", "horizon": 1000})
-        with pytest.raises(DomainError):
-            sublinear.build_sublinear_schedule(m, prof, 0.5)
-
 
 # Hand-built profiles that bypass make_admissible, each breaking one schedule invariant.
 BROKEN_PROFILES = [

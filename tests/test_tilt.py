@@ -12,11 +12,21 @@ from ifsdigits import tilt, weights
 from ifsdigits.errors import DivergenceError, DomainError, EnumerationSizeError
 
 LUROTH = weights.luroth_model()
-PAIR = weights.finite_model((0.5, 0.5))
+KINDS = {
+    "luroth": LUROTH,
+    "power": weights.power_model(3.0),
+    "power-log": weights.power_log_model(2.0, 1.5),
+    "explicit-prefix": weights.explicit_prefix_model((0.4, 0.1, 0.2), rho=2.0),
+}
 
 # sum of p_k**0.75 over the quadratic-tail model, frozen from a
 # high-precision series evaluation with integral-remainder brackets
 ZETA_075 = 2.0109381287137382
+
+
+def s4_theta1(model, s):
+    """``S_4(s, 1) = Z(s)**4 - Z(4s)``: at threshold 2 only the constant words drop out."""
+    return weights.tilted_tail_sum(model, 1, s) ** 4 - weights.tilted_tail_sum(model, 1, 4 * s)
 
 
 def brute_force_sum(model, n, s, theta, cap):
@@ -88,18 +98,29 @@ class TestThreshold:
 
 class TestCylinderSumExact:
     def test_uniform_pair_by_hand(self):
-        rec = tilt.cylinder_sum_exact(PAIR, 4, 0.5, 1.0, alphabet_cap=2)
-        # 14 of the 16 words use both symbols; each word weighs (1/2)**(4/2)
-        assert rec.value == pytest.approx(3.5, rel=1e-14)
-        assert rec.truncation_deficit == 0.0
-        assert rec.prob == pytest.approx(14.0 / 16.0, rel=1e-14)
+        rec = tilt.cylinder_sum_exact(LUROTH, 4, 0.75, 1.0, alphabet_cap=2)
+        # 14 of the 16 words over {1, 2} use both digits: j ones, 4 - j twos
+        a, b = 0.5**0.75, (1 / 6) ** 0.75
+        by_hand = 4 * a**3 * b + 6 * a**2 * b**2 + 4 * a * b**3
+        assert rec.value == pytest.approx(by_hand, rel=1e-14)
+        assert rec.prob == pytest.approx(by_hand / (a + b) ** 4, rel=1e-14)
+        tail = weights.tilted_tail_sum(LUROTH, 3, 0.75)
+        assert rec.truncation_deficit == pytest.approx(4 * tail * ZETA_075**3, rel=1e-12)
         assert rec.mode == "exact-enumeration"
 
     def test_probability_normalization(self):
-        m = weights.finite_model((0.5, 0.3, 0.2))
-        rec = tilt.cylinder_sum_exact(m, 3, 1.0, 0.01, alphabet_cap=3)
-        assert rec.value == pytest.approx(1.0, rel=1e-12)
+        # threshold 1: every word over digits 1..3 counts, and p_1 + p_2 + p_3 = 3/4
+        rec = tilt.cylinder_sum_exact(LUROTH, 3, 1.0, 0.01, alphabet_cap=3)
+        assert rec.value == pytest.approx(0.75**3, rel=1e-12)
         assert rec.prob == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("cap", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_theta_one_identity_on_cap(self, kind, cap):
+        model = KINDS[kind]
+        rec = tilt.cylinder_sum_exact(model, 4, 0.75, 1.0, alphabet_cap=cap)
+        w = weights.weights_range(model, 1, cap + 1) ** 0.75
+        assert rec.value == pytest.approx(math.fsum(w) ** 4 - math.fsum(w**4), rel=1e-12)
 
     def test_matches_brute_force(self):
         rec = tilt.cylinder_sum_exact(LUROTH, 5, 0.75, 0.8, alphabet_cap=4)
@@ -140,12 +161,6 @@ class TestCylinderSumExact:
         assert rec.truncation_deficit == pytest.approx(3 * tail * zeta**2, rel=1e-12)
         assert rec.log_zeta == pytest.approx(math.log(zeta), rel=1e-12)
 
-    def test_finite_support_clamps_cap(self):
-        m = weights.finite_model((0.5, 0.3, 0.2))
-        rec = tilt.cylinder_sum_exact(m, 4, 0.8, 0.5, alphabet_cap=50)
-        assert rec.truncation_cap == 3
-        assert rec.truncation_deficit == 0.0
-
     def test_guards(self):
         with pytest.raises(EnumerationSizeError):
             tilt.cylinder_sum_exact(LUROTH, 6, 0.75, 0.5, alphabet_cap=30)
@@ -161,9 +176,9 @@ class TestCylinderSumExact:
 
 class TestCylinderSumMC:
     def test_uniform_pair_within_error(self):
-        rec = tilt.cylinder_sum_mc(PAIR, 4, 0.5, 1.0, trials=200_000, seed=3)
+        rec = tilt.cylinder_sum_mc(LUROTH, 4, 0.75, 1.0, trials=200_000, seed=3)
         assert rec.stderr is not None and rec.stderr > 0
-        assert abs(rec.value - 3.5) < 4.0 * rec.stderr
+        assert abs(rec.value - s4_theta1(LUROTH, 0.75)) < 4.0 * rec.stderr
 
     def test_agrees_with_exact_bracket(self):
         exact = tilt.cylinder_sum_exact(LUROTH, 6, 0.75, 0.8, alphabet_cap=6)
@@ -202,8 +217,8 @@ class TestBoundChain:
         rec = tilt.bound_chain(LUROTH, 40, 0.75, 0.5)
         assert rec.r == 5
         assert rec.threshold == 10
-        pair = tilt.bound_chain(PAIR, 4, 0.5, 1.0)
-        assert pair.r == 1
+        short = tilt.bound_chain(LUROTH, 4, 0.75, 1.0)
+        assert short.r == 1
 
     def test_tail_mass_exact_at_s_one(self):
         # at s = 1 the quadratic tail telescopes: mass of digits >= r is 1/r
@@ -228,19 +243,16 @@ class TestBoundChain:
         )
 
     def test_vacuous_bound_still_consistent(self):
-        rec = tilt.bound_chain(PAIR, 4, 0.5, 1.0, trials=20_000, seed=2)
+        rec = tilt.bound_chain(LUROTH, 4, 0.75, 1.0, trials=20_000, seed=2)
         assert rec.log_binomial_bound > 0.0  # vacuous: exceeds any probability
         assert rec.chain_ok is True
+        z4 = math.exp(4 * rec.log_zeta)
+        assert abs(rec.prob_mc - s4_theta1(LUROTH, 0.75) / z4) < 4.0 * rec.prob_se
 
     def test_chain_holds_with_mc(self):
         rec = tilt.bound_chain(LUROTH, 40, 0.75, 0.5, trials=50_000, seed=1)
-        assert rec.guard_ok is True
         assert rec.chain_ok is True
         assert rec.prob_mc is not None and rec.prob_se is not None
-
-    def test_guard_proxy(self):
-        rec = tilt.bound_chain(LUROTH, 40, 0.75, 0.5, tail_threshold_proxy=10)
-        assert rec.guard_ok is False  # r = 5 below the caller's proxy
 
     def test_log_probability_trend(self):
         # the tilted distinct-count probability falls, and falls faster with n

@@ -60,12 +60,10 @@ class TestModelConstruction:
         assert weights.weight(m, 2) == 0.3
         assert weights.tail_sum(m, 3) == pytest.approx(0.3, rel=1e-9)
 
-    def test_finite_model(self):
-        m = weights.finite_model((0.5, 0.25, 0.25))
-        assert m.support_size == 3
-        assert weights.tail_sum(m, 2) == pytest.approx(0.5, rel=1e-15)
-        with pytest.raises(DomainError):
-            weights.finite_model((0.5, 0.4))  # does not sum to one
+    def test_finite_kind_rejected(self):
+        # every model has the positive integers as its support
+        with pytest.raises(DomainError, match="unknown weight-model kind 'finite'"):
+            weights.WeightModel(kind="finite", rho=2.0)
 
     def test_spec_roundtrip(self):
         for spec in (
@@ -92,12 +90,10 @@ class TestModelConstruction:
             LUROTH,
             weights.power_model(3.0),
             weights.power_log_model(2.0, 1.0),
-            weights.finite_model((0.5, 0.5)),
+            weights.explicit_prefix_model((0.4, 0.3), rho=2.0),
         ):
-            hi = m.support_size + 1 if m.support_size is not None else 10**6 + 1
-            total = float(np.sum(weights.weights_range(m, 1, hi)))
-            if m.support_size is None:
-                total += weights.tail_sum(m, hi)
+            hi = 10**6 + 1
+            total = float(np.sum(weights.weights_range(m, 1, hi))) + weights.tail_sum(m, hi)
             assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -129,12 +125,6 @@ class TestTailSums:
             weights.tilted_tail_sum(LUROTH, 1, 0.5)  # rho*s = 1
         with pytest.raises(DivergenceError):
             weights.tilted_tail_sum(LUROTH, 10, 0.3)
-
-    def test_finite_model_any_tilt(self):
-        m = weights.finite_model((0.5, 0.5))
-        assert weights.tilted_tail_sum(m, 1, 0.5) == pytest.approx(
-            2 * 0.5**0.5, rel=1e-12
-        )
 
     def test_power_log_log_exponent_range(self):
         # Gamma(g + 1, x) is only available for g > -1: fail typed, not NaN
@@ -281,10 +271,6 @@ class TestPotterScan:
         rep = weights.potter_scan(m, 0.5)
         assert rep.k_eps >= 1
         assert weights.verify_potter_report(m, rep)
-
-    def test_finite_model_rejected(self):
-        with pytest.raises(DomainError):
-            weights.potter_scan(weights.finite_model((0.5, 0.5)), 1.0)
 
     def test_scan_limit_guard(self):
         # depressed prefix entries push the half-bound start past the window
