@@ -123,7 +123,7 @@ def cylinder_sum_exact(
     Dynamic programming over (position, set of used digits); words using a
     digit above the cap are excluded, and the omitted mass is bracketed by
     ``n * (tilted tail past the cap) * Z(s)**(n-1)``.  Both the capped and
-    the full ``Z(s)**n`` must be normal floats.
+    the full ``Z(s)**n`` must be normal floats and that bracket finite.
     """
     if n < 1:
         raise DomainError("word length must be positive")
@@ -143,6 +143,12 @@ def cylinder_sum_exact(
     z_full = z_capped + tail
     z_capped_n = _zeta_power(z_capped, n)
     _zeta_power(z_full, n)
+    deficit = n * tail * z_full ** (n - 1)
+    if not math.isfinite(deficit):
+        raise DomainError(
+            f"truncation deficit n * tail * Z(s)**(n-1) is not finite: n = {n}, "
+            f"tail = {tail!r}, Z(s) = {z_full!r}"
+        )
     # dp[mask] = sum over words with used-digit set == mask of the word mass
     dp = {0: 1.0}
     for _ in range(n):
@@ -156,7 +162,6 @@ def cylinder_sum_exact(
     total = math.fsum(
         val for mask, val in dp.items() if mask.bit_count() >= threshold
     )
-    deficit = n * tail * z_full ** (n - 1)
     return CylinderSumRecord(
         n=n,
         s=float(s),

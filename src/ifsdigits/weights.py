@@ -586,32 +586,113 @@ def verify_potter_report(
 # -- sampling -----------------------------------------------------------------
 
 
+@lru_cache(maxsize=16)
+def _tail_anchor(model: WeightModel, M: int, s: float) -> float:
+    """``tilted_tail_sum(model, M, s)``, kept for the tail inversions that start at ``M``."""
+    return tilted_tail_sum(model, M, s)
+
+
+# Largest tail start a tail inversion evaluates: its digit is at most 2**62.
+_INVERT_LIMIT = (1 << 62) + 1
+
+# Secant guesses per tail inversion.
+_GUESS_STEPS = 6
+
+# Relative rounding noise the float tail may carry, so that it need not be
+# monotone within it: a guess settles the tail starts on its side of the
+# target only when its tail clears the target by more than this.
+_TAIL_NOISE = 1e-13
+
+
 def _invert_tail(model: WeightModel, s: float, target: float, lo: int) -> int:
-    """Smallest ``k >= lo`` with ``tilted_tail_sum(k+1) < target``."""
-    k_lo = lo  # tail(k_lo) >= target is maintained as the invariant
+    """Smallest ``k >= lo`` with ``tilted_tail_sum(k+1) < target``.
+
+    The search gallops up from ``lo`` by doubling, then bisects.  Each of its
+    comparisons ``T(m) < target`` is answered by the bracket of
+    :func:`_guess_bracket` where that settles it, and by a scalar tail
+    evaluation elsewhere, so the digit is the one the plain search finds
+    even where the float tail is not monotone.
+    """
+    a, b = _guess_bracket(model, s, target, lo)
+    if b - a == 1 and b <= 1 << 61:
+        return a  # the bracket settles every comparison, and the search ends at a
+
+    def below(m: int) -> bool:
+        return m >= b or (m > a and tilted_tail_sum(model, m, s) < target)
+
+    k_lo = lo
     k_hi = max(2 * k_lo, k_lo + 1)
-    while tilted_tail_sum(model, k_hi + 1, s) >= target:
+    while not below(k_hi + 1):
         k_lo = k_hi
         k_hi *= 2
         if k_hi > 1 << 62:
             raise TiltThresholdError("tail inversion ran past 2**62")
     while k_hi - k_lo > 1:
         mid = (k_lo + k_hi) // 2
-        if tilted_tail_sum(model, mid + 1, s) < target:
+        if below(mid + 1):
             k_hi = mid
         else:
             k_lo = mid
-    if tilted_tail_sum(model, k_lo + 1, s) < target:
-        return k_lo
-    return k_hi
+    return k_lo if below(k_lo + 1) else k_hi
+
+
+def _guess_bracket(model: WeightModel, s: float, target: float, lo: int) -> tuple[int, int]:
+    """Tail starts ``a < b``: ``T(m) >= target`` up to ``a``, ``T(m) < target`` from ``b`` on.
+
+    Only a tail that clears the target by the relative margin ``_TAIL_NOISE``
+    settles the starts on its side; ``a = lo`` and ``b > _INVERT_LIMIT``
+    settle nothing.  Regular variation makes ``log T`` nearly linear in
+    ``log m``, so secants guess where ``T`` crosses the two margins: the
+    first through the cached tails at ``lo + 1`` and ``2 (lo + 1)``, later
+    ones through the two latest evaluations.  Guesses alternate between the
+    unsettled sides and are clamped into the open bracket.
+    """
+    high, low = target * (1.0 + _TAIL_NOISE), target * (1.0 - _TAIL_NOISE)
+    a, b = lo, _INVERT_LIMIT + 1
+    points = []
+    for m in (lo + 1, 2 * lo + 2):
+        t = _tail_anchor(model, m, s)
+        if t >= high:
+            a = m
+        elif t < low:
+            b = min(b, m)
+        if t > 0.0:
+            points.append((math.log(m), math.log(t)))
+    if len(points) < 2 or not target > 0.0:
+        return a, b
+    (u0, v0), (u, v) = points
+    slope = (v - v0) / (u - u0)
+    want_b = True
+    for _ in range(_GUESS_STEPS):
+        if b - a <= 1 or not slope < 0.0:
+            break
+        x = u + (math.log(low if want_b else high) - v) / slope
+        # T(m) < low from floor(x) + 1 on, T(m) >= high up to floor(x); a
+        # guess past exp(44) > 2**62 goes to the top of the bracket
+        m = math.floor(math.exp(x)) + int(want_b) if x < 44.0 else b - 1
+        m = min(max(m, a + 1), b - 1)
+        t = tilted_tail_sum(model, m, s)
+        if t >= high:
+            a, want_b = m, True
+        elif t < low:
+            b, want_b = m, False
+        else:
+            want_b = not want_b
+        if not t > 0.0:
+            break
+        u_m, v_m = math.log(m), math.log(t)
+        if (v_m - v) * (u_m - u) < 0.0:  # keep only falling secants
+            slope = (v_m - v) / (u_m - u)
+        u, v = u_m, v_m
+    return a, b
 
 
 class DigitSampler:
     """Vectorized inverse-CDF sampler for ``p_k**s / Z_s``.
 
     ``s = 1`` samples the base model.  A cumulative table covers the bulk of
-    the mass; draws beyond the table are resolved exactly by monotone
-    bracketing of the tilted tail sum, so the sampled law is the exact
+    the mass; a draw beyond the table inverts the tilted tail sum with scalar
+    evaluations (:func:`_invert_tail`), so the sampled law is the exact
     inverse-CDF law at every index.
     """
 
@@ -631,11 +712,12 @@ class DigitSampler:
         u = rng.random(size)
         if self._fast_luroth:
             return np.floor(1.0 / (1.0 - u)).astype(np.int64)
-        target = u * self.total
-        out = np.searchsorted(self._cum, target, side="right") + 1
+        target = np.multiply(u, self.total, out=u)
+        out = np.searchsorted(self._cum, target, side="right")
+        out += 1
         overflow = np.nonzero(out > self._table_size)[0]
         for i in overflow:
             out[i] = _invert_tail(
                 self.model, self.s, self.total - target[i], self._table_size
             )
-        return out.astype(np.int64)
+        return out.astype(np.int64, copy=False)

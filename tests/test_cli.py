@@ -142,16 +142,35 @@ class TestExitCodes:
         assert code == 3
         assert "error: Z(s)**n is not a normal float" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [
-        ["--trials", "10"],
-        ["--mode", "exact", "--cap", "1"],
+    @pytest.mark.parametrize("flags, longest", [
+        (["--trials", "10"], "1016"),
+        (["--mode", "exact", "--cap", "1"], "1006"),
     ], ids=["mc", "exact"])
-    def test_cylsum_zeta_power_limit(self, tmp_path, capsys, flags):
-        # for luroth, Z(0.75)**n is a normal float up to n = 1016
+    def test_cylsum_zeta_power_limit(self, tmp_path, capsys, flags, longest):
+        # for luroth, Z(0.75)**n is a normal float up to n = 1016; exact mode
+        # also needs a finite truncation deficit, which ends at n = 1006
         argv = ["cylsum", "--s", "0.75", "--theta", "0.5", *flags, "--n"]
-        assert run_cli(tmp_path, argv + ["1016"])[0] == 0
+        assert run_cli(tmp_path, argv + [longest])[0] == 0
         assert run_cli(tmp_path, argv + ["1017"])[0] == 3
         assert "n = 1017" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["1007", "1016"])
+    def test_cylsum_infinite_deficit_is_3(self, capsys, n):
+        # n * tail * Z**(n-1) overflows although Z**n is a normal float;
+        # refused before the DP instead of reporting an inf deficit
+        code = cli.main([
+            "cylsum", "--n", n, "--s", "0.75", "--theta", "0.5", "--mode", "exact", "--cap", "1",
+        ])
+        assert code == 3
+        assert "error: truncation deficit" in capsys.readouterr().err
+
+    def test_unreachable_tail_quantile_is_3(self, capsys):
+        # at rho*s = 1.05 a draw can need a digit past 2**62
+        code = cli.main(
+            ["cylsum", "--n", "40", "--s", "0.525", "--theta", "0.5", "--trials", "2000"]
+        )
+        assert code == 3
+        assert "error: tail inversion ran past 2**62" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["weights"],

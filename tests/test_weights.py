@@ -1,6 +1,8 @@
 """Weight models: tail sums, tilted sums, exponent roots, ratio scans, sampling."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -385,3 +387,155 @@ class TestInvertTailGuard:
         with pytest.raises(TiltThresholdError):
             # no index k <= 2**62 has tail mass below 1e-300
             weights._invert_tail(LUROTH, 1.0, 1e-300, 1)
+
+
+def reference_invert_tail(model, s, target, lo):
+    """The plain search ``_invert_tail`` replays: gallop by doubling, then bisect."""
+    k_lo = lo
+    k_hi = max(2 * k_lo, k_lo + 1)
+    while weights.tilted_tail_sum(model, k_hi + 1, s) >= target:
+        k_lo = k_hi
+        k_hi *= 2
+        if k_hi > 1 << 62:
+            raise TiltThresholdError("tail inversion ran past 2**62")
+    while k_hi - k_lo > 1:
+        mid = (k_lo + k_hi) // 2
+        if weights.tilted_tail_sum(model, mid + 1, s) < target:
+            k_hi = mid
+        else:
+            k_lo = mid
+    if weights.tilted_tail_sum(model, k_lo + 1, s) < target:
+        return k_lo
+    return k_hi
+
+
+def invert_or_none(invert, model, s, target, lo):
+    try:
+        return invert(model, s, target, lo)
+    except TiltThresholdError:
+        return None
+
+
+# one model per kind, each at tilts with rho*s = 1.05, about 1.5 and 3
+TILTED_KINDS = {
+    "luroth": (LUROTH, (0.525, 0.75, 1.5)),
+    "power": (weights.power_model(1.5), (0.7, 1.0, 2.0)),
+    "power-log": (weights.power_log_model(2.0, 1.5), (0.525, 0.8, 1.5)),
+    "explicit-prefix": (weights.explicit_prefix_model([0.3, 0.2], 2.5), (0.42, 0.6, 1.2)),
+}
+TILTED_CASES = [
+    pytest.param(model, s, id=f"{kind}-{model.rho * s:.2f}")
+    for kind, (model, tilts) in TILTED_KINDS.items()
+    for s in tilts
+]
+
+
+def fallback_targets(model, s, lo, count, seed):
+    """Tail targets of draws past a table of ``lo`` entries, plus its edge values."""
+    edge = weights.tilted_tail_sum(model, lo + 1, s)
+    u = substream(seed, 0xF1).random(count)
+    return [edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf), *(edge * u)]
+
+
+class TestInvertTailAgainstReference:
+    @pytest.mark.parametrize("lo", [1 << 10, 1000, 1 << 20])
+    @pytest.mark.parametrize("model, s", TILTED_CASES)
+    def test_same_digits_and_errors(self, model, s, lo):
+        # lo = 2**10 runs the searches across _EM_CUT; 1000 is no power of two
+        raised = 0
+        for target in fallback_targets(model, s, lo, 40, lo):
+            want = invert_or_none(reference_invert_tail, model, s, target, lo)
+            assert invert_or_none(weights._invert_tail, model, s, target, lo) == want, target
+            raised += want is None
+        if model.rho * s < 1.1:
+            assert raised > 0  # the 2**62 limit is reached and matched
+
+    @pytest.mark.parametrize("kind", list(TILTED_KINDS))
+    def test_fewer_tail_calls(self, monkeypatch, kind):
+        model, (_, s, _) = TILTED_KINDS[kind]
+        lo = 1 << 20
+        calls = [0]
+        tail = weights.tilted_tail_sum
+
+        def counted(*args):
+            calls[0] += 1
+            return tail(*args)
+
+        monkeypatch.setattr(weights, "tilted_tail_sum", counted)
+        used = {}
+        for name, invert in (("reference", reference_invert_tail), ("guess", weights._invert_tail)):
+            weights._tail_anchor.cache_clear()
+            calls[0] = 0
+            for target in fallback_targets(model, s, lo, 100, 7):
+                invert(model, s, target, lo)
+            used[name] = calls[0]
+        weights._tail_anchor.cache_clear()
+        # the power-log guess has to learn the log factor; it still needs
+        # under a quarter of the bisection's evaluations
+        assert used["guess"] < used["reference"] / (4 if kind == "power-log" else 8), used
+
+    def test_limit_follows_the_doubling(self):
+        # from lo = 3 the search doubles to 3 * 2**60 and stops below 2**62,
+        # so a digit near 4e18 is past its limit although it is below 2**62
+        s = 0.525
+        target = weights.tilted_tail_sum(LUROTH, 4 * 10**18, s)
+        with pytest.raises(TiltThresholdError):
+            reference_invert_tail(LUROTH, s, target, 3)
+        with pytest.raises(TiltThresholdError):
+            weights._invert_tail(LUROTH, s, target, 3)
+        digit = weights._invert_tail(LUROTH, s, target, 1 << 20)
+        assert digit == reference_invert_tail(LUROTH, s, target, 1 << 20) > 3 << 60
+
+    def test_noisy_tail_keeps_the_search_digit(self, monkeypatch):
+        # a tail that is not monotone within a few ulps, as float tails far
+        # out can be: the digit is still the one the plain search finds
+        def noisy_tail(model, M, s):
+            return M ** -0.5 * (1.0 + 4e-16 * ((M * 2654435761) % 7 - 3))
+
+        monkeypatch.setattr(weights, "tilted_tail_sum", noisy_tail)
+        weights._tail_anchor.cache_clear()
+        lo = 1 << 20
+        edge = noisy_tail(LUROTH, lo + 1, 0.75)
+        # log-uniform targets put the digits anywhere up to past 2**62
+        for target in edge * np.exp(-25.0 * substream(5, 0xF2).random(300)):
+            target = float(target)
+            want = invert_or_none(reference_invert_tail, LUROTH, 0.75, target, lo)
+            assert invert_or_none(weights._invert_tail, LUROTH, 0.75, target, lo) == want
+        weights._tail_anchor.cache_clear()
+
+    @pytest.mark.parametrize("model, s", TILTED_CASES)
+    def test_float_tail_monotone(self, model, s):
+        for start in (weights._EM_CUT - 40, (1 << 10) - 40, (1 << 20) - 40):
+            tails = [weights.tilted_tail_sum(model, m, s) for m in range(start, start + 80)]
+            assert all(np.diff(tails) < 0.0), start
+
+    @pytest.mark.parametrize("kind", list(TILTED_KINDS))
+    def test_sampler_draws_match_reference(self, monkeypatch, kind):
+        model, (_, s, _) = TILTED_KINDS[kind]
+        sampler = weights.DigitSampler(model, s, table_size=1 << 10)
+        got = sampler.sample(substream(9, 0xF3), 5_000)
+        monkeypatch.setattr(weights, "_invert_tail", reference_invert_tail)
+        want = sampler.sample(substream(9, 0xF3), 5_000)
+        assert got.dtype == np.int64
+        assert np.count_nonzero(got > 1 << 10) > 20
+        assert np.array_equal(got, want)
+
+    def test_threads_share_the_anchor_cache(self):
+        # simulate's workers share the cached table-edge tails; draws from a
+        # cold cache under frequent thread switches equal the serial ones
+        model, (_, s, _) = TILTED_KINDS["power"]
+        sampler = weights.DigitSampler(model, s, table_size=1 << 10)
+
+        def draw(i):
+            return sampler.sample(substream(11, i), 2_000)
+
+        want = [draw(i) for i in range(8)]
+        weights._tail_anchor.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                got = list(pool.map(draw, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
