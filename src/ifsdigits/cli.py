@@ -156,13 +156,13 @@ def _resolve(args) -> tuple[weights.WeightModel, int]:
     if not isinstance(spec, dict):
         raise IfsDigitsError("config field 'model' must be a JSON object")
     spec = dict(spec)
-    if getattr(args, "model", None):
-        spec["kind"] = args.model
+    if getattr(args, "model", None) and args.model != spec.get("kind"):
+        spec = {"kind": args.model}  # the config's fields describe another kind
     if getattr(args, "rho", None) is not None:
         spec["rho"] = args.rho
     if getattr(args, "gamma", None) is not None:
         spec["gamma"] = args.gamma
-    if getattr(args, "prefix", None):
+    if getattr(args, "prefix", None) is not None:
         spec["prefix"] = args.prefix
     if not spec.get("kind"):
         spec["kind"] = "luroth"
@@ -313,6 +313,7 @@ def cmd_construct_sublinear(args) -> int:
     word = sched.sample_word(args.n, substream(seed, 0x5B11, args.n))
     trace = sched.ratio_trace(word)
     counts = occupancy.distinct_counts(np.asarray(word))
+    word = sched.to_model_digits(word)
     if args.word_out:
         Path(args.word_out).write_text(codec.word_to_line(word) + "\n", encoding="utf-8")
     columns = {

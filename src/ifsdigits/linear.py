@@ -386,19 +386,12 @@ def sandwich_violations(theta, word) -> list[int]:
     """Positions ``n`` where ``theta*n <= D_n < theta*n + J(n)`` fails.
 
     ``J(n)`` is the number of blocks spanned by ``n`` positions, i.e. the
-    level index of position ``n``; exact integer arithmetic throughout.
+    level index ``bit_length(n + 1) - 1`` of position ``n``.  With integer
+    ``D_n`` the bounds read ``ceil(theta*n) <= D_n < ceil(theta*n) + J(n)``,
+    exact integers throughout.
     """
-    theta = as_rate(theta)
-    num, den = theta.numerator, theta.denominator
     counts = distinct_counts(np.asarray(word, dtype=np.int64))
-    bad = []
-    level_end = 0
-    j = 0
-    for n in range(1, counts.size + 1):
-        if n > level_end:
-            j += 1
-            level_end = (1 << (j + 1)) - 2
-        d = int(counts[n - 1])
-        if not (num * n <= d * den and d * den < num * n + j * den):
-            bad.append(n)
-    return bad
+    lower = distinctness_profile(theta, max(counts.size, 1)).r[1 : counts.size + 1]
+    level = np.frexp(np.arange(2, counts.size + 2))[1] - 1  # exact below 2**53
+    bad = (counts < lower) | (counts >= lower + level)
+    return (np.flatnonzero(bad) + 1).tolist()

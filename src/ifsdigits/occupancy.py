@@ -74,26 +74,38 @@ def expected_distinct(model: WeightModel, n: int) -> float:
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise DomainError("n must be a positive integer")
-    n = int(n)
-    if n == 1:
-        return 1.0
-    total = 0.0
+    return _expected_distinct_at(model, (int(n),))[0]
+
+
+def _expected_distinct_at(model: WeightModel, ns: tuple[int, ...]) -> list[float]:
+    """:func:`expected_distinct` at every ``n`` in ``ns``, in one pass over the weights.
+
+    The chunk bounds do not depend on ``n``, so each chunk is built once for
+    every ``n`` still summing; each value is the one a pass of its own gives.
+    """
+    totals = [1.0 if n == 1 else 0.0 for n in ns]
+    ends = [1 if n == 1 else 0 for n in ns]  # first digit left to the remainder; 0 while summing
     lo = 1
     chunk = 1 << 14
-    while True:
+    while not all(ends):
         hi = lo + chunk
         p = weights_range(model, lo, hi)
-        terms = -np.expm1(n * np.log1p(-p))
-        total += float(terms.sum())
+        log_q = np.log1p(-p)
+        for i, n in enumerate(ns):
+            if not ends[i]:
+                terms = -np.expm1(n * log_q)
+                totals[i] += float(terms.sum())
+                if terms[-1] < 1e-12 * totals[i] or n * p[-1] < 1e-6:
+                    ends[i] = hi
         lo = hi
         chunk = min(chunk * 2, 1 << 22)
-        if terms[-1] < 1e-12 * total or n * p[-1] < 1e-6:
-            break
-    # remainder: sum_{k>=lo} (1-(1-p_k)^n) = n*T1 - C(n,2)*T2 + O(n^3 T3)
-    t1 = tail_sum(model, lo)
-    t2 = tilted_tail_sum(model, lo, 2.0)
-    correction = n * t1 - 0.5 * n * (n - 1) * t2
-    return total + max(correction, 0.0)
+    for i, (n, end) in enumerate(zip(ns, ends)):
+        if n > 1:
+            # remainder: sum_{k>=end} (1-(1-p_k)^n) = n*T1 - C(n,2)*T2 + O(n^3 T3)
+            t1 = tail_sum(model, end)
+            t2 = tilted_tail_sum(model, end, 2.0)
+            totals[i] += max(n * t1 - 0.5 * n * (n - 1) * t2, 0.0)
+    return totals
 
 
 @dataclass(frozen=True)
@@ -170,7 +182,7 @@ def monte_carlo_law(
         sds = tuple(float(v) for v in ratios.std(axis=0, ddof=1))
     else:
         sds = tuple(0.0 for _ in cps)
-    exacts = tuple(expected_distinct(model, int(c)) for c in cps)
+    exacts = tuple(_expected_distinct_at(model, cps))
     const = None
     if model.power_constant is not None:
         const = karlin_constant(model.rho, model.power_constant)

@@ -12,8 +12,10 @@ count is sandwiched between ``f(n)`` and ``f(n) + K_n``, and the mass ratio
 ``mu_t(C_n) / diam(C_n)**t`` decays geometrically.
 
 Weights are used in non-increasing order inside this module: when a model
-is not already sorted the sorting permutation is recorded on the schedule
-(digit labels in emitted words refer to the sorted order).
+is not already sorted the sorting permutation is recorded on the schedule.
+Schedules, samples and traces work on sorted-order labels;
+:meth:`SublinearSchedule.to_model_digits` turns a word into the model's own
+digits, which is what the command line writes.
 """
 
 from __future__ import annotations
@@ -213,10 +215,10 @@ class SublinearSchedule:
         return self.profile.horizon
 
     def to_model_digits(self, word) -> np.ndarray:
-        """Map sorted-order labels back to the model's own digit indices."""
+        """Map sorted-order labels to the model's own digits (``word`` itself when sorted)."""
         word = np.asarray(word, dtype=np.int64)
         if self.label_permutation is None:
-            return word.copy()
+            return word
         return self.label_permutation[word - 1]
 
     # -- sampling ---------------------------------------------------------------
@@ -234,7 +236,9 @@ class SublinearSchedule:
         for kv in np.unique(ks):
             cum = self._free_cumulative(int(kv))
             pick = ks == kv
-            word[free_idx[pick]] = np.searchsorted(cum, u[pick], side="right") + 1
+            # rounding can end cum a hair below 1, under the largest draws: clamp to label K
+            label = np.searchsorted(cum, u[pick], side="right")
+            word[free_idx[pick]] = np.minimum(label, kv - 1) + 1
         return word
 
     def _free_cumulative(self, K: int) -> np.ndarray:
@@ -308,7 +312,8 @@ def build_sublinear_schedule(
     horizon = profile.horizon
     f = profile.values
     k_star = threshold_index(model, t)
-    root_f = np.asarray([math.isqrt(int(v)) for v in f[1:]], dtype=np.int64)
+    # floor(sqrt(f)) is exact in float64 below 2**52; f stays below 2**22
+    root_f = np.sqrt(f[1:]).astype(np.int64)
     K = np.maximum(k_star, root_f)
     forced_time = np.zeros(horizon, dtype=bool)
     forced_time[profile.step_times() - 1] = True

@@ -10,6 +10,12 @@ any explicit prefix.  Built-in families:
 * ``power-log``       -- ``p_k`` proportional to ``k**-rho * log(k+1)**gamma``
 * ``explicit-prefix`` -- finitely many explicit weights, power tail beyond
 
+All but ``luroth`` are one family: an explicit head (empty for ``power`` and
+``power-log``) followed by the normalized tail ``k**-rho * log(k+1)**gamma / D``,
+where ``D`` makes the tail carry the mass the head leaves.  Since the
+occupancy and dimension laws see the tail alone, a finite head changes no
+law; :class:`WeightModel` states which fields each kind fixes.
+
 This module owns every scalar quantity derived from the weights: tail sums,
 tilted tail sums ``sum_{k>=M} p_k**s``, the exponent at which a truncated
 s-power sum equals one, empirical dyadic-ratio (Potter-type) constants, and
@@ -77,41 +83,46 @@ _MAX_DRAWS = 1 << 24
 class WeightModel:
     """Immutable description of a digit-weight sequence.
 
-    ``rho`` is the declared tail index; ``gamma`` is the log exponent of
-    ``power-log`` (and must be 0 for ``power``); ``prefix`` applies to
-    ``explicit-prefix``.
+    ``prefix`` holds ``p_1..p_m``; for ``k > m`` a non-luroth model has
+    ``p_k = k**-rho * log(k+1)**gamma / _norm``.  Each kind fixes fields:
+    ``luroth`` has ``rho = 2``, ``gamma = 0`` and no prefix; ``power`` has
+    ``gamma = 0`` and no prefix; ``power-log`` has no prefix;
+    ``explicit-prefix`` has ``gamma = 0`` and a nonempty prefix of finite
+    positive weights that sums to less than 1.
     """
 
     kind: str
     rho: float
     gamma: float = 0.0
     prefix: tuple[float, ...] = ()
-    # Normalizer, meaning depends on kind: the full weighted zeta sum for
-    # power and power-log (zeta(rho) at gamma = 0), the tail coefficient c
-    # for explicit-prefix.  Computed once at construction.
+    # Tail divisor D = sum_{k>m} k**-rho * log(k+1)**gamma / (1 - sum(prefix)),
+    # so that the tail carries the mass the prefix leaves: zeta(rho) for
+    # power.  Unused by luroth.  Computed once at construction.
     _norm: float = field(default=1.0, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise DomainError(f"unknown weight-model kind {self.kind!r}")
-        if self.kind == "luroth":
-            if self.rho != 2.0:
-                raise DomainError("luroth weights have tail index 2")
-        elif self.kind in ("power", "power-log"):
-            if not self.rho > 1.0:
-                raise DomainError("power-type weights need rho > 1")
-            if self.kind == "power" and self.gamma != 0.0:
-                raise DomainError("power weights have gamma = 0; use power-log")
-        elif self.kind == "explicit-prefix":
-            if not self.rho > 1.0:
-                raise DomainError("explicit-prefix tail needs rho > 1")
-            if not self.prefix:
-                raise DomainError("explicit-prefix needs at least one entry")
-            if any(q <= 0.0 for q in self.prefix):
-                raise DomainError("prefix weights must be positive")
-            if sum(self.prefix) >= 1.0:
-                raise DomainError("prefix weights must sum to less than 1")
-        object.__setattr__(self, "_norm", _compute_norm(self))
+        if not (math.isfinite(self.rho) and math.isfinite(self.gamma)):
+            raise DomainError("rho and gamma must be finite")
+        if self.kind == "luroth" and self.rho != 2.0:
+            raise DomainError("luroth weights have tail index 2")
+        if not self.rho > 1.0:
+            raise DomainError("power-type weights need rho > 1")
+        if self.gamma != 0.0 and self.kind != "power-log":
+            raise DomainError(f"{self.kind} weights have gamma = 0; use power-log")
+        if self.kind != "explicit-prefix":
+            if self.prefix:
+                raise DomainError(f"{self.kind} weights have no prefix; use explicit-prefix")
+        elif not self.prefix:
+            raise DomainError("explicit-prefix needs at least one entry")
+        elif not all(0.0 < q < math.inf for q in self.prefix):
+            raise DomainError("prefix weights must be positive and finite")
+        elif sum(self.prefix) >= 1.0:
+            raise DomainError("prefix weights must sum to less than 1")
+        if self.kind != "luroth":
+            tail = _powerlog_raw_tail(len(self.prefix) + 1, self.rho, self.gamma)
+            object.__setattr__(self, "_norm", tail / (1.0 - sum(self.prefix)))
 
     # -- descriptive helpers -------------------------------------------------
 
@@ -120,11 +131,7 @@ class WeightModel:
         """The constant ``C = lim_k p_k * k**rho`` when the limit exists."""
         if self.kind == "luroth":
             return 1.0
-        if self.kind == "explicit-prefix":
-            return self._norm
-        if self.kind in ("power", "power-log") and self.gamma == 0.0:
-            return 1.0 / self._norm
-        return None
+        return 1.0 / self._norm if self.gamma == 0.0 else None
 
     def describe(self) -> str:
         if self.kind == "power":
@@ -134,16 +141,6 @@ class WeightModel:
         if self.kind == "explicit-prefix":
             return f"explicit-prefix({len(self.prefix)} entries, rho={self.rho:g})"
         return "luroth"
-
-
-def _compute_norm(model: WeightModel) -> float:
-    if model.kind in ("power", "power-log"):
-        return _powerlog_raw_tail(1, model.rho, model.gamma)
-    if model.kind == "explicit-prefix":
-        m = len(model.prefix)
-        remaining = 1.0 - sum(model.prefix)
-        return remaining / _powerlog_raw_tail(m + 1, model.rho, 0.0)
-    return 1.0
 
 
 # -- constructors -----------------------------------------------------------
@@ -174,7 +171,11 @@ def explicit_prefix_model(prefix, rho: float) -> WeightModel:
 
 
 def model_from_spec(spec: dict) -> WeightModel:
-    """Build a model from its wire-format dictionary."""
+    """Build a model from its wire-format dictionary.
+
+    Every kind reads ``rho``, ``gamma`` and ``prefix`` alike and must give
+    those it does not fix; :class:`WeightModel` refuses the values it fixes.
+    """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise DomainError("model spec must be an object with a 'kind' field")
     kind = spec["kind"]
@@ -182,20 +183,21 @@ def model_from_spec(spec: dict) -> WeightModel:
     extra = set(spec) - known
     if extra:
         raise DomainError(f"unknown model spec fields: {sorted(extra)}")
-    if kind == "luroth":
-        return luroth_model()
-    if kind == "power":
-        # a given gamma reaches WeightModel, which rejects any value but 0
-        gamma = _require_number(spec, "gamma") if "gamma" in spec else 0.0
-        return WeightModel(kind="power", rho=_require_number(spec, "rho"), gamma=gamma)
-    if kind == "power-log":
-        return power_log_model(_require_number(spec, "rho"), _require_number(spec, "gamma"))
-    if kind == "explicit-prefix":
-        prefix = spec.get("prefix")
-        if not isinstance(prefix, (list, tuple)):
+    if kind not in _KINDS:
+        raise DomainError(f"unknown weight-model kind {kind!r}")
+
+    def number(key: str) -> float:
+        return _number(spec.get(key), f"model spec field {key!r}")
+
+    rho = number("rho") if "rho" in spec or kind != "luroth" else 2.0
+    gamma = number("gamma") if "gamma" in spec or kind == "power-log" else 0.0
+    prefix = ()
+    if "prefix" in spec or kind == "explicit-prefix":
+        items = spec.get("prefix")
+        if not isinstance(items, (list, tuple)):
             raise DomainError("explicit-prefix spec needs a 'prefix' array")
-        return explicit_prefix_model(prefix, _require_number(spec, "rho"))
-    raise DomainError(f"unknown weight-model kind {kind!r}")
+        prefix = tuple(_number(q, "every entry of model spec field 'prefix'") for q in items)
+    return WeightModel(kind=kind, rho=rho, gamma=gamma, prefix=prefix)
 
 
 def model_to_spec(model: WeightModel) -> dict:
@@ -211,10 +213,9 @@ def model_to_spec(model: WeightModel) -> dict:
     raise DomainError(f"kind {model.kind!r} has no wire format")
 
 
-def _require_number(spec: dict, key: str) -> float:
-    value = spec.get(key)
+def _number(value, what: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise DomainError(f"model spec field {key!r} must be a number")
+        raise DomainError(f"{what} must be a number")
     return float(value)
 
 
@@ -226,11 +227,9 @@ def weight(model: WeightModel, k: int) -> float:
     k = _positive_int(k, "digit index")
     if model.kind == "luroth":
         return 1.0 / (k * (k + 1.0))
-    if model.kind in ("power", "power-log"):
-        return k ** -model.rho * math.log(k + 1.0) ** model.gamma / model._norm
     if k <= len(model.prefix):
         return model.prefix[k - 1]
-    return model._norm * k ** -model.rho
+    return k ** -model.rho * math.log(k + 1.0) ** model.gamma / model._norm
 
 
 def log_weight(model: WeightModel, k: int) -> float:
@@ -238,12 +237,10 @@ def log_weight(model: WeightModel, k: int) -> float:
     k = _positive_int(k, "digit index")
     if model.kind == "luroth":
         return -math.log(k) - math.log(k + 1.0)
-    if model.kind in ("power", "power-log"):
-        return (-model.rho * math.log(k) + model.gamma * math.log(math.log(k + 1.0))
-                - math.log(model._norm))
     if k <= len(model.prefix):
         return math.log(model.prefix[k - 1])
-    return math.log(model._norm) - model.rho * math.log(k)
+    return (-model.rho * math.log(k) + model.gamma * math.log(math.log(k + 1.0))
+            - math.log(model._norm))
 
 
 def _positive_int(value, what: str) -> int:
@@ -259,9 +256,7 @@ def weights_range(model: WeightModel, lo: int, hi: int) -> np.ndarray:
     k = np.arange(lo, hi, dtype=np.float64)
     if model.kind == "luroth":
         return 1.0 / (k * (k + 1.0))
-    if model.kind in ("power", "power-log"):
-        return _powerlog_terms(k, model.rho, model.gamma) / model._norm
-    out = model._norm * k ** -model.rho
+    out = _powerlog_terms(k, model.rho, model.gamma) / model._norm
     head = np.asarray(model.prefix[lo - 1 : hi - 1], dtype=np.float64)
     out[: head.size] = head
     return out
@@ -294,9 +289,7 @@ def slowly_varying(model: WeightModel, k: int) -> float:
     k = _positive_int(k, "digit index")
     if model.kind == "luroth":
         return k / (k + 1.0)
-    if model.kind in ("power", "power-log"):
-        return math.log(k + 1.0) ** model.gamma / model._norm
-    return model._norm
+    return math.log(k + 1.0) ** model.gamma / model._norm
 
 
 # -- tail sums ---------------------------------------------------------------
@@ -321,14 +314,8 @@ def tilted_tail_sum(model: WeightModel, M: int, s: float) -> float:
         if s == 1.0:
             return 1.0 / M  # telescoping: sum 1/(k(k+1)) = 1/M
         return _luroth_pow_tail(M, s)
-    if model.kind in ("power", "power-log"):
-        return _powerlog_raw_tail(M, model.rho * s, model.gamma * s) / model._norm ** s
-    # explicit-prefix
-    m = len(model.prefix)
-    tail_start = max(M, m + 1)
-    total = model._norm ** s * _powerlog_raw_tail(tail_start, model.rho * s, 0.0)
-    total += sum(q ** s for q in model.prefix[M - 1 : m])
-    return total
+    tail = _powerlog_raw_tail(max(M, len(model.prefix) + 1), model.rho * s, model.gamma * s)
+    return tail / model._norm ** s + sum(q ** s for q in model.prefix[M - 1 :])
 
 
 def _luroth_pow_tail(M: int, s: float) -> float:
@@ -543,9 +530,7 @@ def _slowly_varying_vec(model: WeightModel, n: int) -> np.ndarray:
     k = np.arange(1, n + 1, dtype=np.float64)
     if model.kind == "luroth":
         return k / (k + 1.0)
-    if model.kind in ("power", "power-log"):
-        return np.log(k + 1.0) ** model.gamma / model._norm
-    return np.full(n, model._norm)  # explicit-prefix tail coefficient
+    return np.log(k + 1.0) ** model.gamma / model._norm
 
 
 def _dyadic_window_min(logp: np.ndarray) -> np.ndarray:

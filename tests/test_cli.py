@@ -19,6 +19,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 TILTED_TAIL_100_075 = 0.2000001249977
 
+# construct sublinear --t 0.5 --n 40 --seed 9 on explicit-prefix(0.05, 0.4; rho 2.5)
+SUBLINEAR_EXPLICIT_PREFIX_WORD = (
+    "1,2,4,6,4,2,2,5,7,2,4,2,2,2,3,8,3,4,4,2,2,2,3,3,9,2,2,3,2,3,2,2,2,3,3,10,2,2,2,2"
+)
+
 
 def run_cli(tmp_path, argv, name="out.txt"):
     """Run the CLI writing to a temp file; return (exit code, text)."""
@@ -205,6 +210,35 @@ class TestExitCodes:
         code = cli.main(["weights", "--model", "power", "--rho", "3", "--gamma", "1.5"])
         assert code == 3
         assert "use power-log" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, model", [
+        (["weights", "--model", "luroth", "--rho", "3"], None),
+        (["weights", "--model", "explicit-prefix", "--rho", "2.5", "--prefix", "0.3",
+          "--gamma", "1.5"], None),
+        (["weights", "--model", "power", "--rho", "3", "--prefix", "0.2"], None),
+        (["weights", "--model", "explicit-prefix", "--rho", "2.5", "--prefix", "nan,0.2"], None),
+        (["simulate", "--n", "1000", "--trials", "2", "--model", "explicit-prefix",
+          "--rho", "2.5", "--prefix", "nan,0.2"], None),
+        (["weights"], {"kind": "explicit-prefix", "rho": 2.5, "prefix": ["a"]}),
+        (["weights"], {"kind": "explicit-prefix", "rho": 2.5, "prefix": [None]}),
+        (["weights"], {"kind": "power-log", "rho": 2, "gamma": 1e400}),
+    ], ids=["luroth-rho", "prefix-gamma", "power-prefix", "nan-prefix", "nan-prefix-simulate",
+            "config-text-prefix", "config-null-prefix", "config-inf-gamma"])
+    def test_invalid_model_is_3(self, tmp_path, argv, model):
+        # A subprocess with a deadline: a NaN prefix once made simulate loop
+        # forever, and an infinite gamma made the tail sum hang.
+        if model is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"model": model}), encoding="utf-8")
+            argv = argv + ["--config", str(cfg)]
+        out = subprocess.run(
+            [sys.executable, "-m", "ifsdigits.cli", *argv],
+            cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, text=True, timeout=5,
+        )
+        assert out.returncode == 3
+        assert out.stderr.startswith("error:")
+        assert "Traceback" not in out.stderr
 
     def test_non_finite_profile_is_3(self, capsys):
         code = cli.main([
@@ -432,6 +466,21 @@ class TestConstructOutputs:
         )
         assert sched.sandwich_violations(word) == []
         sched.log_mass(word)  # in support
+
+    def test_sublinear_word_in_model_digits(self, tmp_path):
+        # The weights 0.05, 0.4, then the tail sort as digits 2, 3, 4, 5, 1, 6, ...:
+        # the word file and the JSON word hold model digits, not sorted labels.
+        argv = ["construct", "sublinear", "--t", "0.5", "--n", "40", "--seed", "9",
+                "--model", "explicit-prefix", "--rho", "2.5", "--prefix", "0.05,0.4"]
+        word_path = tmp_path / "word.txt"
+        code, text = run_cli(tmp_path, argv + ["--word-out", str(word_path)])
+        assert code == 0
+        assert word_path.read_text(encoding="utf-8") == SUBLINEAR_EXPLICIT_PREFIX_WORD + "\n"
+        code, text = run_cli(tmp_path, argv + ["--format", "json"], name="out.json")
+        assert code == 0
+        word = json.loads(text)["word"]
+        assert codec.word_to_line(word) == SUBLINEAR_EXPLICIT_PREFIX_WORD
+        assert json.loads(text)["distinct"] == occupancy.distinct_counts(word).tolist()
 
     def test_sublinear_csv_structure(self, tmp_path):
         code, text = run_cli(

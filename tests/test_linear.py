@@ -113,7 +113,44 @@ class TestScheduleShape:
         assert sched.k1 == weights.potter_scan(LUROTH, 1.0).k_eps
 
 
+def reference_sandwich_violations(theta, word):
+    """The per-position loop that ``sandwich_violations`` replaced."""
+    theta = linear.as_rate(theta)
+    num, den = theta.numerator, theta.denominator
+    counts = linear.distinct_counts(np.asarray(word, dtype=np.int64))
+    bad = []
+    level_end = 0
+    j = 0
+    for n in range(1, counts.size + 1):
+        if n > level_end:
+            j += 1
+            level_end = (1 << (j + 1)) - 2
+        d = int(counts[n - 1])
+        if not (num * n <= d * den and d * den < num * n + j * den):
+            bad.append(n)
+    return bad
+
+
 class TestSamplingAndSandwich:
+    def test_sandwich_matches_reference_loop(self):
+        # sampled words, their permutations and corruptions: 100 words in all
+        rng = np.random.default_rng(7)
+        words = 0
+        for theta in (0.3, Fraction(2, 3), 0.5, 1):
+            sched = linear.build_block_schedule(LUROTH, theta, depth=7)
+            for seed in range(5):
+                word = sched.sample_word(7, substream(seed, 0x11EA, 7))
+                corrupt = word.copy()
+                at = rng.integers(0, word.size, size=5)
+                corrupt[at] = rng.integers(1, 6, size=5)
+                for w in (word, rng.permutation(word), corrupt, word[: rng.integers(0, 40)],
+                          np.ones(word.size, dtype=np.int64)):
+                    assert linear.sandwich_violations(theta, w) == \
+                        reference_sandwich_violations(theta, w)
+                    words += 1
+        assert words == 100
+
+
     def test_sandwich_exact(self):
         for theta in (0.3, 0.5, 1):
             sched = linear.build_block_schedule(LUROTH, theta, depth=8)

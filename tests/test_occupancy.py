@@ -49,6 +49,27 @@ def reference_trial_counts(model, n, trials, seed, checkpoints):
     return np.stack(rows)
 
 
+def reference_expected_distinct(model, n):
+    """One checkpoint's ``expected_distinct``: its own pass over the weights."""
+    if n == 1:
+        return 1.0
+    total = 0.0
+    lo = 1
+    chunk = 1 << 14
+    while True:
+        hi = lo + chunk
+        p = weights.weights_range(model, lo, hi)
+        terms = -np.expm1(n * np.log1p(-p))
+        total += float(terms.sum())
+        lo = hi
+        chunk = min(chunk * 2, 1 << 22)
+        if terms[-1] < 1e-12 * total or n * p[-1] < 1e-6:
+            break
+    t1 = weights.tail_sum(model, lo)
+    t2 = weights.tilted_tail_sum(model, lo, 2.0)
+    return total + max(n * t1 - 0.5 * n * (n - 1) * t2, 0.0)
+
+
 # Digits on both sides of the dense table's edge (2**16) and far past it.
 KERNEL_DIGITS = st.one_of(
     st.integers(1, 40),
@@ -207,6 +228,16 @@ class TestExpectedDistinct:
     def test_bad_n(self):
         with pytest.raises(DomainError):
             occupancy.expected_distinct(LUROTH, 0)
+
+    @pytest.mark.parametrize("model", [
+        LUROTH, weights.power_model(1.5), weights.power_log_model(2.0, 1.5),
+        weights.explicit_prefix_model((0.4, 0.2), rho=2.5),
+    ], ids=["luroth", "power-1.5", "power-log", "explicit-prefix"])
+    def test_shared_pass_matches_one_pass_per_checkpoint(self, model):
+        # monte_carlo_law sums each weight chunk once for all its checkpoints
+        cps = (1, 2, 100, 4096, 20_000)
+        rep = occupancy.monte_carlo_law(model, 20_000, 2, 0, checkpoints=cps)
+        assert rep.exact_expectations == tuple(reference_expected_distinct(model, c) for c in cps)
 
 
 class TestKarlinConstant:

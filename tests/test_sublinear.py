@@ -240,7 +240,7 @@ class TestScheduleStructure:
     def test_luroth_needs_no_relabeling(self, sched_1000):
         assert sched_1000.label_permutation is None
         word = np.asarray([1, 2, 3], dtype=np.int64)
-        assert np.array_equal(sched_1000.to_model_digits(word), word)
+        assert sched_1000.to_model_digits(word) is word  # no copy
 
     def test_nonmonotone_model_gets_permutation(self):
         # this tail rises before it falls, so sorted labels permute the digits
@@ -281,6 +281,19 @@ try:
 except NotAdmissibleError as exc:
     print(exc)
 """
+
+
+def test_float_sqrt_floor_is_exact_to_word_limit():
+    # build_sublinear_schedule floors np.sqrt(f) for f up to the horizon limit
+    v = np.arange(sublinear._MAX_WORD_LENGTH + 1, dtype=np.int64)
+    r = np.sqrt(v).astype(np.int64)
+    assert np.all(r * r <= v) and np.all((r + 1) * (r + 1) > v)
+
+
+def test_truncation_is_integer_root(sched_20000):
+    f = sched_20000.profile.values[1:]
+    want = [max(sched_20000.k_star, math.isqrt(int(v))) for v in f]
+    assert sched_20000.K.tolist() == want
 
 
 class TestScheduleInvariants:
@@ -337,6 +350,22 @@ class TestSampling:
     def test_horizon_guard(self, sched_1000):
         with pytest.raises(DomainError):
             sched_1000.sample_word(1001, substream(0, 0))
+
+    def test_top_uniform_stays_in_alphabet(self):
+        # Rounding leaves some free-digit CDFs ending a hair below 1, at or
+        # under the largest uniform a Generator returns, 1 - 2**-53.
+        class TopGenerator:
+            def random(self, size):
+                return np.full(size, 1.0 - 2.0**-53)
+
+        prof = sublinear.profile_from_spec({"kind": "sqrt", "horizon": 5000})
+        sched = sublinear.build_sublinear_schedule(LUROTH, prof, 0.5)
+        ks = np.unique(sched.K)
+        assert any(sched._free_cumulative(int(k))[-1] <= 1.0 - 2.0**-53 for k in ks)
+        word = sched.sample_word(5000, TopGenerator())
+        free = ~sched.forced_time
+        assert np.array_equal(word[free], sched.K[free])
+        sched.ratio_trace(word)  # in support
 
     def test_free_marginals(self):
         # sqrt keeps the truncation pinned at K* = 3 through n = 200

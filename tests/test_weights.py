@@ -87,6 +87,57 @@ class TestModelConstruction:
         with pytest.raises(DomainError, match="'gamma' must be a number"):
             weights.model_from_spec({"kind": "power", "rho": 3.0, "gamma": "1.5"})
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "luroth", "rho": 3}, "tail index 2"),
+        ({"kind": "luroth", "gamma": 1.0}, "gamma = 0"),
+        ({"kind": "luroth", "prefix": [0.2]}, "no prefix"),
+        ({"kind": "power", "rho": 3, "prefix": [0.2]}, "no prefix"),
+        ({"kind": "power-log", "rho": 2, "gamma": 1.5, "prefix": [0.2]}, "no prefix"),
+        ({"kind": "power-log", "rho": 2}, "'gamma' must be a number"),
+        ({"kind": "power"}, "'rho' must be a number"),
+        ({"kind": "power", "rho": math.inf}, "finite"),
+        ({"kind": "power-log", "rho": 2, "gamma": math.inf}, "finite"),
+        ({"kind": "power-log", "rho": math.nan, "gamma": 1.0}, "finite"),
+        ({"kind": "explicit-prefix", "rho": 2.5, "prefix": [0.3], "gamma": 1.5}, "gamma = 0"),
+        ({"kind": "explicit-prefix", "rho": 2.5}, "needs a 'prefix' array"),
+        ({"kind": "explicit-prefix", "rho": 2.5, "prefix": []}, "at least one entry"),
+        ({"kind": "explicit-prefix", "rho": 2.5, "prefix": [math.nan, 0.2]}, "positive and finite"),
+        ({"kind": "explicit-prefix", "rho": 2.5, "prefix": [math.inf]}, "positive and finite"),
+        ({"kind": "explicit-prefix", "rho": 2.5, "prefix": [0.0, 0.2]}, "positive"),
+        ({"kind": "explicit-prefix", "rho": 2.5, "prefix": [0.6, 0.4]}, "less than 1"),
+        ({"kind": "explicit-prefix", "rho": 2.5, "prefix": ["a"]}, "must be a number"),
+        ({"kind": "explicit-prefix", "rho": 2.5, "prefix": [None]}, "must be a number"),
+        ({"kind": "explicit-prefix", "rho": 2.5, "prefix": [True]}, "must be a number"),
+        ({"kind": "explicit-prefix", "rho": 1.0, "prefix": [0.3]}, "rho > 1"),
+        ({"kind": "finite", "rho": 2.0}, "unknown weight-model kind 'finite'"),
+    ])
+    def test_spec_field_rules(self, spec, message):
+        # every kind reads every field; a value the kind does not take is refused
+        with pytest.raises(DomainError, match=message):
+            weights.model_from_spec(spec)
+
+    def test_spec_fields_at_their_kind_values(self):
+        for spec in ({"kind": "luroth"}, {"kind": "luroth", "rho": 2, "gamma": 0, "prefix": []}):
+            assert weights.model_from_spec(spec) == LUROTH
+        m = weights.model_from_spec(
+            {"kind": "explicit-prefix", "rho": 2.5, "gamma": 0, "prefix": [0.4, 0.2]})
+        assert m == weights.explicit_prefix_model((0.4, 0.2), rho=2.5)
+
+    def test_explicit_prefix_is_head_plus_family_tail(self):
+        # digits past the head follow the power-log tail k**-rho / D, with D
+        # making that tail carry the mass 1 - 0.6 the head leaves
+        m = weights.explicit_prefix_model((0.4, 0.2), rho=2.5)
+        d = weights._powerlog_raw_tail(3, 2.5, 0.0) / (1.0 - (0.4 + 0.2))
+        assert m._norm == d
+        assert m.power_constant == 1.0 / d
+        assert weights.weight(m, 7) == 7 ** -2.5 / d
+        assert weights.log_weight(m, 7) == -2.5 * math.log(7) - math.log(d)
+        assert weights.slowly_varying(m, 1) == weights.slowly_varying(m, 9) == 1.0 / d
+        k = np.arange(3.0, 9.0)
+        assert np.array_equal(weights.weights_range(m, 1, 9), np.r_[0.4, 0.2, k ** -2.5 / d])
+        want = weights._powerlog_raw_tail(3, 2.25, 0.0) / d ** 0.9 + 0.2 ** 0.9
+        assert weights.tilted_tail_sum(m, 2, 0.9) == want
+
     def test_normalization_four_kinds(self):
         for m in (
             LUROTH,
