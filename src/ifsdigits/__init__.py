@@ -8,16 +8,7 @@ profiles, together with the tilted cylinder sums used to bound how large
 that growth can typically be.
 """
 
-from .codec import (
-    Cylinder,
-    apply_expansion,
-    cylinder,
-    digit_interval,
-    encode,
-    luroth_series_eval,
-    word_from_line,
-    word_to_line,
-)
+from .codec import word_from_line, word_to_line
 from .errors import (
     DepthError,
     DivergenceError,
@@ -92,7 +83,6 @@ __all__ = [
     "AdmissibleProfile",
     "BlockSchedule",
     "BoundChainRecord",
-    "Cylinder",
     "CylinderSumRecord",
     "DEFAULT_SEED",
     "DepthError",
@@ -111,25 +101,20 @@ __all__ = [
     "SublinearSchedule",
     "TiltThresholdError",
     "WeightModel",
-    "apply_expansion",
     "bound_chain",
     "build_block_schedule",
     "build_sublinear_schedule",
     "count_blocks",
-    "cylinder",
     "cylinder_sum_exact",
     "cylinder_sum_mc",
-    "digit_interval",
     "distinct_counts",
     "distinct_forces_large_check",
     "distinctness_profile",
-    "encode",
     "enumerate_blocks",
     "expected_distinct",
     "explicit_prefix_model",
     "karlin_constant",
     "luroth_model",
-    "luroth_series_eval",
     "make_admissible",
     "model_from_spec",
     "model_to_spec",

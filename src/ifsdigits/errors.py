@@ -51,7 +51,7 @@ class EnumerationSizeError(IfsDigitsError, RuntimeError):
 
 
 class PrecisionError(IfsDigitsError, RuntimeError):
-    """Exact arithmetic was requested beyond the configured exact depth."""
+    """A float computation cannot resolve the quantity asked for (underflow, unsettled search)."""
 
 
 class DepthError(IfsDigitsError, RuntimeError):

@@ -57,11 +57,6 @@ class AdmissibleProfile:
     horizon: int
     provenance: str
 
-    def f(self, n: int) -> int:
-        if not 0 <= n <= self.horizon:
-            raise DomainError(f"n={n} outside profile horizon {self.horizon}")
-        return int(self.values[n])
-
     def step_times(self) -> np.ndarray:
         """The times at which ``f`` increments (sorted, 1-based)."""
         return np.nonzero(np.diff(self.values) == 1)[0] + 1
@@ -250,19 +245,6 @@ class SublinearSchedule:
         return cum
 
     # -- measure ----------------------------------------------------------------
-
-    def log_mass(self, word) -> float:
-        """Log product-measure mass of the cylinder at ``word``.
-
-        Forced positions contribute factor one after validation; free
-        positions contribute ``s_n log p_d``.
-        """
-        digits = self._validate(word)
-        n = digits.size
-        forced = self.forced_time[:n]
-        free = ~forced
-        logp = np.log(self.sorted_weights[digits[free] - 1])
-        return float(np.sum(self.s_of_n[:n][free] * logp))
 
     def ratio_trace(self, word) -> RatioTrace:
         digits = self._validate(word)

@@ -4,9 +4,9 @@ Each check is a small, deterministic procedure that either returns a
 detail string or raises :class:`CheckFailure`.  The acceptance criteria
 A1-A10 are entries of :data:`ACCEPTANCE`, keyed by tag, with their
 thresholds and runtime budgets; ``tests/test_acceptance.py`` runs the same
-entries.  The ``quick`` tier (27 checks, about 2 s) runs the module
-invariants plus A4, A7, A9 and A10; the ``full`` tier (33 checks, about
-15 s) adds A1, A2, A3, A5, A6 and A8, so it runs all of A1-A10.  Every
+entries.  The ``quick`` tier (23 checks, about 2 s) runs the module
+invariants plus A4, A7, A9 and A10; the ``full`` tier (29 checks, about
+10 s) adds A1, A2, A3, A5, A6 and A8, so it runs all of A1-A10.  Every
 check receives the run seed so failures are reproducible from the report
 alone; A3, A5 and A8 sample fixed word seeds (0-9, 0 and 0-4).
 """
@@ -17,11 +17,10 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from . import codec, linear, occupancy, sublinear, tilt, weights
+from . import linear, occupancy, sublinear, tilt, weights
 from .errors import NotAdmissibleError
 from .rng import DEFAULT_SEED, substream
 
@@ -126,66 +125,6 @@ def check_weights_sampler_law(seed: int, threads: int) -> str:
         worst = max(worst, zscore)
         _require(zscore < 4.0, f"digit {k} frequency off by {zscore:.1f} sd")
     return f"digit frequencies within 4 sd for k<=10 (worst {worst:.2f})"
-
-
-# -- codec --------------------------------------------------------------------------
-
-
-def check_codec_roundtrip(seed: int, threads: int) -> str:
-    model = weights.luroth_model()
-    rng = substream(seed, 0xC0DEC)
-    for layout in codec.LAYOUTS:
-        for _ in range(100):
-            den = int(rng.integers(2, 1 << 32))
-            num = int(rng.integers(1, den))
-            x = Fraction(num, den)
-            word = codec.encode(model, x, 12, layout=layout)
-            cyl = codec.cylinder(model, word, layout=layout, exact=True)
-            _require(
-                cyl.contains(x),
-                f"{layout}: {x} escaped its own depth-12 cylinder",
-            )
-    return "200 exact rationals stayed inside their encoded cylinders"
-
-
-def check_codec_partition(seed: int, threads: int) -> str:
-    model = weights.luroth_model()
-    for k in range(1, 101):
-        left, right = codec.digit_interval(model, k, exact=True)
-        nxt_left, _ = codec.digit_interval(model, k + 1, exact=True)
-        _require(right == nxt_left, f"gap between branch {k} and {k + 1}")
-    pmodel = weights.power_model(3.0)
-    for k in range(1, 101):
-        left, right = codec.digit_interval(pmodel, k)
-        nxt_left, _ = codec.digit_interval(pmodel, k + 1)
-        _require(right == nxt_left, f"float partition gap at branch {k}")
-    return "branch intervals tile [0,1) exactly for k<=100 (rational and float)"
-
-
-def check_codec_diameter(seed: int, threads: int) -> str:
-    model = weights.luroth_model()
-    rng = substream(seed, 0xD1A)
-    word = weights.DigitSampler(model).sample(rng, 1000)
-    cyl = codec.cylinder(model, word, exact=False)
-    direct = float(np.sum(weights.log_weights_of(model, word)))
-    rel = abs(cyl.log_diam - direct) / abs(direct)
-    _require(rel < 1e-9, f"log-diameter disagreement {rel:.2e}")
-    return f"fold vs sum log-diameter agree to {rel:.1e} at length 1000"
-
-
-def check_codec_luroth_series(seed: int, threads: int) -> str:
-    model = weights.luroth_model()
-    val = codec.luroth_series_eval((2, 3), 2)
-    _require(val == Fraction(2, 3), f"two-term series gave {val}")
-    val10 = codec.luroth_series_eval((3,) * 10, 10)
-    _require(abs(val10 - Fraction(2, 5)) < Fraction(1, 6) ** 9, "repeating-3 series drifted")
-    word = codec.encode(model, Fraction(7, 10), 4, layout="classical")
-    _require(tuple(word) == (1, 2, 2, 2), f"classical encoding of 7/10 gave {tuple(word)}")
-    _, tx = codec.apply_expansion(model, Fraction(7, 10), layout="classical")
-    _require(tx == Fraction(2, 5), f"classical step at 7/10 gave {tx}")
-    _, fixed = codec.apply_expansion(model, Fraction(2, 5), layout="classical")
-    _require(fixed == Fraction(2, 5), "2/5 is not fixed by the classical step")
-    return "series evaluation and the classical fixed point at 2/5 verified"
 
 
 # -- occupancy ----------------------------------------------------------------------
@@ -681,10 +620,6 @@ _QUICK_CHECKS = [
     ("weights-tilt-monotone", check_weights_tilt_monotone),
     ("weights-potter-scan", check_weights_potter),
     ("weights-sampler-law", check_weights_sampler_law),
-    ("codec-roundtrip", check_codec_roundtrip),
-    ("codec-partition", check_codec_partition),
-    ("codec-diameter", check_codec_diameter),
-    ("codec-luroth-series", check_codec_luroth_series),
     ("occupancy-counter", check_occupancy_counter),
     ("occupancy-expectation", check_occupancy_expectation),
     ("occupancy-law-small", check_occupancy_law_small),

@@ -39,6 +39,7 @@ from .errors import (
     DivergenceError,
     DomainError,
     HorizonExceededError,
+    PrecisionError,
     TiltThresholdError,
 )
 
@@ -494,7 +495,8 @@ def potter_scan(
     ``C_eps`` is at least 1 and is reported rounded up to a 1e-3 grid.
     Raises :class:`HorizonExceededError` when no starting index up to
     ``scan_limit // 2`` certifies the half-bound, so that at least one
-    genuine dyadic pair is covered.
+    genuine dyadic pair is covered, and :class:`PrecisionError` when a weight
+    in the scan range underflows to 0, where the dyadic ratios are undefined.
     """
     epsilon = float(epsilon)
     if epsilon <= 0.0:
@@ -510,6 +512,11 @@ def potter_scan(
     if k_eps > scan_limit // 2:
         raise HorizonExceededError(
             f"half-bound not certified below scan_limit//2 = {scan_limit // 2}"
+        )
+    zero = np.flatnonzero(p == 0.0)
+    if zero.size:
+        raise PrecisionError(
+            f"weight p_{zero[0] + 1} underflows to 0 in the Potter scan range 1..{scan_limit}"
         )
     logp = np.log(p)
     window_min = _dyadic_window_min(logp)

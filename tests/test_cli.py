@@ -240,6 +240,22 @@ class TestExitCodes:
         assert out.stderr.startswith("error:")
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["construct", "linear", "--theta", "0.5", "--depth", "4", "--model", "power", "--rho", "400"],
+        ["weights", "--model", "power", "--rho", "400", "--potter", "0.1"],
+    ], ids=["linear", "weights"])
+    def test_underflowing_potter_scan_is_3(self, argv):
+        # p_7 of power(400) underflows to 0, where the Potter scan's dyadic
+        # span would be NaN; the run ends before any traceback
+        out = subprocess.run(
+            [sys.executable, "-m", "ifsdigits.cli", *argv],
+            cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, text=True, timeout=5,
+        )
+        assert out.returncode == 3
+        assert out.stderr.startswith("error: weight p_7 underflows to 0")
+        assert "Traceback" not in out.stderr
+
     def test_non_finite_profile_is_3(self, capsys):
         code = cli.main([
             "construct", "sublinear", "--t", "0.5", "--n", "100",
@@ -465,7 +481,7 @@ class TestConstructOutputs:
             weights.luroth_model(), profile, 0.5
         )
         assert sched.sandwich_violations(word) == []
-        sched.log_mass(word)  # in support
+        sched.ratio_trace(word)  # raises NotInSupportError off the support
 
     def test_sublinear_word_in_model_digits(self, tmp_path):
         # The weights 0.05, 0.4, then the tail sort as digits 2, 3, 4, 5, 1, 6, ...:

@@ -27,6 +27,18 @@ ROOT = Path(__file__).resolve().parents[1]
 S_2 = 0.6009668516136755
 
 
+def reference_log_mass(sched, word):
+    """Log product-measure mass of the cylinder at ``word``, the oracle for ``ratio_trace``.
+
+    Forced positions contribute factor one after validation; free positions
+    contribute ``s_n log p_d``.
+    """
+    digits = sched._validate(word)
+    free = ~sched.forced_time[: digits.size]
+    logp = np.log(sched.sorted_weights[digits[free] - 1])
+    return float(np.sum(sched.s_of_n[: digits.size][free] * logp))
+
+
 @pytest.fixture(scope="module")
 def sched_1000():
     prof = sublinear.profile_from_spec({"kind": "sqrt", "horizon": 1000})
@@ -138,10 +150,8 @@ class TestProfiles:
         table = [math.isqrt(n) for n in range(201)]
         prof = sublinear.profile_from_table(table)
         assert prof.horizon == 200
-        assert [prof.f(n) for n in range(201)] == table
+        assert prof.values.tolist() == table
         assert prof.provenance == "user-table"
-        with pytest.raises(DomainError):
-            prof.f(201)
 
     def test_spec_wire_validation(self):
         with pytest.raises(DomainError):
@@ -395,22 +405,22 @@ class TestMeasure:
             total += float(sched_400.s_of_n[i]) * math.log(
                 float(sched_400.sorted_weights[int(d) - 1])
             )
-        assert sched_400.log_mass(word) == pytest.approx(total, rel=1e-12)
+        assert reference_log_mass(sched_400, word) == pytest.approx(total, rel=1e-12)
 
     def test_empty_and_forced_spine(self, sched_400):
-        assert sched_400.log_mass(np.zeros(0, dtype=np.int64)) == 0.0
+        assert reference_log_mass(sched_400, np.zeros(0, dtype=np.int64)) == 0.0
         # position 1 is forced, so the one-digit spine carries full mass
         spine = np.asarray([sched_400.k_star + 1], dtype=np.int64)
-        assert sched_400.log_mass(spine) == 0.0
+        assert reference_log_mass(sched_400, spine) == 0.0
 
     def test_additivity_free_time(self, sched_400):
         word = sched_400.sample_word(10, substream(6, 0x50B))
         # position 11 is free (10 and 16 are the nearby step times)
         assert not sched_400.forced_time[10]
-        base = math.exp(sched_400.log_mass(word))
+        base = math.exp(reference_log_mass(sched_400, word))
         K = int(sched_400.K[10])
         total = sum(
-            math.exp(sched_400.log_mass(np.concatenate([word, [d]])))
+            math.exp(reference_log_mass(sched_400, np.concatenate([word, [d]])))
             for d in range(1, K + 1)
         )
         assert total == pytest.approx(base, rel=1e-12)
@@ -419,8 +429,8 @@ class TestMeasure:
         word = sched_400.sample_word(8, substream(6, 0x50B))
         assert sched_400.forced_time[8]  # position 9 is a step time
         ext = np.concatenate([word, [sched_400.forced_digit[8]]])
-        assert sched_400.log_mass(ext) == pytest.approx(
-            sched_400.log_mass(word), rel=1e-12
+        assert reference_log_mass(sched_400, ext) == pytest.approx(
+            reference_log_mass(sched_400, word), rel=1e-12
         )
 
     def test_support_guards(self, sched_400):
@@ -428,13 +438,13 @@ class TestMeasure:
         wrong = word.copy()
         wrong[8] = 1  # overwrite the forced digit at position 9
         with pytest.raises(NotInSupportError):
-            sched_400.log_mass(wrong)
+            sched_400.ratio_trace(wrong)
         big = word.copy()
         big[1] = int(sched_400.K[1]) + 50
         with pytest.raises(NotInSupportError):
-            sched_400.log_mass(big)
+            sched_400.ratio_trace(big)
         with pytest.raises(DomainError):
-            sched_400.log_mass(np.ones(401, dtype=np.int64))
+            sched_400.ratio_trace(np.ones(401, dtype=np.int64))
 
 
 class TestRatioTrace:
@@ -458,7 +468,7 @@ class TestRatioTrace:
         word = sched_20000.sample_word(1500, substream(3, 0x50B, 1))
         tr = sched_20000.ratio_trace(word)
         log_diam = float(np.sum(np.log(sched_20000.sorted_weights[word - 1])))
-        expect = sched_20000.log_mass(word) - sched_20000.t * log_diam
+        expect = reference_log_mass(sched_20000, word) - sched_20000.t * log_diam
         assert tr.log_ratio[-1] == pytest.approx(expect, rel=1e-12)
 
     @pytest.mark.parametrize("t", [0.5, 0.9])
@@ -482,4 +492,4 @@ SCHED_200 = sublinear.build_sublinear_schedule(LUROTH, PROF_200, 0.5)
 def test_sampled_words_always_sandwiched(seed):
     word = SCHED_200.sample_word(120, substream(seed, 0x50B, 2))
     assert SCHED_200.sandwich_violations(word) == []
-    SCHED_200.log_mass(word)  # sampled words are always in support
+    SCHED_200.ratio_trace(word)  # sampled words are always in support

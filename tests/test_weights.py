@@ -16,6 +16,7 @@ from ifsdigits.errors import (
     DivergenceError,
     DomainError,
     HorizonExceededError,
+    PrecisionError,
     TiltThresholdError,
 )
 from ifsdigits.rng import substream
@@ -334,6 +335,16 @@ class TestPotterScan:
         rep = weights.potter_scan(m, 1.0, scan_limit=10_000)
         assert rep.k_eps == 41  # first index past the depressed prefix
         assert weights.verify_potter_report(m, rep)
+
+    def test_underflowing_weight_raises(self):
+        # power(400): p_6 = 6**-400 is subnormal, p_7 underflows to 0, and
+        # log(0) - log(0) would make the dyadic span NaN
+        m = weights.power_model(400.0)
+        assert weights.potter_scan(m, 0.1, scan_limit=6).C_eps == 1.0
+        with pytest.raises(PrecisionError, match="p_7 underflows to 0"):
+            weights.potter_scan(m, 0.1, scan_limit=7)
+        with pytest.raises(PrecisionError, match="p_7 underflows to 0"):
+            weights.potter_scan(m, 0.1)
 
 
 def reference_dyadic_window_min(logp):
