@@ -8,13 +8,14 @@ For an exponent ``s`` with ``rho * s > 1`` the tilted law is
 
 rewrites exactly as ``Z(s)**n`` times the probability that an iid sample
 from ``q`` shows that many distinct values.  The module provides an exact
-evaluator on capped alphabets (with an explicit truncation deficit), a
-Monte Carlo estimator on the full alphabet, and the binomial bound chain
-that controls the probability factor: a word with ``m`` distinct digits
-has at least ``ceil(m/2)`` positions carrying a digit ``>= ceil(m/2)``,
-so the probability is at most a binomial tail, which is at most
+evaluator on capped alphabets, a dynamic program over (positions filled,
+distinct digits used) with an explicit truncation deficit, a Monte Carlo
+estimator on the full alphabet, and the binomial bound chain that controls
+the probability factor: a word with ``m`` distinct digits has at least
+``ceil(m/2)`` positions carrying a digit ``>= ceil(m/2)``, so the
+probability is at most a binomial tail, which is at most
 ``(e * n * Q / r)**r`` with ``r = ceil(theta * n / 4)`` and ``Q`` the
-tilted mass of digits ``>= r``.
+tilted mass of digits ``>= r``.  Rates ``theta`` are read exactly.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EnumerationSizeError
+from .linear import as_rate
 from .rng import substream
 from .weights import _MAX_DRAWS, DigitSampler, WeightModel, tilted_tail_sum, weights_range
 
@@ -42,6 +44,11 @@ __all__ = [
 ]
 
 _EXACT_WORD_LIMIT = 10_000_000
+# The exact DP makes cap * (n + 1) row steps, each charged _EXACT_STEP_COST
+# for its Python overhead plus its (n + 1) * (min(cap, threshold) + 1) entries.
+# The limit keeps a request to seconds and its weight table to 4 MB.
+_EXACT_STEP_COST = 4096
+_EXACT_COST_LIMIT = 4_000_000_000
 
 
 # -- the combinatorial lemma ------------------------------------------------------
@@ -82,9 +89,9 @@ def distinct_forces_large_check(n_max: int = 6, value_max: int = 6) -> LemmaScan
 # -- cylinder sums ----------------------------------------------------------------
 
 
-def distinct_threshold(n: int, theta: float) -> int:
-    """The distinct-count threshold ``ceil(n * theta / 2)``."""
-    return math.ceil(n * theta / 2.0 - 1e-12)
+def distinct_threshold(n: int, theta) -> int:
+    """The distinct-count threshold ``ceil(n * theta / 2)``, with ``theta`` read exactly."""
+    return math.ceil(n * as_rate(theta) / 2)
 
 
 @dataclass(frozen=True)
@@ -115,15 +122,48 @@ def _zeta_power(zeta: float, n: int) -> float:
     return power
 
 
+def _distinct_probability(w: np.ndarray, n: int, threshold: int) -> float:
+    """``P(D_n >= threshold)`` for ``n`` iid draws from ``w / w.sum()``.
+
+    ``dp[i, d]`` is the probability that the digits visited so far fill ``i``
+    positions with ``d`` distinct values (``d >= threshold`` merged).  Digit
+    ``k`` then takes a Binomial(n - i, w_k / sum_{j>=k} w_j) count, built by
+    Pascal's rule, so every entry is a sum of nonnegative terms in [0, 1].
+    """
+    tails = np.cumsum(w[::-1])[::-1]
+    free = np.arange(n, -1, -1)  # n - i
+    dp = np.zeros((n + 1, threshold + 1))
+    dp[0, 0] = 1.0
+    pmf = np.empty(n + 1)
+    for wk, total, rest in zip(w, tails, np.append(tails[1:], 0.0)):
+        if wk == 0.0:
+            continue
+        r, stay = wk / total, rest / total
+        moved = np.zeros_like(dp)  # the digit occurs: one more distinct value
+        moved[:, 1:] = dp[:, :-1]
+        moved[:, threshold] += dp[:, threshold]
+        new = dp * (stay**free)[:, None]  # the digit takes no position
+        pmf[:] = 0.0
+        pmf[0] = 1.0
+        for m in range(1, n + 1):  # pmf[c]: c of m free positions take the digit
+            step = pmf[:m] * r
+            pmf[:m] *= stay
+            pmf[1 : m + 1] += step
+            new[n - m + 1 :] += pmf[1 : m + 1, None] * moved[n - m]
+        dp = new
+    return float(dp[n, threshold])
+
+
 def cylinder_sum_exact(
     model: WeightModel, n: int, s: float, theta: float, alphabet_cap: int
 ) -> CylinderSumRecord:
     """Exact ``S_n(s, theta)`` over words from a capped alphabet.
 
-    Dynamic programming over (position, set of used digits); words using a
-    digit above the cap are excluded, and the omitted mass is bracketed by
-    ``n * (tilted tail past the cap) * Z(s)**(n-1)``.  Both the capped and
-    the full ``Z(s)**n`` must be normal floats and that bracket finite.
+    Dynamic programming over (positions filled, distinct digits used); words
+    using a digit above the cap are excluded, and the omitted mass is
+    bracketed by ``n * (tilted tail past the cap) * Z(s)**(n-1)``.  Both the
+    capped and the full ``Z(s)**n`` must be normal floats and that bracket
+    finite.
     """
     if n < 1:
         raise DomainError("word length must be positive")
@@ -131,9 +171,13 @@ def cylinder_sum_exact(
         raise DomainError("theta must lie in (0, 1]")
     if alphabet_cap < 1:
         raise DomainError("alphabet cap must be positive")
-    if alphabet_cap**n > _EXACT_WORD_LIMIT:
+    threshold = distinct_threshold(n, theta)
+    cost = alphabet_cap * (n + 1) * (
+        _EXACT_STEP_COST + (n + 1) * (min(alphabet_cap, threshold) + 1)
+    )
+    if cost > _EXACT_COST_LIMIT:
         raise EnumerationSizeError(
-            f"{alphabet_cap}**{n} words exceed the exact-mode limit"
+            f"exact mode at n = {n}, cap = {alphabet_cap} exceeds its size limit"
         )
     if s <= 0.0:
         raise DomainError("tilt exponent must be positive")
@@ -149,29 +193,17 @@ def cylinder_sum_exact(
             f"truncation deficit n * tail * Z(s)**(n-1) is not finite: n = {n}, "
             f"tail = {tail!r}, Z(s) = {z_full!r}"
         )
-    # dp[mask] = sum over words with used-digit set == mask of the word mass
-    dp = {0: 1.0}
-    for _ in range(n):
-        nxt: dict[int, float] = {}
-        for mask, val in dp.items():
-            for k in range(alphabet_cap):
-                new_mask = mask | (1 << k)
-                nxt[new_mask] = nxt.get(new_mask, 0.0) + val * w[k]
-        dp = nxt
-    threshold = distinct_threshold(n, theta)
-    total = math.fsum(
-        val for mask, val in dp.items() if mask.bit_count() >= threshold
-    )
+    prob = _distinct_probability(w, n, threshold) if threshold <= min(alphabet_cap, n) else 0.0
     return CylinderSumRecord(
         n=n,
         s=float(s),
         theta=float(theta),
         mode="exact-enumeration",
-        value=total,
+        value=z_capped_n * prob,
         stderr=None,
         truncation_deficit=deficit,
         log_zeta=math.log(z_full),
-        prob=total / z_capped_n,
+        prob=prob,
     )
 
 
@@ -241,36 +273,24 @@ class BoundChainRecord:
     log_zeta: float
     log_binomial_bound: float  # ln (e n q / r) ** r, may be positive (vacuous)
     log_sum_bound: float  # n ln Z + the binomial log-bound
-    prob_mc: float | None
-    prob_se: float | None
-    chain_ok: bool | None  # MC probability below the bound (within 3 se)
 
 
-def bound_chain(
-    model: WeightModel,
-    n: int,
-    s: float,
-    theta: float,
-    trials: int | None = None,
-    seed: int = 0,
-) -> BoundChainRecord:
+def bound_chain(model: WeightModel, n: int, s: float, theta: float) -> BoundChainRecord:
     """Evaluate the binomial bound on the tilted distinct-count probability.
 
     With ``r = ceil(theta n / 4)`` and ``Q`` the tilted mass of digits
     ``>= r``, the probability of the distinct-count event is at most
-    ``(e n Q / r) ** r``.  When ``trials`` is given, a Monte Carlo estimate
-    of the probability is attached and checked against the bound.
+    ``(e n Q / r) ** r``.
     """
     if n < 1:
         raise DomainError("n must be positive")
     if not 0.0 < theta <= 1.0:
         raise DomainError("theta must lie in (0, 1]")
-    r = math.ceil(theta * n / 4.0 - 1e-12)
-    r = max(r, 1)
+    r = max(math.ceil(n * as_rate(theta) / 4), 1)
     zeta = tilted_tail_sum(model, 1, s)
     q_tail = tilted_tail_sum(model, r, s) / zeta
     log_bound = r * (1.0 + math.log(n) + math.log(q_tail) - math.log(r))
-    record = dict(
+    return BoundChainRecord(
         n=n,
         s=float(s),
         theta=float(theta),
@@ -280,14 +300,4 @@ def bound_chain(
         log_zeta=math.log(zeta),
         log_binomial_bound=log_bound,
         log_sum_bound=n * math.log(zeta) + log_bound,
-        prob_mc=None,
-        prob_se=None,
-        chain_ok=None,
     )
-    if trials is not None:
-        mc = cylinder_sum_mc(model, n, s, theta, trials, seed)
-        bound = math.exp(min(log_bound, 0.0))
-        record["prob_mc"] = mc.prob
-        record["prob_se"] = (mc.stderr or 0.0) / math.exp(n * math.log(zeta))
-        record["chain_ok"] = mc.prob <= bound + 3.0 * (record["prob_se"] or 0.0)
-    return BoundChainRecord(**record)

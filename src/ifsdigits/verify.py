@@ -364,11 +364,12 @@ def check_tilt_mc(seed: int, threads: int) -> str:
 
 def check_tilt_bound_chain(seed: int, threads: int) -> str:
     model = weights.luroth_model()
-    rec = tilt.bound_chain(model, 40, 0.75, 0.5, trials=20_000, seed=seed)
-    _require(rec.chain_ok is True, "MC probability exceeded the binomial bound")
-    return (
-        f"n=40: P_mc={rec.prob_mc:.3f} below bound exp({min(rec.log_binomial_bound, 0.0):.2f})"
-    )
+    rec = tilt.bound_chain(model, 40, 0.75, 0.5)
+    mc = tilt.cylinder_sum_mc(model, 40, 0.75, 0.5, trials=20_000, seed=seed)
+    se = mc.stderr / math.exp(40 * mc.log_zeta)
+    bound = math.exp(min(rec.log_binomial_bound, 0.0))
+    _require(mc.prob <= bound + 3.0 * se, "MC probability exceeded the binomial bound")
+    return f"n=40: P_mc={mc.prob:.3f} below bound exp({min(rec.log_binomial_bound, 0.0):.2f})"
 
 
 # -- rng ----------------------------------------------------------------------------

@@ -53,7 +53,6 @@ __all__ = [
     "model_from_spec",
     "model_to_spec",
     "weight",
-    "log_weight",
     "weights_range",
     "slowly_varying",
     "tail_sum",
@@ -71,9 +70,6 @@ _KINDS = ("luroth", "power", "power-log", "explicit-prefix")
 # this index the Euler-Maclaurin correction error is below 1e-12 relative
 # for every exponent the library accepts.
 _EM_CUT = 8192
-
-# Largest explicit weight table (entries) built for one lookup.
-_MAX_TABLE = 1 << 22
 
 # Longest word a command may draw at once.  Drawing and counting a word keeps
 # about 40 bytes per digit live in each worker, so this is about 670 MB.
@@ -233,17 +229,6 @@ def weight(model: WeightModel, k: int) -> float:
     return k ** -model.rho * math.log(k + 1.0) ** model.gamma / model._norm
 
 
-def log_weight(model: WeightModel, k: int) -> float:
-    """``log p_k``, stable for digits far beyond float overflow of ``1/p_k``."""
-    k = _positive_int(k, "digit index")
-    if model.kind == "luroth":
-        return -math.log(k) - math.log(k + 1.0)
-    if k <= len(model.prefix):
-        return math.log(model.prefix[k - 1])
-    return (-model.rho * math.log(k) + model.gamma * math.log(math.log(k + 1.0))
-            - math.log(model._norm))
-
-
 def _positive_int(value, what: str) -> int:
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
         raise DomainError(f"{what} must be a positive integer, got {value!r}")
@@ -271,18 +256,21 @@ def _weights_prefix(model: WeightModel, n: int) -> np.ndarray:
 
 
 def log_weights_of(model: WeightModel, word: np.ndarray) -> np.ndarray:
-    """``log p_d`` for every digit of ``word`` (vectorized)."""
+    """``log p_d`` for every digit of ``word`` (vectorized), stable for digits
+    far beyond float overflow of ``1/p_d``."""
     d = np.asarray(word, dtype=np.int64)
     if d.size and d.min() < 1:
         raise DomainError("digits must be positive")
+    df = d.astype(np.float64)
     if model.kind == "luroth":
-        df = d.astype(np.float64)
         return -np.log(df) - np.log(df + 1.0)
-    kmax = int(d.max()) if d.size else 1
-    if kmax <= _MAX_TABLE:
-        table = np.log(_weights_prefix(model, kmax))
-        return table[d - 1]
-    return np.array([log_weight(model, int(k)) for k in d], dtype=np.float64)
+    out = -model.rho * np.log(df) + model.gamma * np.log(np.log(df + 1.0)) - math.log(model._norm)
+    head = d <= len(model.prefix)
+    out[head] = np.log(model.prefix)[d[head] - 1]
+    if not model.prefix:  # p_1 = 1 / (1 + R / log(2)**gamma) rounds to 1 for a steep tail
+        rest = _powerlog_raw_tail(2, model.rho, model.gamma) / math.log(2.0) ** model.gamma
+        out[d == 1] = -math.log1p(rest)
+    return out
 
 
 def slowly_varying(model: WeightModel, k: int) -> float:

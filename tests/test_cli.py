@@ -159,6 +159,18 @@ class TestExitCodes:
         assert run_cli(tmp_path, argv + ["1017"])[0] == 3
         assert "n = 1017" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--n", "1", "--cap", "1000000000"],
+        ["--n", "1000", "--cap", "100000"],
+    ], ids=["cap", "work"])
+    def test_oversized_exact_cylsum_is_3(self, capsys, flags):
+        # refused by the size guard before the weight table or the DP
+        start = time.perf_counter()
+        code = cli.main(["cylsum", "--s", "1", "--theta", "0.5", "--mode", "exact", *flags])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert "exceeds its size limit" in capsys.readouterr().err
+
     @pytest.mark.parametrize("n", ["1007", "1016"])
     def test_cylsum_infinite_deficit_is_3(self, capsys, n):
         # n * tail * Z**(n-1) overflows although Z**n is a normal float;
@@ -463,6 +475,19 @@ class TestConstructOutputs:
         dim = float(last[6])
         assert 0.0 < dim < 0.5
 
+    def test_linear_steep_tail_is_finite(self, tmp_path):
+        # p_1 of power(400) rounds to 1 and p_7 underflows to 0; the trace
+        # still holds only finite log diameters and local dimensions
+        code, text = run_cli(tmp_path, [
+            "construct", "linear", "--theta", "0.5", "--depth", "4",
+            "--model", "power", "--rho", "400", "--k1", "1",
+        ])
+        assert code == 0
+        rows = np.array([line.split(",") for line in text.strip().split("\n")[2:]], dtype=float)
+        assert rows.shape == (2**5 - 2, 7)
+        assert np.all(np.isfinite(rows))
+        assert np.all(rows[:, 5] < 0.0)  # every cylinder is shorter than [0, 1)
+
     def test_sublinear_word_file_satisfies_schedule(self, tmp_path):
         word_path = tmp_path / "word.txt"
         code, text = run_cli(
@@ -546,6 +571,17 @@ class TestCylsum:
             assert parts[3] == "exact-enumeration"
             assert float(parts[4]) > 0.0
             assert float(parts[6]) > 0.0  # capped alphabet leaves a deficit
+
+    def test_exact_long_words(self, tmp_path):
+        start = time.perf_counter()
+        code, text = run_cli(tmp_path, [
+            "cylsum", "--n", "40,80,160", "--s", "0.75", "--theta", "0.5",
+            "--mode", "exact", "--cap", "64", "--format", "json",
+        ])
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        probs = [r["prob"] for r in json.loads(text)["records"]]
+        assert 1.0 > probs[0] > probs[1] > probs[2] > 0.0
 
     def test_mc_json_fields(self, tmp_path):
         code, text = run_cli(

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -41,6 +42,32 @@ def brute_force_sum(model, n, s, theta, cap):
                 prod *= w[i]
             total += prod
     return total
+
+
+def prob_se(mc):
+    """Standard error of a Monte Carlo record's probability, without ``Z(s)**n``."""
+    return mc.stderr / math.exp(mc.n * mc.log_zeta)
+
+
+def chain_holds(rec, mc):
+    """The Monte Carlo probability lies below the binomial bound, within 3 se."""
+    return mc.prob <= math.exp(min(rec.log_binomial_bound, 0.0)) + 3.0 * prob_se(mc)
+
+
+def reference_cylinder_sum_exact(model, n, s, theta, cap):
+    """The subset DP ``cylinder_sum_exact`` replaced: (position, set of used digits)."""
+    w = weights.weights_range(model, 1, cap + 1) ** s
+    # dp[mask] = sum over words with used-digit set == mask of the word mass
+    dp = {0: 1.0}
+    for _ in range(n):
+        nxt = {}
+        for mask, val in dp.items():
+            for k in range(cap):
+                new_mask = mask | (1 << k)
+                nxt[new_mask] = nxt.get(new_mask, 0.0) + val * w[k]
+        dp = nxt
+    need = tilt.distinct_threshold(n, theta)
+    return math.fsum(val for mask, val in dp.items() if mask.bit_count() >= need)
 
 
 class TestTiltedDistribution:
@@ -94,6 +121,16 @@ class TestThreshold:
         # 3 * (2/3) / 2 = 1 must not round up to 2
         assert tilt.distinct_threshold(3, 2.0 / 3.0) == 1
         assert tilt.distinct_threshold(10, 0.6) == 3
+
+    @pytest.mark.parametrize("n, theta, want", [
+        (100_000, 0.55, 27_500),
+        (100_000, 0.541, 27_050),
+        (100_000, 0.562, 28_100),
+    ])
+    def test_theta_read_exactly(self, n, theta, want):
+        # the float product 0.55 * 100000 / 2 is 27500.000000000004
+        assert tilt.distinct_threshold(n, theta) == want
+        assert tilt.bound_chain(LUROTH, n, 1.0, theta).threshold == want
 
 
 class TestCylinderSumExact:
@@ -161,9 +198,34 @@ class TestCylinderSumExact:
         assert rec.truncation_deficit == pytest.approx(3 * tail * zeta**2, rel=1e-12)
         assert rec.log_zeta == pytest.approx(math.log(zeta), rel=1e-12)
 
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_matches_subset_dp(self, kind):
+        model = KINDS[kind]
+        worst = 0.0
+        for n, cap, s, theta in itertools.product(
+            range(1, 9), (1, 2, 4, 6), (0.6, 0.75, 0.9), (0.2, 0.4, 0.8, 1.0)
+        ):
+            rec = tilt.cylinder_sum_exact(model, n, s, theta, alphabet_cap=cap)
+            want = reference_cylinder_sum_exact(model, n, s, theta, cap)
+            if want == 0.0:
+                assert rec.value == rec.prob == 0.0
+                continue
+            worst = max(worst, abs(rec.value - want) / want)
+        assert worst <= 1e-13
+
+    def test_long_certain_event(self):
+        # threshold 1 at n = 2000: every word counts, so the DP must carry
+        # the whole probability through 2000 binomial steps per digit
+        rec = tilt.cylinder_sum_exact(LUROTH, 2000, 1.0, 0.001, alphabet_cap=6)
+        assert abs(rec.prob - 1.0) <= 1e-12
+        assert rec.value == pytest.approx((6 / 7) ** 2000, rel=1e-11)
+
     def test_guards(self):
-        with pytest.raises(EnumerationSizeError):
-            tilt.cylinder_sum_exact(LUROTH, 6, 0.75, 0.5, alphabet_cap=30)
+        for n, cap in ((1, 10**9), (1000, 100_000), (100_000, 64)):
+            start = time.perf_counter()
+            with pytest.raises(EnumerationSizeError):
+                tilt.cylinder_sum_exact(LUROTH, n, 1.0, 0.5, alphabet_cap=cap)
+            assert time.perf_counter() - start < 1.0
         with pytest.raises(DomainError):
             tilt.cylinder_sum_exact(LUROTH, 0, 0.75, 0.5, alphabet_cap=3)
         with pytest.raises(DomainError):
@@ -243,28 +305,30 @@ class TestBoundChain:
         )
 
     def test_vacuous_bound_still_consistent(self):
-        rec = tilt.bound_chain(LUROTH, 4, 0.75, 1.0, trials=20_000, seed=2)
+        rec = tilt.bound_chain(LUROTH, 4, 0.75, 1.0)
+        mc = tilt.cylinder_sum_mc(LUROTH, 4, 0.75, 1.0, trials=20_000, seed=2)
         assert rec.log_binomial_bound > 0.0  # vacuous: exceeds any probability
-        assert rec.chain_ok is True
+        assert chain_holds(rec, mc)
         z4 = math.exp(4 * rec.log_zeta)
-        assert abs(rec.prob_mc - s4_theta1(LUROTH, 0.75) / z4) < 4.0 * rec.prob_se
+        assert abs(mc.prob - s4_theta1(LUROTH, 0.75) / z4) < 4.0 * prob_se(mc)
 
     def test_chain_holds_with_mc(self):
-        rec = tilt.bound_chain(LUROTH, 40, 0.75, 0.5, trials=50_000, seed=1)
-        assert rec.chain_ok is True
-        assert rec.prob_mc is not None and rec.prob_se is not None
+        rec = tilt.bound_chain(LUROTH, 40, 0.75, 0.5)
+        mc = tilt.cylinder_sum_mc(LUROTH, 40, 0.75, 0.5, trials=50_000, seed=1)
+        assert chain_holds(rec, mc)
 
     def test_log_probability_trend(self):
         # the tilted distinct-count probability falls, and falls faster with n
-        recs = [
-            tilt.bound_chain(LUROTH, n, 0.75, 0.5, trials=100_000, seed=1)
+        pairs = [
+            (tilt.bound_chain(LUROTH, n, 0.75, 0.5),
+             tilt.cylinder_sum_mc(LUROTH, n, 0.75, 0.5, trials=100_000, seed=1))
             for n in (40, 80, 160)
         ]
-        lp = [math.log(r.prob_mc) for r in recs]
+        lp = [math.log(mc.prob) for _, mc in pairs]
         assert lp[0] > lp[1] > lp[2]
         assert lp[2] - lp[1] < lp[1] - lp[0]  # concave: decay accelerates
-        for r in recs:
-            assert r.chain_ok is True
+        for rec, mc in pairs:
+            assert chain_holds(rec, mc)
 
     def test_analytic_bound_turns_superlinear(self):
         b4 = tilt.bound_chain(LUROTH, 4000, 0.75, 0.5).log_binomial_bound

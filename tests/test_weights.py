@@ -132,7 +132,7 @@ class TestModelConstruction:
         assert m._norm == d
         assert m.power_constant == 1.0 / d
         assert weights.weight(m, 7) == 7 ** -2.5 / d
-        assert weights.log_weight(m, 7) == -2.5 * math.log(7) - math.log(d)
+        assert weights.log_weights_of(m, [7])[0] == -2.5 * math.log(7) - math.log(d)
         assert weights.slowly_varying(m, 1) == weights.slowly_varying(m, 9) == 1.0 / d
         k = np.arange(3.0, 9.0)
         assert np.array_equal(weights.weights_range(m, 1, 9), np.r_[0.4, 0.2, k ** -2.5 / d])
@@ -255,7 +255,7 @@ class TestNumpyOnlyTails:
         assert np.array_equal(weights.weights_range(p, 9000, 9100), weights.weights_range(pl, 9000, 9100))
         for k in (1, 2, 7, 1000, 10**9):
             assert weights.weight(p, k) == weights.weight(pl, k)
-            assert weights.log_weight(p, k) == weights.log_weight(pl, k)
+            assert weights.log_weights_of(p, [k]) == weights.log_weights_of(pl, [k])
             assert weights.slowly_varying(p, k) == weights.slowly_varying(pl, k)
         for M, s in ((1, 1.0), (10, 0.75), (8192, 0.5), (10**6, 2.0)):
             assert weights.tilted_tail_sum(p, M, s) == weights.tilted_tail_sum(pl, M, s)
