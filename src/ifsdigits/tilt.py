@@ -24,6 +24,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -106,7 +107,6 @@ class CylinderSumRecord:
     log_zeta: float
     prob: float  # tilted probability of the distinct-count event
     trials: int | None = None
-    seed: int | None = None
 
 
 def _zeta_power(zeta: float, n: int) -> float:
@@ -207,6 +207,12 @@ def cylinder_sum_exact(
     )
 
 
+@lru_cache(maxsize=4)
+def _tilted_sampler(model: WeightModel, s: float) -> DigitSampler:
+    """One sampler per tilted law, shared by the word lengths of a command."""
+    return DigitSampler(model, s=s)
+
+
 def cylinder_sum_mc(
     model: WeightModel,
     n: int,
@@ -229,7 +235,7 @@ def cylinder_sum_mc(
         raise DomainError("theta must lie in (0, 1]")
     zeta = tilted_tail_sum(model, 1, s)
     scale = _zeta_power(zeta, n)
-    sampler = DigitSampler(model, s=s)
+    sampler = _tilted_sampler(model, float(s))
     threshold = distinct_threshold(n, theta)
     rng = substream(seed, 0x7117)
     hits = 0
@@ -255,7 +261,6 @@ def cylinder_sum_mc(
         log_zeta=math.log(zeta),
         prob=phat,
         trials=trials,
-        seed=seed,
     )
 
 

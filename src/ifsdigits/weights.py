@@ -30,6 +30,7 @@ private :func:`_upper_gamma`.  Tails stay better than 1e-10 relative, with numpy
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -119,7 +120,13 @@ class WeightModel:
             raise DomainError("prefix weights must sum to less than 1")
         if self.kind != "luroth":
             tail = _powerlog_raw_tail(len(self.prefix) + 1, self.rho, self.gamma)
-            object.__setattr__(self, "_norm", tail / (1.0 - sum(self.prefix)))
+            norm = tail / (1.0 - sum(self.prefix))
+            if not sys.float_info.min <= norm < math.inf:
+                raise PrecisionError(
+                    f"{self.describe()} has tail divisor {norm!r}, not a positive normal "
+                    f"float: its weights past digit {len(self.prefix)} are out of float range"
+                )
+            object.__setattr__(self, "_norm", norm)
 
     # -- descriptive helpers -------------------------------------------------
 
@@ -667,6 +674,18 @@ def _guess_bracket(model: WeightModel, s: float, target: float, lo: int) -> tupl
     return a, b
 
 
+def _float_bits(x):
+    """The bit pattern of float64 ``x`` as int64: monotone in ``x`` for ``x >= 0``."""
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+# Buckets of the sampler's guide: about 2**_GUIDE_BITS over its table.
+_GUIDE_BITS = 15
+
+# Draws a sampler looks up at once, so that their temporaries stay in cache.
+_SAMPLE_BLOCK = 1 << 16
+
+
 class DigitSampler:
     """Vectorized inverse-CDF sampler for ``p_k**s / Z_s``.
 
@@ -674,6 +693,14 @@ class DigitSampler:
     the mass; a draw beyond the table inverts the tilted tail sum with scalar
     evaluations (:func:`_invert_tail`), so the sampled law is the exact
     inverse-CDF law at every index.
+
+    A target ``t`` is located in the table through a guide over the bits of
+    the remaining mass ``total - t``, which the float bit pattern turns into
+    a piecewise-linear ``log2`` (Chen & Asau's guide table, bucketed in the
+    log of the tail as regular variation suggests).  Rounded subtraction and
+    the bit view are both monotone, so the table entries on either side of
+    ``t`` bound its bucket: the guide brackets the ``searchsorted`` answer,
+    and a bisection inside the bracket returns it exactly.
     """
 
     def __init__(self, model: WeightModel, s: float = 1.0, table_size: int = 1 << 20):
@@ -683,21 +710,56 @@ class DigitSampler:
         self._fast_luroth = model.kind == "luroth" and self.s == 1.0
         if self._fast_luroth:
             self._cum = None
-        else:
-            pmf = weights_range(model, 1, table_size + 1) ** self.s
-            self._cum = np.cumsum(pmf)
-            self._table_size = table_size
+            return
+        cum = weights_range(model, 1, table_size + 1)
+        cum **= self.s
+        self._cum = np.cumsum(cum, out=cum)
+        self._table_size = table_size
+        # key_k = bits(total) - bits(max(total - cum_k, 0)), built in one buffer
+        keys = np.subtract(self.total, cum)
+        np.maximum(keys, 0.0, out=keys)
+        bits = keys.view(np.int64)
+        np.subtract(_float_bits(self.total), bits, out=bits)
+        span = int(bits[-1])
+        self._shift = max(span.bit_length() - _GUIDE_BITS, 0)
+        bits >>= self._shift
+        # _guide[b] is the first entry whose bucket is b or above; _top, the
+        # first bucket past the table's last, brackets [table_size, table_size]
+        self._top = (span >> self._shift) + 1
+        self._guide = np.searchsorted(bits, np.arange(self._top + 2), side="left")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random(size)
         if self._fast_luroth:
             return np.floor(1.0 / (1.0 - u)).astype(np.int64)
-        target = np.multiply(u, self.total, out=u)
-        out = np.searchsorted(self._cum, target, side="right")
-        out += 1
-        overflow = np.nonzero(out > self._table_size)[0]
-        for i in overflow:
-            out[i] = _invert_tail(
-                self.model, self.s, self.total - target[i], self._table_size
-            )
-        return out.astype(np.int64, copy=False)
+        out = u.view(np.int64)  # each block's digits overwrite its uniforms
+        for start in range(0, size, _SAMPLE_BLOCK):
+            block = slice(start, start + _SAMPLE_BLOCK)
+            target = u[block] * self.total
+            digits = self._locate(target)
+            digits += 1
+            for i in np.flatnonzero(digits > self._table_size):
+                digits[i] = _invert_tail(
+                    self.model, self.s, self.total - target[i], self._table_size
+                )
+            out[block] = digits
+        return out
+
+    def _locate(self, target: np.ndarray) -> np.ndarray:
+        """``np.searchsorted(self._cum, target, side="right")`` for ``0 <= target <= total``."""
+        bucket = _float_bits(self.total - target)
+        np.subtract(_float_bits(self.total), bucket, out=bucket)
+        bucket >>= self._shift
+        np.minimum(bucket, self._top, out=bucket)
+        idx = self._guide[bucket]
+        hi = self._guide[1:][bucket]
+        wide = np.flatnonzero(idx != hi)
+        if wide.size:
+            a, b, t = idx[wide], hi[wide], target[wide]
+            for _ in range(int((b - a).max()).bit_length()):
+                mid = (a + b) >> 1
+                up = (self._cum.take(mid, mode="clip") <= t) & (mid < b)
+                a = np.where(up, mid + 1, a)
+                b = np.where(up, b, mid)
+            idx[wide] = a
+        return idx

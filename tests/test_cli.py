@@ -89,6 +89,13 @@ class TestExitCodes:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_underflowing_prefix_tail_is_3(self, capsys):
+        # 7**-400 underflows, so the tail divisor past the prefix would be 0
+        code = cli.main(["weights", "--model", "explicit-prefix", "--rho", "400",
+                         "--prefix", "0.1,0.1,0.1,0.1,0.1,0.1", "--k-max", "9"])
+        assert code == 3
+        assert "not a positive normal float" in capsys.readouterr().err
+
     def test_non_numeric_prefix_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["weights", "--model", "explicit-prefix", "--rho", "2.5", "--prefix", "a,b"])

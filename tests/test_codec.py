@@ -119,13 +119,13 @@ class TestCsvChunks:
 
         path = tmp_path / "cylsum.csv"
         runs = [
-            (["--n", "3", "--mode", "exact", "--cap", "4"],
+            (["--n", "3", "--mode", "exact", "--cap", "4"], DEFAULT_SEED,
              tilt.cylinder_sum_exact(LUROTH, 3, 0.75, 0.5, 4)),  # stderr is None
-            (["--n", "4", "--trials", "200", "--seed", "1"],
+            (["--n", "4", "--trials", "200", "--seed", "1"], 1,
              tilt.cylinder_sum_mc(LUROTH, 4, 0.75, 0.5, 200, 1)),  # deficit is None
         ]
         rows = []
-        for flags, rec in runs:
+        for flags, seed, rec in runs:
             b = tilt.bound_chain(LUROTH, rec.n, 0.75, 0.5)
             row = (
                 f"{rec.n},{rec.s!r},{rec.theta!r},{rec.mode},{rec.value!r},"
@@ -134,7 +134,7 @@ class TestCsvChunks:
                 f"{math.exp(min(b.log_binomial_bound, 0.0))!r}"
             )
             want = (
-                f"# seed={rec.seed or DEFAULT_SEED} model=luroth\n"
+                f"# seed={seed} model=luroth\n"
                 "n,s,theta,mode,value,stderr,truncation_deficit,binomial_bound\n" + row + "\n"
             )
             argv = ["cylsum", "--s", "0.75", "--theta", "0.5", *flags, "--out", str(path)]

@@ -263,6 +263,13 @@ class TestCylinderSumMC:
         assert a.value == b.value and a.prob == b.prob
         assert a.value != c.value
 
+    def test_one_sampler_per_tilted_law(self):
+        tilt._tilted_sampler.cache_clear()
+        for n in (4, 8, 16):
+            tilt.cylinder_sum_mc(LUROTH, n, 0.75, 0.5, trials=100, seed=0)
+        info = tilt._tilted_sampler.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
     def test_guards(self):
         with pytest.raises(DivergenceError):
             tilt.cylinder_sum_mc(LUROTH, 4, 0.5, 0.5, trials=10, seed=0)

@@ -380,6 +380,22 @@ class TestDyadicWindowMin:
         assert weights._dyadic_window_min(logp).tolist() == want
 
 
+# every kind at s in {0.75, 0.8, 1} (Lüroth at s = 1 draws in closed form),
+# and power(400), whose first cumulative entry rounds to the total
+GUIDE_CASES = [
+    pytest.param(model, s, id=f"{model.describe()}-s{s}")
+    for model in (
+        LUROTH,
+        weights.power_model(1.5),
+        weights.power_log_model(2.0, 1.5),
+        weights.explicit_prefix_model([0.3, 0.2], 2.5),
+        weights.power_model(400.0),
+    )
+    for s in (0.75, 0.8, 1.0)
+    if model.kind != "luroth" or s != 1.0
+]
+
+
 class TestSampling:
     def test_luroth_frequencies(self):
         rng = substream(17, 0xA11)
@@ -428,6 +444,36 @@ class TestSampling:
         draws = weights.DigitSampler(m, table_size=1 << 10).sample(rng, 50_000)
         assert draws.min() >= 1
         assert draws.max() > 1 << 10
+
+    @pytest.mark.parametrize("table_size", [1 << 10, 1 << 20])
+    @pytest.mark.parametrize("model, s", GUIDE_CASES)
+    def test_guide_matches_searchsorted(self, model, s, table_size):
+        sampler = weights.DigitSampler(model, s, table_size=table_size)
+        cum, total = sampler._cum, sampler.total
+        edges = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, np.inf)])
+        targets = np.concatenate([
+            substream(31, 0xA14).random(200_000) * total,
+            edges[edges <= total],
+            [0.0, total, np.nextafter(total, 0.0)],
+        ])
+        want = np.searchsorted(cum, targets, side="right")
+        blocks = range(0, targets.size, weights._SAMPLE_BLOCK)
+        got = [sampler._locate(targets[i : i + weights._SAMPLE_BLOCK]) for i in blocks]
+        assert np.array_equal(np.concatenate(got), want)
+        assert sampler._guide.size < 1 << 17
+
+    def test_blocks_match_reference_draws(self):
+        # several blocks, the last one partial, with draws past a small table
+        model, s, size = weights.power_model(1.5), 1.0, 3 * weights._SAMPLE_BLOCK + 5
+        sampler = weights.DigitSampler(model, s, table_size=1 << 10)
+        target = substream(37, 0xA15).random(size) * sampler.total
+        want = np.searchsorted(sampler._cum, target, side="right") + 1
+        for i in np.flatnonzero(want > 1 << 10):
+            want[i] = weights._invert_tail(model, s, sampler.total - target[i], 1 << 10)
+        got = sampler.sample(substream(37, 0xA15), size)
+        assert got.dtype == np.int64
+        assert (want > 1 << 10).any()
+        assert np.array_equal(got, want)
 
 
 class TestSubstream:
