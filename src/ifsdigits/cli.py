@@ -142,7 +142,7 @@ def _load_config(args) -> dict:
     with open(args.config, "r", encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise IfsDigitsError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise IfsDigitsError("config file must hold a JSON object")
@@ -407,7 +407,7 @@ def main(argv=None) -> int:
     except IfsDigitsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

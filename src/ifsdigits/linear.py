@@ -1,23 +1,25 @@
 """Block concatenation forcing a prescribed linear distinct-digit rate.
 
 Words are built level by level.  Level ``j`` contributes a block of length
-``2**j`` over its own dyadic alphabet (alphabets of different levels are
-disjoint), and inside a block the running number of distinct digits is
-pinned to the profile ``r(t) = ceil(theta * t)``: at a *new* time the block
-uses a fresh alphabet symbol, at a *repeat* time it reuses one of the
-``r(t-1)`` symbols already seen.  Concatenating the blocks gives points
-whose distinct-digit count satisfies ``theta*n <= D_n < theta*n + depth``
-at every position ``n``.
+``2**j`` over its own dyadic alphabet ``[2**(j-1) b, 2**j b)`` (alphabets of
+different levels are disjoint), and inside a block the running number of
+distinct digits is pinned to the profile ``r(t) = ceil(theta * t)``: at a
+*new* time the block uses a fresh alphabet symbol, at a *repeat* time it
+reuses one of the ``r(t-1)`` symbols already seen.  The profile is the same
+at every level, so a schedule keeps one.  Concatenating the blocks gives
+points whose distinct-digit count satisfies ``theta*n <= D_n < theta*n + j``
+at every position ``n`` of level ``j``.
 
 The number of admissible blocks at a level factorizes as a falling
 factorial (for the new times) times the product of ``r(t-1)`` over repeat
 times; the uniform measure on infinite concatenations is the product of
-the per-level uniform block choices.  One walk, ``BlockSchedule._walk``,
-validates a word and sums the log choice counts (``N - r(t-1)`` at a new
-time, ``r(t-1)`` at a repeat time) into the log mass that ``log_mass``,
-``local_dimension`` and :func:`point_trace` read.  Rates ``theta`` given as
-floats are read as their shortest decimal literal so profile ceilings are
-exact.  Words are limited to ``2**22`` digits (depth 21).
+the per-level uniform block choices.  One vectorized walk,
+``BlockSchedule._walk``, validates a word and sums the log choice counts
+(``N - r(t-1)`` at a new time, ``r(t-1)`` at a repeat time) into the log
+mass that ``log_mass``, ``local_dimension`` and :func:`point_trace` read.
+Rates ``theta`` given as floats are read as their shortest decimal literal
+so profile ceilings are exact.  Words are limited to ``2**22`` digits
+(depth 21).
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .weights import WeightModel, log_weights_of, potter_scan
 __all__ = [
     "BlockProfile",
     "BlockCount",
-    "BlockLevel",
     "BlockSchedule",
     "as_rate",
     "distinctness_profile",
@@ -74,13 +75,11 @@ def as_rate(theta) -> Fraction:
 
 @dataclass(frozen=True, eq=False)
 class BlockProfile:
-    """Distinctness profile ``r(t) = ceil(theta t)`` for ``t = 0..length``."""
+    """Distinctness profile ``r(t) = ceil(theta t)`` for ``t = 0..L``."""
 
-    theta: Fraction
-    length: int
-    r: np.ndarray  # int64, index t in [0, length]
+    r: np.ndarray  # int64, index t in [0, L]
     is_new: np.ndarray  # bool, True where r steps up; index 0 unused
-    new_count: int  # r(length)
+    new_count: int  # r(L)
 
 
 def distinctness_profile(theta, L: int) -> BlockProfile:
@@ -90,7 +89,7 @@ def distinctness_profile(theta, L: int) -> BlockProfile:
     num, den = theta.numerator, theta.denominator
     arr = np.asarray([(num * t + den - 1) // den for t in range(L + 1)], dtype=np.int64)
     is_new = np.concatenate(([False], np.diff(arr) > 0))
-    return BlockProfile(theta=theta, length=L, r=arr, is_new=is_new, new_count=int(arr[L]))
+    return BlockProfile(r=arr, is_new=is_new, new_count=int(arr[L]))
 
 
 @dataclass(frozen=True)
@@ -125,7 +124,7 @@ def _count_profile(N: int, prof: BlockProfile) -> BlockCount:
     log_fall = float(np.log(float(N) - np.arange(m, dtype=np.float64)).sum())
     log_count = float(log_fall + np.log(prev).sum())
     exact = None
-    if prof.length <= _EXACT_COUNT_MAX_LEN:
+    if prof.r.size - 1 <= _EXACT_COUNT_MAX_LEN:
         exact = math.perm(N, m) * math.prod(prev.tolist())
         if exact.bit_length() > 128:
             exact = None
@@ -173,19 +172,9 @@ def enumerate_blocks(N: int, L: int, theta, alphabet=None, limit: int = 2_000_00
     yield from rec(1)
 
 
-@dataclass(frozen=True, eq=False)
-class BlockLevel:
-    """One level of a schedule: block shape and alphabet window."""
-
-    j: int
-    length: int  # 2**j
-    profile: BlockProfile
-    alphabet_start: int  # alphabet is [start, start + size)
-    alphabet_size: int
-
-    @property
-    def new_count(self) -> int:
-        return self.profile.new_count
+def _levels(n: int) -> np.ndarray:
+    """Level ``bit_length(m + 1) - 1`` of each position ``m = 1..n`` (exact below 2**53)."""
+    return np.frexp(np.arange(2, n + 2))[1].astype(np.int64) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,16 +184,15 @@ class BlockSchedule:
     model: WeightModel
     theta: Fraction
     k1: int
-    levels: tuple[BlockLevel, ...]
+    base: int  # max(ceil(2 theta), k1): level j draws from window(j)
+    depth: int
+    profile: BlockProfile  # r(t) for t <= 2**depth; level j reads r[: 2**j + 1]
 
-    @property
-    def depth(self) -> int:
-        return len(self.levels)
-
-    def level(self, j: int) -> BlockLevel:
+    def window(self, j: int) -> range:
+        """Alphabet of level ``j``: ``[2**(j-1) base, 2**j base)``."""
         if not 1 <= j <= self.depth:
             raise DomainError(f"level {j} outside schedule depth {self.depth}")
-        return self.levels[j - 1]
+        return range(self.base << (j - 1), self.base << j)
 
     def boundary(self, j: int) -> int:
         """Word length after ``j`` full blocks: ``2**(j+1) - 2``."""
@@ -216,17 +204,16 @@ class BlockSchedule:
 
     def sample_block(self, j: int, rng: np.random.Generator) -> np.ndarray:
         """One uniform admissible block at level ``j``."""
-        lev = self.level(j)
-        prof = lev.profile
-        new_syms = lev.alphabet_start + rng.choice(
-            lev.alphabet_size, size=lev.new_count, replace=False
-        )
-        digits = np.zeros(lev.length, dtype=np.int64)
-        new_mask = prof.is_new[1:]
+        window = self.window(j)
+        length = 1 << j
+        r = self.profile.r
+        new_syms = window.start + rng.choice(len(window), size=int(r[length]), replace=False)
+        digits = np.zeros(length, dtype=np.int64)
+        new_mask = self.profile.is_new[1 : length + 1]
         digits[new_mask] = new_syms
         repeat_t = np.nonzero(~new_mask)[0] + 1
         if repeat_t.size:
-            pool = prof.r[repeat_t - 1]  # always >= 1 (t = 1 is a new time)
+            pool = r[repeat_t - 1]  # always >= 1 (t = 1 is a new time)
             idx = rng.integers(0, pool)
             digits[~new_mask] = new_syms[idx]
         return digits
@@ -264,46 +251,43 @@ class BlockSchedule:
     def _walk(self, word) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Validate ``word``; return each position's level, distinct count and log mass.
 
-        Levels are checked in order, each window before its new/reuse times;
-        the first inadmissible position raises :class:`NotInSupportError`.
+        The first level with an inadmissible position raises
+        :class:`NotInSupportError`, its window checked before its new/reuse
+        times; a word past the schedule depth raises :class:`DepthError`.
         """
         digits = np.asarray(word, dtype=np.int64)
-        n = digits.size
         distinct = distinct_counts(digits)
-        level = np.empty(n, dtype=np.int64)
-        log_mass = np.empty(n)
-        spent = 0.0  # running sum of log choice counts before this block
-        pos = 0
-        for lev in self.levels:
-            if pos == n:
-                break
-            chunk = digits[pos : pos + lev.length]
-            t = chunk.size
-            lo, hi = lev.alphabet_start, lev.alphabet_start + lev.alphabet_size
-            if chunk.min() < lo or chunk.max() >= hi:
-                raise NotInSupportError(f"level {lev.j} digits must lie in [{lo}, {hi})")
-            prof = lev.profile
-            # Windows are disjoint, so the block's own running distinct count
-            # follows r(t) exactly when every new and repeat time is respected.
-            own = distinct[pos : pos + t] - (distinct[pos - 1] if pos else 0)
-            bad = np.flatnonzero(own != prof.r[1 : t + 1])
-            if bad.size:
-                u = int(bad[0]) + 1
-                rule = "introduce a new digit" if prof.is_new[u] else "reuse a seen digit"
-                raise NotInSupportError(f"level {lev.j} position {u} must {rule}")
-            prev = prof.r[:t]
-            choices = np.where(prof.is_new[1 : t + 1], lev.alphabet_size - prev, prev)
-            logs = np.fromiter(map(math.log, choices.tolist()), dtype=np.float64, count=t)
-            logs[0] += spent
-            np.cumsum(logs, out=logs)
-            spent = float(logs[-1])
-            # 0.0 - x keeps +0.0 while every choice so far was forced (-x gives -0.0).
-            np.subtract(0.0, logs, out=log_mass[pos : pos + t])
-            level[pos : pos + t] = lev.j
-            pos += t
-        if pos < n:
+        n = min(digits.size, self.boundary(self.depth))
+        digits = digits[:n]
+        level = _levels(n)
+        block_start = (1 << level) - 2  # digits before this level's block
+        t = np.arange(1, n + 1) - block_start  # time inside the block, 1..2**j
+        size = self.base << (level - 1)  # window(j) = [size, 2 size)
+        outside = (digits < size) | (digits >= 2 * size)
+        # Windows are disjoint, so up to the first level with a digit outside
+        # its window, a block's own running distinct count follows r(t)
+        # exactly when every new and repeat time is respected.
+        own = distinct[:n] - np.concatenate(([0], distinct))[block_start]
+        r, is_new = self.profile.r, self.profile.is_new
+        wrong = own != r[t]
+        if outside.any() or wrong.any():
+            w, u = int(np.argmax(outside)), int(np.argmax(wrong))
+            if outside[w] and (not wrong[u] or level[w] <= level[u]):
+                j = int(level[w])
+                window = self.window(j)
+                raise NotInSupportError(
+                    f"level {j} digits must lie in [{window.start}, {window.stop})"
+                )
+            rule = "introduce a new digit" if is_new[t[u]] else "reuse a seen digit"
+            raise NotInSupportError(f"level {level[u]} position {t[u]} must {rule}")
+        if n < distinct.size:
             raise DepthError("word runs past the schedule depth")
-        return level, distinct, log_mass
+        prev = r[t - 1]
+        choices = np.where(is_new[t], size - prev, prev)
+        logs = np.fromiter(map(math.log, choices.tolist()), dtype=np.float64, count=n)
+        np.cumsum(logs, out=logs)
+        # 0.0 - x keeps +0.0 while every choice so far was forced (-x gives -0.0).
+        return level, distinct, np.subtract(0.0, logs, out=logs)
 
 
 def build_block_schedule(
@@ -313,8 +297,10 @@ def build_block_schedule(
 
     ``k1`` defaults to the certified start index of a dyadic ratio scan with
     ``epsilon = 1``.  Alphabets are the dyadic windows
-    ``[2**(j-1) * max(m_1, k1), 2**j * max(m_1, k1))``, pairwise disjoint by
-    construction.
+    ``[2**(j-1) * b, 2**j * b)`` with ``b = max(m_1, k1)`` and
+    ``m_1 = ceil(2 theta)``, pairwise disjoint by construction.  Every level
+    is feasible: it needs ``ceil(theta 2**j) <= 2**(j-1) m_1 <= 2**(j-1) b``
+    distinct symbols, at most its window's size.
     """
     theta = as_rate(theta)
     if depth < 1:
@@ -331,28 +317,17 @@ def build_block_schedule(
         raise DomainError("k1 must be a positive integer")
     m1 = -((-2 * theta.numerator) // theta.denominator)  # ceil(2 theta)
     base = max(int(m1), int(k1))
-    levels = []
     for j in range(1, depth + 1):
-        length = 1 << j
-        start = (1 << (j - 1)) * base
-        if 2 * start > 1 << 62:
+        if base << j > 1 << 62:
             raise DepthError(f"alphabet indices overflow at level {j}")
-        size = start
-        prof = distinctness_profile(theta, length)
-        if prof.new_count > size:
-            raise InfeasibleError(
-                f"level {j} needs {prof.new_count} new symbols, window has {size}"
-            )
-        levels.append(
-            BlockLevel(
-                j=j,
-                length=length,
-                profile=prof,
-                alphabet_start=start,
-                alphabet_size=size,
-            )
-        )
-    return BlockSchedule(model=model, theta=theta, k1=int(k1), levels=tuple(levels))
+    return BlockSchedule(
+        model=model,
+        theta=theta,
+        k1=int(k1),
+        base=base,
+        depth=depth,
+        profile=distinctness_profile(theta, 1 << depth),
+    )
 
 
 def point_trace(schedule: BlockSchedule, word) -> dict[str, np.ndarray]:
@@ -392,6 +367,5 @@ def sandwich_violations(theta, word) -> list[int]:
     """
     counts = distinct_counts(np.asarray(word, dtype=np.int64))
     lower = distinctness_profile(theta, max(counts.size, 1)).r[1 : counts.size + 1]
-    level = np.frexp(np.arange(2, counts.size + 2))[1] - 1  # exact below 2**53
-    bad = (counts < lower) | (counts >= lower + level)
+    bad = (counts < lower) | (counts >= lower + _levels(counts.size))
     return (np.flatnonzero(bad) + 1).tolist()

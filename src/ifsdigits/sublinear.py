@@ -21,7 +21,7 @@ digits, which is what the command line writes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -203,7 +203,6 @@ class SublinearSchedule:
     forced_digit: np.ndarray  # int64, b_n at forced times, 0 elsewhere
     sorted_weights: np.ndarray  # non-increasing weight table, index = label - 1
     label_permutation: np.ndarray | None  # sorted label -> model digit, or None
-    _cumulative: dict = field(default_factory=dict, repr=False)  # K -> free-digit CDF
 
     @property
     def horizon(self) -> int:
@@ -229,20 +228,13 @@ class SublinearSchedule:
         u = rng.random(free_idx.size)
         ks = self.K[free_idx]
         for kv in np.unique(ks):
-            cum = self._free_cumulative(int(kv))
+            s = self.s_of_n[np.searchsorted(self.K, kv)]  # K_n is nondecreasing
+            cum = np.cumsum(self.sorted_weights[:kv] ** s)
             pick = ks == kv
             # rounding can end cum a hair below 1, under the largest draws: clamp to label K
             label = np.searchsorted(cum, u[pick], side="right")
             word[free_idx[pick]] = np.minimum(label, kv - 1) + 1
         return word
-
-    def _free_cumulative(self, K: int) -> np.ndarray:
-        cum = self._cumulative.get(K)
-        if cum is None:
-            s = self.s_of_n[np.searchsorted(self.K, K)]  # K_n is nondecreasing
-            cum = np.cumsum(self.sorted_weights[:K] ** s)
-            self._cumulative[K] = cum
-        return cum
 
     # -- measure ----------------------------------------------------------------
 

@@ -189,13 +189,10 @@ def check_linear_uniformity(seed: int, threads: int) -> str:
     model = weights.luroth_model()
     sched = linear.build_block_schedule(model, 0.5, depth=3)
     for j in (1, 2, 3):
-        lev = sched.level(j)
-        alphabet = range(lev.alphabet_start, lev.alphabet_start + lev.alphabet_size)
+        alphabet = sched.window(j)
         prefix = [sched.sample_block(i, substream(seed, 0xB10C, i)) for i in range(1, j)]
         total = 0.0
-        for block in linear.enumerate_blocks(
-            lev.alphabet_size, lev.length, 0.5, alphabet=alphabet
-        ):
+        for block in linear.enumerate_blocks(len(alphabet), 1 << j, 0.5, alphabet=alphabet):
             word = np.concatenate(prefix + [np.asarray(block)]) if prefix else np.asarray(block)
             total += math.exp(sched.log_mass(word))
         expected = math.exp(sched.log_mass(np.concatenate(prefix))) if prefix else 1.0
@@ -222,9 +219,8 @@ def check_linear_mass_additivity(seed: int, threads: int) -> str:
     sched = linear.build_block_schedule(model, 0.5, depth=2)
     word = sched.sample_word(1, substream(seed, 0xADD))
     base = math.exp(sched.log_mass(word))
-    lev = sched.level(2)
     total = 0.0
-    for d in range(lev.alphabet_start, lev.alphabet_start + lev.alphabet_size):
+    for d in sched.window(2):
         try:
             total += math.exp(sched.log_mass(np.append(word, d)))
         except linear.NotInSupportError:

@@ -343,15 +343,24 @@ def _luroth_pow_integral(a: float, s: float) -> float:
 
 
 def _powerlog_raw_tail(M: int, q: float, g: float) -> float:
-    """``sum_{k>=M} k**-q * log(k+1)**g`` for ``q > 1``; ``zeta(q, M)`` at ``g = 0``."""
+    """``sum_{k>=M} k**-q * log(k+1)**g`` for ``q > 1``; ``zeta(q, M)`` at ``g = 0``.
+
+    Raises :class:`PrecisionError` when a term or incomplete gamma of the
+    sum overflows a float, as it does for a large log exponent ``g``.
+    """
     a = max(M, _EM_CUT)
-    head = 0.0
-    if a > M:
-        head = float(np.sum(_powerlog_terms(np.arange(M, a, dtype=np.float64), q, g)))
-    fa = float(a) ** -q * math.log(a + 1.0) ** g
-    # f'(a) for the first Euler-Maclaurin correction
-    fpa = fa * (-q / a + g / ((a + 1.0) * math.log(a + 1.0)))
-    return head + _powerlog_tail_integral(float(a), q, g) + 0.5 * fa - fpa / 12.0
+    try:
+        head = 0.0
+        if a > M:
+            head = float(np.sum(_powerlog_terms(np.arange(M, a, dtype=np.float64), q, g)))
+        fa = float(a) ** -q * math.log(a + 1.0) ** g
+        # f'(a) for the first Euler-Maclaurin correction
+        fpa = fa * (-q / a + g / ((a + 1.0) * math.log(a + 1.0)))
+        return head + _powerlog_tail_integral(float(a), q, g) + 0.5 * fa - fpa / 12.0
+    except OverflowError as exc:
+        raise PrecisionError(
+            f"sum of k**-{q:g} * log(k+1)**{g:g} over k >= {M} overflows a float"
+        ) from exc
 
 
 def _powerlog_terms(k: np.ndarray, q: float, g: float) -> np.ndarray:
@@ -479,7 +488,6 @@ class PotterReport:
     k_eps: int
     C_eps: float
     scan_limit: int
-    worst_ratio_constant: float  # exact max of p_k/(p_m * 2**(rho+eps))
 
 
 def potter_scan(
@@ -524,7 +532,6 @@ def potter_scan(
         k_eps=k_eps,
         C_eps=c_eps,
         scan_limit=scan_limit,
-        worst_ratio_constant=worst,
     )
 
 

@@ -96,6 +96,32 @@ class TestExitCodes:
         assert code == 3
         assert "not a positive normal float" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "10", "--trials", "1", "--config", "{dir}"],
+        ["simulate", "--n", "10", "--trials", "1", "--out", "{dir}"],
+        ["construct", "linear", "--theta", "0.5", "--depth", "3", "--word-out", "{dir}"],
+    ], ids=["config", "out", "word-out"])
+    def test_directory_as_file_is_3(self, tmp_path, capsys, argv):
+        code = cli.main([a.replace("{dir}", str(tmp_path)) for a in argv])
+        assert code == 3
+        assert "Is a directory" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_3(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff\xfe{}")  # a UTF-16 byte-order mark
+        code = cli.main(["simulate", "--n", "10", "--trials", "1", "--config", str(cfg)])
+        assert code == 3
+        assert "config file is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--gamma", "300", "--k-max", "3"],  # the tail divisor needs Gamma(301)
+        ["--gamma", "100", "--tilted-tail", "5", "2"],  # the s = 2 tail needs Gamma(201)
+    ], ids=["model", "tilted-tail"])
+    def test_overflowing_power_log_tail_is_3(self, capsys, argv):
+        code = cli.main(["weights", "--model", "power-log", "--rho", "2"] + argv)
+        assert code == 3
+        assert "overflows a float" in capsys.readouterr().err
+
     def test_non_numeric_prefix_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["weights", "--model", "explicit-prefix", "--rho", "2.5", "--prefix", "a,b"])

@@ -21,6 +21,7 @@ from ifsdigits.errors import (
 from ifsdigits.rng import substream
 
 LUROTH = weights.luroth_model()
+EXPLICIT = weights.explicit_prefix_model((0.05, 0.4), rho=2.5)
 
 
 class TestRateAndProfile:
@@ -95,18 +96,27 @@ class TestCountBlocks:
 class TestScheduleShape:
     def test_levels_are_dyadic_disjoint(self):
         sched = linear.build_block_schedule(LUROTH, 0.5, depth=8)
-        for lev in sched.levels:
-            assert lev.length == 2**lev.j
-        windows = [
-            range(lev.alphabet_start, lev.alphabet_start + lev.alphabet_size)
-            for lev in sched.levels
-        ]
+        windows = [sched.window(j) for j in range(1, sched.depth + 1)]
+        for j, w in enumerate(windows, start=1):
+            assert len(w) == sched.base << (j - 1)
         for a, b in zip(windows, windows[1:]):
             assert a.stop == b.start  # adjacent dyadic windows, no overlap
+        for j in (0, sched.depth + 1):
+            with pytest.raises(DomainError):
+                sched.window(j)
 
     def test_boundaries(self):
         sched = linear.build_block_schedule(LUROTH, 0.5, depth=5)
         assert [sched.boundary(j) for j in range(6)] == [0, 2, 6, 14, 30, 62]
+
+    @pytest.mark.parametrize("theta", [0.1, 0.3, 0.30000000000000004, 0.5, 0.55, 0.999, 1,
+                                       Fraction(1, 3)])
+    @pytest.mark.parametrize("k1", [None, 1, 7])
+    def test_every_level_is_feasible(self, theta, k1):
+        # base >= ceil(2 theta), so no level needs more symbols than its window holds
+        sched = linear.build_block_schedule(LUROTH, theta, depth=12, k1=k1)
+        for j in range(1, 13):
+            assert sched.profile.r[2**j] <= len(sched.window(j))
 
     def test_k1_defaults_to_ratio_scan(self):
         sched = linear.build_block_schedule(LUROTH, 0.5, depth=3)
@@ -172,25 +182,16 @@ class TestSamplingAndSandwich:
     def test_blocks_stay_in_alphabet(self):
         sched = linear.build_block_schedule(LUROTH, 0.3, depth=7)
         word = sched.sample_word(7, substream(2, 3))
-        pos = 0
-        for lev in sched.levels:
-            chunk = word[pos : pos + lev.length]
-            assert chunk.min() >= lev.alphabet_start
-            assert chunk.max() < lev.alphabet_start + lev.alphabet_size
-            pos += lev.length
+        for j in range(1, sched.depth + 1):
+            chunk = word[sched.boundary(j - 1) : sched.boundary(j)]
+            assert chunk.min() >= sched.window(j).start
+            assert chunk.max() < sched.window(j).stop
 
     def test_block_uniformity(self):
         # level-2 blocks of the half-rate schedule are uniform over their support
         sched = linear.build_block_schedule(LUROTH, 0.5, depth=2)
-        lev = sched.level(2)
-        support = list(
-            linear.enumerate_blocks(
-                lev.alphabet_size,
-                lev.length,
-                sched.theta,
-                alphabet=range(lev.alphabet_start, lev.alphabet_start + lev.alphabet_size),
-            )
-        )
+        window = sched.window(2)
+        support = list(linear.enumerate_blocks(len(window), 4, sched.theta, alphabet=window))
         rng = substream(8, 0xB10C)
         draws = 20_000
         counts = {b: 0 for b in support}
@@ -207,8 +208,8 @@ class TestBlockMeasure:
         sched = linear.build_block_schedule(LUROTH, 0.5, depth=5)
         word = sched.sample_word(5, substream(1, 2))
         expect = -sum(
-            linear.count_blocks(lev.alphabet_size, lev.length, sched.theta).log_count
-            for lev in sched.levels
+            linear.count_blocks(len(sched.window(j)), 2**j, sched.theta).log_count
+            for j in range(1, sched.depth + 1)
         )
         assert sched.log_mass(word) == pytest.approx(expect, rel=1e-12)
 
@@ -216,14 +217,9 @@ class TestBlockMeasure:
         sched = linear.build_block_schedule(LUROTH, 0.5, depth=3)
         word = sched.sample_word(2, substream(3, 1))
         base = math.exp(sched.log_mass(word))
-        lev = sched.level(3)
+        window = sched.window(3)
         total = 0.0
-        for block in linear.enumerate_blocks(
-            lev.alphabet_size,
-            lev.length,
-            sched.theta,
-            alphabet=range(lev.alphabet_start, lev.alphabet_start + lev.alphabet_size),
-        ):
+        for block in linear.enumerate_blocks(len(window), 8, sched.theta, alphabet=window):
             total += math.exp(sched.log_mass(np.concatenate([word, block])))
         assert total == pytest.approx(base, rel=1e-10)
 
@@ -231,16 +227,10 @@ class TestBlockMeasure:
         sched = linear.build_block_schedule(LUROTH, 0.5, depth=4)
         word = sched.sample_word(4, substream(7, 5))
         prefix = word[:9]  # three digits into the level-3 block
-        lev = sched.level(3)
         base = math.exp(sched.log_mass(prefix))
-        prof = lev.profile
         seen = sorted(set(int(d) for d in prefix[6:9]))
-        if prof.is_new[4]:
-            cands = [
-                a
-                for a in range(lev.alphabet_start, lev.alphabet_start + lev.alphabet_size)
-                if a not in seen
-            ]
+        if sched.profile.is_new[4]:
+            cands = [a for a in sched.window(3) if a not in seen]
         else:
             cands = seen
         total = sum(
@@ -259,11 +249,9 @@ class TestBlockMeasure:
 
     def test_repeat_time_must_reuse(self):
         sched = linear.build_block_schedule(LUROTH, 0.5, depth=2)
-        lev1 = sched.level(1)
-        a = lev1.alphabet_start
+        a = sched.window(1).start
         # level 1 block is (a, a); a fresh digit at the repeat time is invalid
-        lev2 = sched.level(2)
-        b, c = lev2.alphabet_start, lev2.alphabet_start + 1
+        b, c = sched.window(2)[:2]
         with pytest.raises(NotInSupportError):
             sched.log_mass([a, a, b, c])  # time 2 of block 2 must repeat b
 
@@ -310,19 +298,19 @@ def reference_trace(schedule, word):
     log_mass = np.empty(n)
     running = 0.0
     pos = 0
-    for lev in schedule.levels:
+    prof = schedule.profile
+    for j in range(1, schedule.depth + 1):
         if pos == n:
             break
-        chunk = digits[pos : pos + lev.length]
-        prof = lev.profile
+        chunk = digits[pos : pos + 2**j]
         for t in range(1, chunk.size + 1):
             if prof.is_new[t]:
-                pool = lev.alphabet_size - int(prof.r[t - 1])
+                pool = len(schedule.window(j)) - int(prof.r[t - 1])
             else:
                 pool = int(prof.r[t - 1])
             running -= math.log(pool)
             log_mass[pos + t - 1] = running
-            bound[pos + t - 1] = theta_f * (pos + t) + lev.j
+            bound[pos + t - 1] = theta_f * (pos + t) + j
         pos += chunk.size
     log_diam = np.cumsum(np.log([weights.weight(schedule.model, int(d)) for d in digits]))
     return {
@@ -339,19 +327,20 @@ def reference_violation(schedule, word):
     """Message of the first inadmissible position, by the per-position rules."""
     digits = [int(d) for d in word]
     pos = 0
-    for lev in schedule.levels:
+    is_new = schedule.profile.is_new
+    for j in range(1, schedule.depth + 1):
         if pos == len(digits):
             return None
-        chunk = digits[pos : pos + lev.length]
-        lo, hi = lev.alphabet_start, lev.alphabet_start + lev.alphabet_size
+        chunk = digits[pos : pos + 2**j]
+        lo, hi = schedule.window(j).start, schedule.window(j).stop
         if min(chunk) < lo or max(chunk) >= hi:
-            return f"level {lev.j} digits must lie in [{lo}, {hi})"
+            return f"level {j} digits must lie in [{lo}, {hi})"
         seen = set()
         for t, d in enumerate(chunk, start=1):
-            if lev.profile.is_new[t] and d in seen:
-                return f"level {lev.j} position {t} must introduce a new digit"
-            if not lev.profile.is_new[t] and d not in seen:
-                return f"level {lev.j} position {t} must reuse a seen digit"
+            if is_new[t] and d in seen:
+                return f"level {j} position {t} must introduce a new digit"
+            if not is_new[t] and d not in seen:
+                return f"level {j} position {t} must reuse a seen digit"
             seen.add(d)
         pos += len(chunk)
     return None if pos == len(digits) else "past the depth"
@@ -366,11 +355,12 @@ def cut_points(sched, depth):
 
 
 class TestWalkAgainstReference:
-    @pytest.mark.parametrize("theta", [0.3, 0.5, 1])
+    @pytest.mark.parametrize("model", [LUROTH, EXPLICIT], ids=["luroth", "explicit-prefix"])
+    @pytest.mark.parametrize("theta", [0.3, 0.5, 1, 0.123])
     @pytest.mark.parametrize("k1", [None, 5])
-    def test_trace_columns_match_bit_for_bit(self, theta, k1):
+    def test_trace_columns_match_bit_for_bit(self, model, theta, k1):
         depth = 7
-        sched = linear.build_block_schedule(LUROTH, theta, depth=depth, k1=k1)
+        sched = linear.build_block_schedule(model, theta, depth=depth, k1=k1)
         for seed in (0, 1, 7):
             word = sched.sample_word(depth, substream(seed, 0x11EA, depth))
             for n in cut_points(sched, depth):
@@ -387,7 +377,7 @@ class TestWalkAgainstReference:
     def test_first_positions_keep_positive_zero(self):
         # a one-symbol level-1 window leaves one choice per position: log mass 0
         sched = linear.build_block_schedule(LUROTH, 0.5, depth=3, k1=1)
-        assert sched.level(1).alphabet_size == 1
+        assert len(sched.window(1)) == 1
         word = sched.sample_word(3, substream(0, 0x11EA, 3))
         tr = linear.point_trace(sched, word)
         ref = reference_trace(sched, word)
