@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, model: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser, model: bool = True, seed: bool = True) -> None:
         if model:
             p.add_argument("--model", help="model kind: luroth, power, power-log, explicit-prefix")
             p.add_argument("--rho", type=float, help="tail index for power kinds")
@@ -65,12 +65,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--prefix", type=_parse_float_list,
                            help="comma-separated explicit prefix probabilities")
             p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--seed", type=_parse_seed, default=None, help="RNG seed (default 0xD1617)")
+        if seed:
+            p.add_argument("--seed", type=_parse_seed, help="RNG seed (default 0xD1617)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output path (default stdout)")
 
     w = sub.add_parser("weights", help="weight tables and derived scalars")
-    add_common(w)
+    add_common(w, seed=False)
     w.add_argument("--k-max", type=int, default=10, help="print p_k for k up to this")
     w.add_argument("--solve-s", type=int, action="append", default=[],
                    help="solve the truncated-sum exponent at this K (repeatable)")
@@ -166,7 +167,7 @@ def _resolve(args) -> tuple[weights.WeightModel, int]:
         spec["prefix"] = args.prefix
     if not spec.get("kind"):
         spec["kind"] = "luroth"
-    seed = args.seed
+    seed = getattr(args, "seed", None)
     if seed is None:
         try:
             seed = int(cfg.get("seed", DEFAULT_SEED))

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -113,11 +114,6 @@ def count_blocks(N: int, L: int, theta) -> BlockCount:
         raise InfeasibleError(
             f"no admissible block: profile needs {m} distinct symbols, alphabet has {N}"
         )
-    return _count_profile(N, prof)
-
-
-def _count_profile(N: int, prof: BlockProfile) -> BlockCount:
-    m = prof.new_count
     prev = prof.r[:-1][~prof.is_new[1:]]  # r(t-1) at the repeat times t
     # Falling factorial summed term by term: the lgamma difference cancels
     # catastrophically once N dwarfs the float64 mantissa.
@@ -134,15 +130,19 @@ def _count_profile(N: int, prof: BlockProfile) -> BlockCount:
 def enumerate_blocks(N: int, L: int, theta, alphabet=None, limit: int = 2_000_000):
     """Yield every admissible block (deterministic DFS order).
 
-    Intended for enumeration oracles; refuses to start when the exact count
+    Intended for enumeration oracles; refuses to start when the count
     exceeds ``limit``.
     """
     prof = distinctness_profile(theta, L)
     if prof.new_count > N:
         return
-    total = _count_profile(N, prof).exact
-    if total is not None and total > limit:
-        raise EnumerationSizeError(f"{total} blocks exceed the limit {limit}")
+    prev = prof.r[:-1][~prof.is_new[1:]]  # r(t-1) at the repeat times t
+    total = 1
+    # the count's factors, multiplied only until the product passes the limit
+    for factor in chain(range(N, N - prof.new_count, -1), prev[prev > 1].tolist()):
+        total *= factor
+        if total > limit:
+            raise EnumerationSizeError(f"the block count exceeds the limit {limit}")
     symbols = tuple(range(1, N + 1)) if alphabet is None else tuple(alphabet)
     if len(symbols) != N:
         raise DomainError("alphabet size mismatch")

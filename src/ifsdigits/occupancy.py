@@ -124,12 +124,6 @@ class LawReport:
     karlin: float | None  # law constant when the model has one
     mean_final_distinct: float
 
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise DomainError("need at least one trial")
-        if any(b <= a for a, b in zip(self.checkpoints, self.checkpoints[1:])):
-            raise DomainError("checkpoints must increase strictly")
-
 
 def _default_checkpoints(n: int) -> tuple[int, ...]:
     cps = []
@@ -161,6 +155,8 @@ def monte_carlo_law(
     cps = tuple(int(c) for c in (checkpoints or _default_checkpoints(n)))
     if any(c < 1 or c > n for c in cps):
         raise DomainError("checkpoints must lie in [1, n]")
+    if any(b <= a for a, b in zip(cps, cps[1:])):
+        raise DomainError("checkpoints must increase strictly")
     cps_arr = np.asarray(cps, dtype=np.int64)
     sampler = DigitSampler(model)
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -54,27 +53,27 @@ class AdmissibleProfile:
     """Validated growth profile ``f(0..horizon)`` (integer valued)."""
 
     values: np.ndarray  # int64, values[0] == 0
-    horizon: int
     provenance: str
+
+    @property
+    def horizon(self) -> int:
+        return self.values.size - 1
 
     def step_times(self) -> np.ndarray:
         """The times at which ``f`` increments (sorted, 1-based)."""
         return np.nonzero(np.diff(self.values) == 1)[0] + 1
 
 
-def make_admissible(g: Callable[[int], float], horizon: int, provenance: str = "user") -> AdmissibleProfile:
+def make_admissible(g, provenance: str = "user") -> AdmissibleProfile:
     """Slope-limit ``floor(g)`` into an admissible profile and validate it.
 
-    ``f(n) = max(min(f(n-1) + 1, floor(g(n))), 0)`` with ``f(0) = 0``, in
-    closed form ``f(n) = n + min(0, min_{m<=n} (max(floor(g(m)), 0) - m))``;
-    ``g`` must be finite and nondecreasing on the horizon.  Violated
-    admissibility clauses raise :class:`NotAdmissibleError` naming the clause.
+    ``g`` is the array ``g(1), ..., g(horizon)``, finite and nondecreasing, with
+    ``horizon >= 10``.  ``f(n) = max(min(f(n-1) + 1, floor(g(n))), 0)`` with ``f(0) = 0``,
+    in closed form ``f(n) = n + min(0, min_{m<=n} (max(floor(g(m)), 0) - m))``.
+    Violated admissibility clauses raise :class:`NotAdmissibleError` naming the clause.
     """
-    if horizon < 10:
-        raise DomainError("profile horizon must be at least 10")
-    if horizon > _MAX_WORD_LENGTH:
-        raise DomainError(f"profile horizon {horizon} exceeds the limit of {_MAX_WORD_LENGTH}")
-    gs = np.array([float(g(n)) for n in range(1, horizon + 1)])
+    gs = np.asarray(g, dtype=np.float64)
+    horizon = gs.size
     bad = np.flatnonzero(~np.isfinite(gs))
     if bad.size:
         raise DomainError(f"profile generator is not finite at n={bad[0] + 1}")
@@ -85,18 +84,18 @@ def make_admissible(g: Callable[[int], float], horizon: int, provenance: str = "
     slack = np.minimum.accumulate(np.maximum(np.floor(gs), 0.0) - n)
     values = np.zeros(horizon + 1, dtype=np.int64)
     values[1:] = n + np.minimum(slack, 0.0)
-    return _validate_profile(values, horizon, provenance)
+    return _validate_profile(values, provenance)
 
 
 def profile_from_table(table, provenance: str = "user-table") -> AdmissibleProfile:
     """Validate an explicit table ``f(0), f(1), ..., f(horizon)``."""
-    values = np.asarray(list(table), dtype=np.int64)
-    if values.size < 11:
+    return _validate_profile(np.asarray(list(table), dtype=np.int64), provenance)
+
+
+def _validate_profile(values: np.ndarray, provenance: str) -> AdmissibleProfile:
+    horizon = values.size - 1
+    if horizon < 10:
         raise DomainError("profile table must cover n = 0..10 at least")
-    return _validate_profile(values, values.size - 1, provenance)
-
-
-def _validate_profile(values: np.ndarray, horizon: int, provenance: str) -> AdmissibleProfile:
     if values[0] != 0:
         raise NotAdmissibleError("start clause violated: f(0) must be 0")
     steps = np.diff(values)
@@ -124,7 +123,7 @@ def _validate_profile(values: np.ndarray, horizon: int, provenance: str) -> Admi
         )
     values = values.copy()
     values.flags.writeable = False
-    return AdmissibleProfile(values=values, horizon=horizon, provenance=provenance)
+    return AdmissibleProfile(values=values, provenance=provenance)
 
 
 def profile_from_spec(spec: dict) -> AdmissibleProfile:
@@ -140,10 +139,6 @@ def profile_from_spec(spec: dict) -> AdmissibleProfile:
     horizon = spec.get("horizon")
     if not isinstance(horizon, int) or horizon < 10:
         raise DomainError("profile spec needs an integer horizon >= 10")
-    if kind == "sqrt":
-        return make_admissible(lambda n: math.isqrt(n), horizon, "builtin-sqrt")
-    if kind == "log":
-        return make_admissible(lambda n: math.log(n + 1.0), horizon, "builtin-log")
     if kind == "power":
         beta = spec.get("beta")
         c = spec.get("c", 1.0)
@@ -151,10 +146,20 @@ def profile_from_spec(spec: dict) -> AdmissibleProfile:
             raise DomainError("power profile needs beta in (0, 1)")
         if not isinstance(c, (int, float)) or not float(c) > 0.0:
             raise DomainError("power profile needs c > 0")
-        return make_admissible(
-            lambda n: float(c) * n ** float(beta), horizon, f"builtin-power({beta},{c})"
-        )
-    raise DomainError(f"unknown profile kind {kind!r}")
+    elif kind not in ("sqrt", "log"):
+        raise DomainError(f"unknown profile kind {kind!r}")
+    if horizon > _MAX_WORD_LENGTH:  # refused before any array of horizon length exists
+        raise DomainError(f"profile horizon {horizon} exceeds the limit of {_MAX_WORD_LENGTH}")
+    n = np.arange(1, horizon + 1, dtype=np.float64)
+    if kind == "sqrt":
+        # equals math.isqrt exactly below 2**52
+        return make_admissible(np.floor(np.sqrt(n)), "builtin-sqrt")
+    if kind == "log":
+        # floors equal math.log's at every n <= 2**22
+        return make_admissible(np.log(n + 1.0), "builtin-log")
+    # Python's float power: numpy's array power can differ in the last bit (27 ** (1/3) < 3)
+    g = np.fromiter((float(c) * k ** float(beta) for k in range(1, horizon + 1)), float, horizon)
+    return make_admissible(g, f"builtin-power({beta},{c})")
 
 
 def threshold_index(model: WeightModel, t: float, cap: int = 1 << 20) -> int:
@@ -192,11 +197,9 @@ class RatioTrace:
 class SublinearSchedule:
     """Forced/free digit plan for one (profile, t, model) triple."""
 
-    model: WeightModel
     profile: AdmissibleProfile
     t: float
     k_star: int
-    n_t: int | None  # first n with K_n <= sqrt(f(n)), None if past horizon
     K: np.ndarray  # int64, K_n for n = 1..horizon (index n-1)
     s_of_n: np.ndarray  # float, s(K_n)
     forced_time: np.ndarray  # bool
@@ -292,8 +295,6 @@ def build_sublinear_schedule(
     forced_time = np.zeros(horizon, dtype=bool)
     forced_time[profile.step_times() - 1] = True
     forced_digit = np.where(forced_time, K + f[1:], 0).astype(np.int64)
-    reach = np.nonzero(root_f >= k_star)[0]
-    n_t = int(reach[0]) + 1 if reach.size else None
     forced_vals = forced_digit[forced_time]
     # A profile built without make_admissible can break these; python -O strips asserts.
     if np.any(np.diff(K) < 0):
@@ -310,11 +311,9 @@ def build_sublinear_schedule(
     for arr in (K, forced_time, forced_digit, s_arr, sorted_weights):
         arr.flags.writeable = False
     return SublinearSchedule(
-        model=model,
         profile=profile,
         t=float(t),
         k_star=k_star,
-        n_t=n_t,
         K=K,
         s_of_n=s_arr,
         forced_time=forced_time,

@@ -57,14 +57,8 @@ _EXACT_COST_LIMIT = 4_000_000_000
 
 @dataclass(frozen=True)
 class LemmaScanReport:
-    n_max: int
-    value_max: int
     tuples_checked: int
     counterexample: tuple | None
-
-    @property
-    def passed(self) -> bool:
-        return self.counterexample is None
 
 
 def distinct_forces_large_check(n_max: int = 6, value_max: int = 6) -> LemmaScanReport:
@@ -73,7 +67,10 @@ def distinct_forces_large_check(n_max: int = 6, value_max: int = 6) -> LemmaScan
     """
     if n_max < 1 or value_max < 1:
         raise DomainError("scan bounds must be positive")
-    if value_max**n_max > _EXACT_WORD_LIMIT:
+    # The scan visits value_max + value_max**2 + ... + value_max**n_max tuples;
+    # from value_max = 2 on, the first 64 lengths alone pass the limit.
+    lengths = range(1, min(n_max, 64) + 1)
+    if (n_max if value_max == 1 else sum(value_max**n for n in lengths)) > _EXACT_WORD_LIMIT:
         raise EnumerationSizeError("lemma scan grid too large")
     checked = 0
     for n in range(1, n_max + 1):
@@ -83,8 +80,8 @@ def distinct_forces_large_check(n_max: int = 6, value_max: int = 6) -> LemmaScan
             for m in range(1, distinct + 1):
                 cut = (m + 1) // 2
                 if sum(1 for x in tup if x >= cut) < cut:
-                    return LemmaScanReport(n_max, value_max, checked, (tup, m))
-    return LemmaScanReport(n_max, value_max, checked, None)
+                    return LemmaScanReport(checked, (tup, m))
+    return LemmaScanReport(checked, None)
 
 
 # -- cylinder sums ----------------------------------------------------------------

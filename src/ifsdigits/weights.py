@@ -255,13 +255,6 @@ def weights_range(model: WeightModel, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
-def _weights_prefix(model: WeightModel, n: int) -> np.ndarray:
-    out = weights_range(model, 1, n + 1)
-    out.flags.writeable = False
-    return out
-
-
 def log_weights_of(model: WeightModel, word: np.ndarray) -> np.ndarray:
     """``log p_d`` for every digit of ``word`` (vectorized), stable for digits
     far beyond float overflow of ``1/p_d``."""
@@ -438,7 +431,7 @@ def partial_sum_exponent(model: WeightModel, K: int) -> float:
     K = _positive_int(K, "K")
     if K == 1:
         return 0.0
-    p = _weights_prefix(model, K)
+    p = weights_range(model, 1, K + 1)
     if float(p.sum()) >= 1.0 - 1e-15:
         raise DomainError("truncated weights already sum to 1; no root in [0, 1)")
     return exponent_root(np.log(p))
@@ -506,7 +499,7 @@ def potter_scan(
         raise DomainError("epsilon must be positive")
     if scan_limit < 4:
         raise DomainError("scan_limit must be at least 4")
-    p = _weights_prefix(model, scan_limit)
+    p = weights_range(model, 1, scan_limit + 1)
     k = np.arange(1, scan_limit + 1, dtype=np.float64)
     L = _slowly_varying_vec(model, scan_limit)
     half_ok = p >= 0.5 * k ** -model.rho * L

@@ -235,6 +235,13 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
+    def test_seed_only_where_read(self, capsys):
+        # weights draws nothing, so it has no --seed to accept
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["weights", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     @pytest.mark.parametrize("gamma", ["-0.9", "-1.5", "-1"])
     def test_power_log_below_range_is_3(self, capsys, gamma):
         # gamma = -0.9 is a valid model, but the exact expectation takes a

@@ -92,6 +92,15 @@ class TestCountBlocks:
         with pytest.raises(EnumerationSizeError):
             list(linear.enumerate_blocks(40, 6, 1, limit=1000))
 
+    @pytest.mark.parametrize("N, L", [(60, 60), (2**130, 2), (2000, 3000)])
+    def test_size_guard_past_the_exact_count(self, N, L):
+        # these counts pass 2**128 or have blocks longer than 2048, where
+        # count_blocks reports no exact value; the guard still refuses them at once
+        start = time.perf_counter()
+        with pytest.raises(EnumerationSizeError):
+            next(linear.enumerate_blocks(N, L, 0.5))
+        assert time.perf_counter() - start < 0.5
+
 
 class TestScheduleShape:
     def test_levels_are_dyadic_disjoint(self):

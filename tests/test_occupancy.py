@@ -304,6 +304,14 @@ class TestMonteCarloLaw:
         with pytest.raises(DomainError):
             occupancy.monte_carlo_law(LUROTH, n=100, trials=2, seed=0, checkpoints=(50, 50))
 
+    def test_checkpoint_order_checked_before_any_draw(self, monkeypatch):
+        def no_sampler(model):
+            raise AssertionError("a sampler was built before the checkpoints were checked")
+
+        monkeypatch.setattr(occupancy, "DigitSampler", no_sampler)
+        with pytest.raises(DomainError, match="increase strictly"):
+            occupancy.monte_carlo_law(LUROTH, n=1_000_000, trials=20, seed=0, checkpoints=(1000, 10))
+
     def test_default_checkpoints_are_dyadic(self):
         rep = occupancy.monte_carlo_law(LUROTH, n=100, trials=2, seed=0)
         assert rep.checkpoints == (2, 4, 8, 16, 32, 64, 100)

@@ -65,6 +65,12 @@ def slope_limited_recurrence(g, horizon):
     return values
 
 
+def first_takeover(sched):
+    """The first ``n`` with ``isqrt(f(n)) >= K*``, from where ``K_n`` follows ``f``."""
+    f = sched.profile.values
+    return next(n for n in range(1, sched.horizon + 1) if math.isqrt(int(f[n])) >= sched.k_star)
+
+
 def profile_outcome(make):
     try:
         return make().values.tolist()
@@ -88,7 +94,8 @@ def test_closed_form_matches_recurrence(horizon, steps, shape):
     expect = profile_outcome(
         lambda: sublinear.profile_from_table(slope_limited_recurrence(g, horizon), "user")
     )
-    assert profile_outcome(lambda: sublinear.make_admissible(g, horizon)) == expect
+    gs = np.asarray([g(n) for n in range(1, horizon + 1)], dtype=np.float64)
+    assert profile_outcome(lambda: sublinear.make_admissible(gs)) == expect
 
 
 class TestProfiles:
@@ -103,7 +110,7 @@ class TestProfiles:
         assert list(prof.step_times()) == [k * k for k in range(1, 33)]
 
     def test_slope_limited_power_profile(self):
-        prof = sublinear.make_admissible(lambda n: 5.0 * math.sqrt(n), 2000)
+        prof = sublinear.make_admissible(5.0 * np.sqrt(np.arange(1, 2001)))
         vals = prof.values
         assert vals[0] == 0
         steps = np.diff(vals)
@@ -115,17 +122,17 @@ class TestProfiles:
 
     def test_non_finite_generator_rejected(self):
         with pytest.raises(DomainError, match="not finite at n=4"):  # 1e308 * 2 overflows
-            sublinear.make_admissible(lambda n: 1e308 * n**0.5, 100)
+            sublinear.make_admissible(np.asarray([1e308 * n**0.5 for n in range(1, 101)]))
         with pytest.raises(DomainError, match="not finite at n=1"):
-            sublinear.make_admissible(lambda n: math.nan, 100)
+            sublinear.make_admissible(np.full(100, math.nan))
 
     def test_first_decrease_named(self):
         with pytest.raises(DomainError, match="decreases at n=7"):
-            sublinear.make_admissible(lambda n: n if n < 7 else (0 if n == 7 else -5), 100)
+            sublinear.make_admissible(np.asarray([1, 2, 3, 4, 5, 6, 0] + [-5] * 93))
 
     def test_linear_rate_fails_decay_clause(self):
         with pytest.raises(NotAdmissibleError, match="decay clause"):
-            sublinear.make_admissible(lambda n: n / 2.0, 4000)
+            sublinear.make_admissible(np.arange(1, 4001) / 2.0)
 
     def test_start_clause(self):
         with pytest.raises(NotAdmissibleError, match="start clause"):
@@ -164,6 +171,37 @@ class TestProfiles:
             sublinear.profile_from_spec({"kind": "sqrt", "horizon": 5})
         log_prof = sublinear.profile_from_spec({"kind": "log", "horizon": 200})
         assert log_prof.values[200] == math.floor(math.log(201.0))
+
+    @pytest.mark.parametrize("kind, g", [
+        ("sqrt", math.isqrt),
+        ("log", lambda n: math.log(n + 1.0)),
+    ])
+    def test_builtin_profile_matches_per_position_reference(self, kind, g):
+        # the built-in kinds evaluate g with numpy; over the whole horizon limit
+        # their profile is the one the scalar math functions give
+        H = sublinear._MAX_WORD_LENGTH
+        reference = np.fromiter((g(n) for n in range(1, H + 1)), dtype=np.float64, count=H)
+        prof = sublinear.profile_from_spec({"kind": kind, "horizon": H})
+        assert np.array_equal(prof.values, sublinear.make_admissible(reference).values)
+
+    @pytest.mark.parametrize("beta", [1 / 3, 0.25, 0.5, 0.7])
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    def test_power_profile_uses_python_float_power(self, beta, c):
+        # numpy's array power gives 27 ** (1/3) = 2.9999999999999996, which
+        # would floor f(27) one below Python's 3.0 at beta = 1/3
+        prof = sublinear.profile_from_spec({"kind": "power", "beta": beta, "c": c, "horizon": 2000})
+        assert prof.values.tolist() == slope_limited_recurrence(lambda n: c * n**beta, 2000)
+        if beta == 1 / 3:
+            assert prof.values[27] == 3 * c
+
+    def test_horizon_guards(self, monkeypatch):
+        with pytest.raises(DomainError, match="cover n = 0..10"):
+            sublinear.make_admissible(np.arange(1.0, 10.0))
+        monkeypatch.setattr(sublinear, "_MAX_WORD_LENGTH", 100)
+        assert sublinear.profile_from_spec({"kind": "log", "horizon": 100}).horizon == 100
+        for kind in ("sqrt", "log", "power"):
+            with pytest.raises(DomainError, match="exceeds the limit of 100"):
+                sublinear.profile_from_spec({"kind": kind, "beta": 0.5, "horizon": 101})
 
     def test_values_are_frozen(self):
         prof = sublinear.profile_from_spec({"kind": "sqrt", "horizon": 200})
@@ -204,7 +242,7 @@ class TestScheduleStructure:
 
     def test_first_takeover_time(self, sched_1000):
         # isqrt(f(n)) first reaches K* = 3 at n = 81
-        assert sched_1000.n_t == 81
+        assert first_takeover(sched_1000) == 81
         assert math.isqrt(int(sched_1000.profile.values[81])) == 3
         assert math.isqrt(int(sched_1000.profile.values[80])) == 2
 
@@ -228,9 +266,10 @@ class TestScheduleStructure:
 
     def test_pool_height_bound_past_takeover(self, sched_1000):
         f = sched_1000.profile.values
+        n_t = first_takeover(sched_1000)
         for i in np.nonzero(sched_1000.forced_time)[0]:
             n = int(i) + 1
-            if n >= sched_1000.n_t:
+            if n >= n_t:
                 assert sched_1000.forced_digit[i] <= 2 * f[n]
 
     def test_exponents_solve_partial_sums(self, sched_1000):
@@ -285,7 +324,7 @@ import numpy as np
 from ifsdigits import sublinear, weights
 from ifsdigits.errors import NotAdmissibleError
 values = np.asarray(%r, dtype=np.int64)
-prof = sublinear.AdmissibleProfile(values=values, horizon=values.size - 1, provenance="hand")
+prof = sublinear.AdmissibleProfile(values=values, provenance="hand")
 try:
     sublinear.build_sublinear_schedule(weights.luroth_model(), prof, 0.5)
 except NotAdmissibleError as exc:
@@ -309,9 +348,7 @@ def test_truncation_is_integer_root(sched_20000):
 class TestScheduleInvariants:
     @pytest.mark.parametrize("values,message", BROKEN_PROFILES)
     def test_hand_built_profile_rejected(self, values, message):
-        prof = sublinear.AdmissibleProfile(
-            values=np.asarray(values, dtype=np.int64), horizon=len(values) - 1, provenance="hand"
-        )
+        prof = sublinear.AdmissibleProfile(values=np.asarray(values, dtype=np.int64), provenance="hand")
         with pytest.raises(NotAdmissibleError, match=message):
             sublinear.build_sublinear_schedule(LUROTH, prof, 0.5)
 

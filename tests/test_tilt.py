@@ -93,7 +93,6 @@ class TestTiltedDistribution:
 class TestDistinctLemma:
     def test_exhaustive_scan(self):
         report = tilt.distinct_forces_large_check(6, 6)
-        assert report.passed
         assert report.counterexample is None
         assert report.tuples_checked == sum(6**n for n in range(1, 7))
 
@@ -102,6 +101,10 @@ class TestDistinctLemma:
             tilt.distinct_forces_large_check(0, 6)
         with pytest.raises(EnumerationSizeError):
             tilt.distinct_forces_large_check(10, 10)
+        # one value per position, but 10**8 lengths: 10**8 tuples up to length 10**8
+        with pytest.raises(EnumerationSizeError):
+            tilt.distinct_forces_large_check(10**8, 1)
+        assert tilt.distinct_forces_large_check(30, 1).tuples_checked == 30
 
     @given(st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=40))
     def test_lemma_property(self, word):
