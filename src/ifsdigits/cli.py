@@ -125,8 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the named invariant suites")
     v.add_argument("tier", choices=("quick", "full"))
-    v.add_argument("--fail-inject", action="store_true",
-                   help="append a check that always fails (harness self-test)")
     add_common(v, model=False)
     v.add_argument("--threads", type=int, default=1)
     v.set_defaults(func=cmd_verify)
@@ -379,12 +377,7 @@ def cmd_cylsum(args) -> int:
 
 def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else DEFAULT_SEED
-    report = verify.run_suite(
-        args.tier,
-        seed=seed,
-        threads=max(1, args.threads),
-        fail_inject=args.fail_inject,
-    )
+    report = verify.run_suite(args.tier, seed=seed, threads=max(1, args.threads))
     if args.format == "json":
         _emit_json(args, {
             "tier": report.tier,

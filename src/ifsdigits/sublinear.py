@@ -229,14 +229,15 @@ class SublinearSchedule:
         word[forced] = self.forced_digit[:n_max][forced]
         free_idx = np.nonzero(~forced)[0]
         u = rng.random(free_idx.size)
-        ks = self.K[free_idx]
-        for kv in np.unique(ks):
-            s = self.s_of_n[np.searchsorted(self.K, kv)]  # K_n is nondecreasing
-            cum = np.cumsum(self.sorted_weights[:kv] ** s)
-            pick = ks == kv
+        # K_n is nondecreasing, so each value of K_n holds on one run of positions
+        starts = np.flatnonzero(np.diff(self.K[:n_max], prepend=0))
+        bounds = np.searchsorted(free_idx, np.append(starts, n_max))
+        for start, lo, hi in zip(starts, bounds[:-1], bounds[1:]):
+            kv = self.K[start]
+            cum = np.cumsum(self.sorted_weights[:kv] ** self.s_of_n[start])
             # rounding can end cum a hair below 1, under the largest draws: clamp to label K
-            label = np.searchsorted(cum, u[pick], side="right")
-            word[free_idx[pick]] = np.minimum(label, kv - 1) + 1
+            label = np.searchsorted(cum, u[lo:hi], side="right")
+            word[free_idx[lo:hi]] = np.minimum(label, kv - 1) + 1
         return word
 
     # -- measure ----------------------------------------------------------------
@@ -305,9 +306,9 @@ def build_sublinear_schedule(
         )
     kmax = int(max(K.max(), forced_digit.max()))
     sorted_weights, perm = _sorted_weight_table(model, kmax)
-    kvals, slot = np.unique(K, return_inverse=True)
-    roots = np.asarray([exponent_root(np.log(sorted_weights[:kv])) for kv in kvals])
-    s_arr = roots[slot]
+    starts = np.flatnonzero(np.diff(K, prepend=0))  # one root per run of equal K_n
+    roots = [exponent_root(np.log(sorted_weights[:kv])) for kv in K[starts]]
+    s_arr = np.repeat(roots, np.diff(starts, append=horizon))
     for arr in (K, forced_time, forced_digit, s_arr, sorted_weights):
         arr.flags.writeable = False
     return SublinearSchedule(

@@ -1,14 +1,15 @@
-"""Self-verification suites: one registry of named checks over all modules.
+"""Self-verification suites: one table of named checks over all modules.
 
 Each check is a small, deterministic procedure that either returns a
-detail string or raises :class:`CheckFailure`.  The acceptance criteria
-A1-A10 are entries of :data:`ACCEPTANCE`, keyed by tag, with their
-thresholds and runtime budgets; ``tests/test_acceptance.py`` runs the same
-entries.  The ``quick`` tier (23 checks, about 2 s) runs the module
-invariants plus A4, A7, A9 and A10; the ``full`` tier (29 checks, about
-10 s) adds A1, A2, A3, A5, A6 and A8, so it runs all of A1-A10.  Every
-check receives the run seed so failures are reproducible from the report
-alone; A3, A5 and A8 sample fixed word seeds (0-9, 0 and 0-4).
+detail string or raises :class:`CheckFailure`.  :data:`CHECKS` lists every
+check once, in run order, as a row ``(name, function, tier)``.  The
+``quick`` tier (23 checks, about 2 s) runs the rows of tier ``quick``: the
+module invariants plus A4, A7, A9 and A10.  The ``full`` tier (29 checks,
+about 10 s) runs every row, so it adds A1, A2, A3, A5, A6 and A8.  The
+acceptance criteria A1-A10 are the rows named ``A#``, with their thresholds
+and runtime budgets; ``tests/test_acceptance.py`` runs those same rows.
+Every check receives the run seed so failures are reproducible from the
+report alone; A3, A5 and A8 sample fixed word seeds (0-9, 0 and 0-4).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import linear, occupancy, sublinear, tilt, weights
 from .errors import NotAdmissibleError
 from .rng import DEFAULT_SEED, substream
 
-__all__ = ["ACCEPTANCE", "CheckFailure", "CheckResult", "VerifyReport", "run_suite"]
+__all__ = ["CHECKS", "CheckFailure", "CheckResult", "VerifyReport", "run_suite"]
 
 
 class CheckFailure(AssertionError):
@@ -359,13 +360,23 @@ def check_tilt_mc(seed: int, threads: int) -> str:
 
 
 def check_tilt_bound_chain(seed: int, threads: int) -> str:
-    model = weights.luroth_model()
-    rec = tilt.bound_chain(model, 40, 0.75, 0.5)
-    mc = tilt.cylinder_sum_mc(model, 40, 0.75, 0.5, trials=20_000, seed=seed)
-    se = mc.stderr / math.exp(40 * mc.log_zeta)
-    bound = math.exp(min(rec.log_binomial_bound, 0.0))
-    _require(mc.prob <= bound + 3.0 * se, "MC probability exceeded the binomial bound")
-    return f"n=40: P_mc={mc.prob:.3f} below bound exp({min(rec.log_binomial_bound, 0.0):.2f})"
+    # The chain's first link, both sides exact on the capped alphabet: m distinct
+    # digits put digits >= ceil(m/2) on at least ceil(m/2) positions.
+    model, cap = weights.luroth_model(), 64
+    cells = []
+    for n, s, theta in ((80, 0.75, 0.5), (40, 0.9, 0.5), (20, 0.75, 1.0)):
+        lhs = tilt.cylinder_sum_exact(model, n, s, theta, cap).prob
+        r = math.ceil(tilt.distinct_threshold(n, theta) / 2)
+        w = weights.weights_range(model, 1, cap + 1) ** s
+        q = math.fsum(w[r - 1 :]) / math.fsum(w)
+        rhs = math.fsum(math.comb(n, j) * q**j * (1.0 - q) ** (n - j) for j in range(r, n + 1))
+        cell = f"(n={n}, s={s}, theta={theta})"
+        _require(
+            1e-6 < lhs <= rhs < 1.0 - 1e-6,
+            f"{cell}: P(D_n >= m) = {lhs:.3g} vs binomial tail {rhs:.3g}",
+        )
+        cells.append(f"{lhs:.3f} <= {rhs:.3f}")
+    return "P(D_n >= m) <= P(Bin(n, Q) >= ceil(m/2)) exactly at cap 64: " + ", ".join(cells)
 
 
 # -- rng ----------------------------------------------------------------------------
@@ -612,64 +623,48 @@ def check_a10_exponent_solver(seed: int, threads: int) -> str:
     return detail
 
 
-_QUICK_CHECKS = [
-    ("weights-normalization", check_weights_normalization),
-    ("weights-tilt-monotone", check_weights_tilt_monotone),
-    ("weights-potter-scan", check_weights_potter),
-    ("weights-sampler-law", check_weights_sampler_law),
-    ("occupancy-counter", check_occupancy_counter),
-    ("occupancy-expectation", check_occupancy_expectation),
-    ("occupancy-law-small", check_occupancy_law_small),
-    ("linear-uniformity", check_linear_uniformity),
-    ("linear-sandwich", check_linear_sandwich),
-    ("linear-mass-additivity", check_linear_mass_additivity),
-    ("linear-local-dimension", check_linear_local_dimension),
-    ("sublinear-profiles", check_sublinear_profiles),
-    ("sublinear-sandwich", check_sublinear_sandwich),
-    ("sublinear-ratio-decay", check_sublinear_ratio_decay),
-    ("tilt-change-of-measure", check_tilt_change_of_measure),
-    ("tilt-monotonicity", check_tilt_monotonicity),
-    ("tilt-mc", check_tilt_mc),
-    ("tilt-bound-chain", check_tilt_bound_chain),
-    ("rng-reproducibility", check_rng_reproducibility),
-]
-
-ACCEPTANCE = {
-    "A1": check_a1_luroth_occupancy_law,
-    "A2": check_a2_power_law_occupancy,
-    "A3": check_a3_linear_sandwich,
-    "A4": check_a4_block_count_formula,
-    "A5": check_a5_local_dimension_trend,
-    "A6": check_a6_change_of_measure_identity,
-    "A7": check_a7_tilted_tail_scaling,
-    "A8": check_a8_sublinear_sandwich_and_decay,
-    "A9": check_a9_combinatorial_lemma,
-    "A10": check_a10_exponent_solver,
-}
-
-# Criteria that take well under a second also run in the quick tier.
-_QUICK_ACCEPTANCE = ("A4", "A7", "A9", "A10")
+# Every check in run order: (name, function, tier).  Criteria that take well
+# under a second also run in the quick tier.
+CHECKS = (
+    ("weights-normalization", check_weights_normalization, "quick"),
+    ("weights-tilt-monotone", check_weights_tilt_monotone, "quick"),
+    ("weights-potter-scan", check_weights_potter, "quick"),
+    ("weights-sampler-law", check_weights_sampler_law, "quick"),
+    ("occupancy-counter", check_occupancy_counter, "quick"),
+    ("occupancy-expectation", check_occupancy_expectation, "quick"),
+    ("occupancy-law-small", check_occupancy_law_small, "quick"),
+    ("linear-uniformity", check_linear_uniformity, "quick"),
+    ("linear-sandwich", check_linear_sandwich, "quick"),
+    ("linear-mass-additivity", check_linear_mass_additivity, "quick"),
+    ("linear-local-dimension", check_linear_local_dimension, "quick"),
+    ("sublinear-profiles", check_sublinear_profiles, "quick"),
+    ("sublinear-sandwich", check_sublinear_sandwich, "quick"),
+    ("sublinear-ratio-decay", check_sublinear_ratio_decay, "quick"),
+    ("tilt-change-of-measure", check_tilt_change_of_measure, "quick"),
+    ("tilt-monotonicity", check_tilt_monotonicity, "quick"),
+    ("tilt-mc", check_tilt_mc, "quick"),
+    ("tilt-bound-chain", check_tilt_bound_chain, "quick"),
+    ("rng-reproducibility", check_rng_reproducibility, "quick"),
+    ("A4", check_a4_block_count_formula, "quick"),
+    ("A7", check_a7_tilted_tail_scaling, "quick"),
+    ("A9", check_a9_combinatorial_lemma, "quick"),
+    ("A10", check_a10_exponent_solver, "quick"),
+    ("A1", check_a1_luroth_occupancy_law, "full"),
+    ("A2", check_a2_power_law_occupancy, "full"),
+    ("A3", check_a3_linear_sandwich, "full"),
+    ("A5", check_a5_local_dimension_trend, "full"),
+    ("A6", check_a6_change_of_measure_identity, "full"),
+    ("A8", check_a8_sublinear_sandwich_and_decay, "full"),
+)
 
 
-def _fail_injected(seed: int, threads: int) -> str:
-    raise CheckFailure("injected failure (harness self-test)")
-
-
-def run_suite(
-    tier: str = "quick",
-    seed: int = DEFAULT_SEED,
-    threads: int = 1,
-    fail_inject: bool = False,
-) -> VerifyReport:
+def run_suite(tier: str = "quick", seed: int = DEFAULT_SEED, threads: int = 1) -> VerifyReport:
     if tier not in ("quick", "full"):
         raise ValueError(f"unknown verification tier {tier!r}")
-    checks = _QUICK_CHECKS + [(tag, ACCEPTANCE[tag]) for tag in _QUICK_ACCEPTANCE]
-    if tier == "full":
-        checks += [(tag, fn) for tag, fn in ACCEPTANCE.items() if tag not in _QUICK_ACCEPTANCE]
-    if fail_inject:
-        checks = checks + [("fail-inject", _fail_injected)]
     results = []
-    for name, fn in checks:
+    for name, fn, row_tier in CHECKS:
+        if tier == "quick" and row_tier != "quick":
+            continue
         start = time.perf_counter()
         try:
             detail = fn(seed, threads)

@@ -84,7 +84,7 @@ class WeightModel:
     ``prefix`` holds ``p_1..p_m``; for ``k > m`` a non-luroth model has
     ``p_k = k**-rho * log(k+1)**gamma / _norm``.  Each kind fixes fields:
     ``luroth`` has ``rho = 2``, ``gamma = 0`` and no prefix; ``power`` has
-    ``gamma = 0`` and no prefix; ``power-log`` has no prefix;
+    ``gamma = 0`` and no prefix; ``power-log`` has ``gamma > -1`` and no prefix;
     ``explicit-prefix`` has ``gamma = 0`` and a nonempty prefix of finite
     positive weights that sums to less than 1.
     """
@@ -109,6 +109,8 @@ class WeightModel:
             raise DomainError("power-type weights need rho > 1")
         if self.gamma != 0.0 and self.kind != "power-log":
             raise DomainError(f"{self.kind} weights have gamma = 0; use power-log")
+        if not self.gamma > -1.0:
+            raise DomainError(f"power-log weights need gamma above -1; got {self.gamma:g}")
         if self.kind != "explicit-prefix":
             if self.prefix:
                 raise DomainError(f"{self.kind} weights have no prefix; use explicit-prefix")
@@ -369,11 +371,12 @@ def _powerlog_tail_integral(a: float, q: float, g: float) -> float:
     ``integral_A^inf t**-p log(t)**g dt = (p-1)**-(g+1) * Gamma(g+1, (p-1) ln A)``.
     The series ratio is about ``1/A``, so a handful of terms suffice.
     """
-    if not g > -1.0:
-        raise DomainError(f"power-log tails need a log exponent (gamma, or gamma*s "
-                          f"for a tilted tail at exponent s) above -1; got {g:g}")
     A = a + 1.0
     ln_a = math.log(A)
+    # Gamma(g + 1, x) needs g > -1, or x = (q - 1) ln A > g + 2 for its continued fraction
+    if not (g > -1.0 or (q - 1.0) * ln_a > g + 2.0):
+        raise DomainError(f"power-log tail sum of k**-{q:g} * log(k+1)**{g:g} needs a log "
+                          f"exponent above -1 or a steeper power; got {g:g}")
     total = 0.0
     coef = 1.0
     for j in range(80):
@@ -388,7 +391,8 @@ def _powerlog_tail_integral(a: float, q: float, g: float) -> float:
 
 
 def _upper_gamma(a: float, x: float) -> float:
-    """``Gamma(a, x) = integral_x^inf t**(a-1) e**-t dt`` for ``a, x > 0``.
+    """``Gamma(a, x) = integral_x^inf t**(a-1) e**-t dt`` for ``x > 0`` and ``a > 0``,
+    or any ``a`` once ``x >= a + 1``.
 
     ``Gamma(a)`` minus the lower series below ``x = a + 1``; above it, the
     Legendre continued fraction by the modified Lentz method.
@@ -554,12 +558,14 @@ def _dyadic_window_min(logp: np.ndarray) -> np.ndarray:
     return out
 
 
-def verify_potter_report(
-    model: WeightModel, report: PotterReport, sample_limit: int = 2000
-) -> bool:
+# Largest index the plain-loop re-check of a Potter report visits.
+_POTTER_RECHECK_LIMIT = 2000
+
+
+def verify_potter_report(model: WeightModel, report: PotterReport) -> bool:
     """Re-check a report with plain loops (independent of the scan path)."""
     bound = 1.0 / (2.0 ** (model.rho + report.epsilon) * report.C_eps)
-    limit = min(report.scan_limit, sample_limit)
+    limit = min(report.scan_limit, _POTTER_RECHECK_LIMIT)
     for kk in range(report.k_eps, limit + 1):
         pk = weight(model, kk)
         if pk < 0.5 * kk ** -model.rho * slowly_varying(model, kk):

@@ -1,21 +1,23 @@
 """Acceptance gate: ten numbered criteria, one summary line each.
 
-The criteria live in :data:`ifsdigits.verify.ACCEPTANCE`, the registry that
-``ifsdigits verify`` also runs; thresholds and runtime budgets are part of
-each entry.  Each test runs one entry, appends a single ``A# PASS/FAIL``
-line to the shared summary (printed after the run), and fails when the
-entry raises :class:`~ifsdigits.verify.CheckFailure`.
+The criteria are the rows named ``A1``-``A10`` of :data:`ifsdigits.verify.CHECKS`,
+the table that ``ifsdigits verify`` also runs; thresholds and runtime budgets
+are part of each row's check.  Each test runs one row, appends a single
+``A# PASS/FAIL`` line to the shared summary (printed after the run), and
+fails when the check raises :class:`~ifsdigits.verify.CheckFailure`.
 """
 
 from conftest import ACCEPTANCE_LINES
 
 from ifsdigits.rng import DEFAULT_SEED
-from ifsdigits.verify import ACCEPTANCE, CheckFailure
+from ifsdigits.verify import CHECKS, CheckFailure
+
+CRITERIA = {name: fn for name, fn, _ in CHECKS if name.startswith("A")}
 
 
 def run_criterion(tag: str) -> None:
     try:
-        detail = ACCEPTANCE[tag](DEFAULT_SEED, 4)
+        detail = CRITERIA[tag](DEFAULT_SEED, 4)
     except CheckFailure as exc:
         ACCEPTANCE_LINES.append(f"{tag} FAIL: {exc}")
         raise

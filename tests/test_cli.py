@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ifsdigits import cli, codec, occupancy, sublinear, tilt, weights
+from ifsdigits import cli, codec, occupancy, sublinear, tilt, verify, weights
 from ifsdigits.rng import DEFAULT_SEED
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -50,6 +50,9 @@ class TestExitCodes:
         assert exc.value.code == 2
         with pytest.raises(SystemExit) as exc:
             cli.main(["no-such-command"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "quick", "--fail-inject"])  # tests patch verify.CHECKS instead
         assert exc.value.code == 2
 
     def test_validation_error_is_3(self, capsys):
@@ -242,16 +245,24 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("gamma", ["-0.9", "-1.5", "-1"])
-    def test_power_log_below_range_is_3(self, capsys, gamma):
-        # gamma = -0.9 is a valid model, but the exact expectation takes a
-        # tilted tail at s = 2, whose log exponent -1.8 is out of range
-        code = cli.main([
+    @pytest.mark.parametrize("gamma, code", [("-0.5", 0), ("-0.9", 0), ("-1.5", 3), ("-1", 3)])
+    def test_power_log_below_range_is_3(self, capsys, gamma, code):
+        # gamma in (-1, -0.5] is a valid model whose exact expectation takes a
+        # tilted tail at s = 2 with log exponent 2 gamma <= -1; gamma <= -1 is not
+        got = cli.main([
             "simulate", "--model", "power-log", "--rho", "2", "--gamma", gamma,
-            "--n", "1000", "--trials", "3",
+            "--n", "1000", "--trials", "3", "--out", os.devnull,
+        ])
+        assert got == code
+        assert ("above -1" in capsys.readouterr().err) == (code == 3)
+
+    def test_power_log_tail_past_continued_fraction_is_3(self, capsys):
+        code = cli.main([
+            "weights", "--model", "power-log", "--rho", "1.01", "--gamma", "-0.99",
+            "--tilted-tail", "5", "1.02",
         ])
         assert code == 3
-        assert "above -1" in capsys.readouterr().err
+        assert "got -1.0098" in capsys.readouterr().err
 
     def test_power_log_weights_below_range_is_3(self, capsys):
         code = cli.main(["weights", "--model", "power-log", "--rho", "2", "--gamma", "-1.5"])
@@ -316,11 +327,12 @@ class TestExitCodes:
         assert code == 3
         assert "not finite" in capsys.readouterr().err
 
-    def test_suite_failure_is_4(self, tmp_path):
-        code, text = run_cli(
-            tmp_path,
-            ["verify", "quick", "--fail-inject", "--threads", "4", "--format", "json"],
-        )
+    def test_suite_failure_is_4(self, tmp_path, monkeypatch):
+        def fail(seed, threads):
+            raise verify.CheckFailure("injected failure")
+
+        monkeypatch.setattr(verify, "CHECKS", verify.CHECKS + (("fail-inject", fail, "quick"),))
+        code, text = run_cli(tmp_path, ["verify", "quick", "--threads", "4", "--format", "json"])
         assert code == 4
         assert_canonical_json(text)
         report = json.loads(text)

@@ -197,11 +197,15 @@ class TestExpectedDistinct:
         assert occupancy.expected_distinct(LUROTH, 1) == 1.0
         assert occupancy.expected_distinct(weights.power_model(3.0), 1) == 1.0
 
-    def test_power_log_tilt_out_of_range(self):
-        # the remainder takes a tilted tail at s = 2: gamma * s = -1.8 <= -1
-        m = weights.power_log_model(2.0, -0.9)
-        with pytest.raises(DomainError, match="above -1"):
-            occupancy.expected_distinct(m, 1000)
+    @pytest.mark.parametrize("gamma", [-0.5, -0.9])
+    def test_power_log_tilt_below_minus_one(self, gamma):
+        # the remainder takes a tilted tail at s = 2, whose log exponent 2 gamma <= -1;
+        # reference: a 2e6-term direct sum plus n * tail, off by under 1e-14
+        m = weights.power_log_model(2.0, gamma)
+        p = weights.weights_range(m, 1, 2_000_001)
+        for n in (10, 1000):
+            ref = math.fsum(-np.expm1(n * np.log1p(-p))) + n * weights.tail_sum(m, 2_000_001)
+            assert occupancy.expected_distinct(m, n) == pytest.approx(ref, rel=1e-12)
 
     def test_luroth_n100_oracle(self):
         got = occupancy.expected_distinct(LUROTH, 100)

@@ -39,6 +39,23 @@ def reference_log_mass(sched, word):
     return float(np.sum(sched.s_of_n[: digits.size][free] * logp))
 
 
+def reference_sample_word(sched, n_max, rng):
+    """The per-``K`` mask loop that drawing one slice per run of ``K`` replaced."""
+    word = np.zeros(n_max, dtype=np.int64)
+    forced = sched.forced_time[:n_max]
+    word[forced] = sched.forced_digit[:n_max][forced]
+    free_idx = np.nonzero(~forced)[0]
+    u = rng.random(free_idx.size)
+    ks = sched.K[free_idx]
+    for kv in np.unique(ks):
+        s = sched.s_of_n[np.searchsorted(sched.K, kv)]
+        cum = np.cumsum(sched.sorted_weights[:kv] ** s)
+        pick = ks == kv
+        label = np.searchsorted(cum, u[pick], side="right")
+        word[free_idx[pick]] = np.minimum(label, kv - 1) + 1
+    return word
+
+
 @pytest.fixture(scope="module")
 def sched_1000():
     prof = sublinear.profile_from_spec({"kind": "sqrt", "horizon": 1000})
@@ -397,6 +414,18 @@ class TestSampling:
     def test_horizon_guard(self, sched_1000):
         with pytest.raises(DomainError):
             sched_1000.sample_word(1001, substream(0, 0))
+
+    def test_runs_of_K_match_mask_loop(self):
+        prof = sublinear.profile_from_spec({"kind": "power", "beta": 0.9, "horizon": 200_000})
+        sched = sublinear.build_sublinear_schedule(LUROTH, prof, 0.5)
+        kvals = np.unique(sched.K)
+        assert kvals.size > 200
+        roots = np.asarray([weights.exponent_root(np.log(sched.sorted_weights[:k])) for k in kvals])
+        assert np.array_equal(sched.s_of_n, roots[np.searchsorted(kvals, sched.K)])
+        for seed, n_max in ((0, 200_000), (1, 12_345)):
+            got = sched.sample_word(n_max, substream(seed, 0x50B))
+            want = reference_sample_word(sched, n_max, substream(seed, 0x50B))
+            assert np.array_equal(got, want)
 
     def test_top_uniform_stays_in_alphabet(self):
         # Rounding leaves some free-digit CDFs ending a hair below 1, at or

@@ -38,8 +38,7 @@ def stub_checks(monkeypatch):
     def stub(seed, threads):
         return "stub"
 
-    monkeypatch.setattr(verify, "_QUICK_CHECKS", [(name, stub) for name, _ in verify._QUICK_CHECKS])
-    monkeypatch.setattr(verify, "ACCEPTANCE", {tag: stub for tag in verify.ACCEPTANCE})
+    monkeypatch.setattr(verify, "CHECKS", tuple((name, stub, tier) for name, _, tier in verify.CHECKS))
 
 
 @pytest.mark.parametrize("tier, names", [("quick", QUICK), ("full", FULL)])

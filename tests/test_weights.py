@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import gamma as gamma_function
 from scipy.special import gammaincc, zeta
 
@@ -181,14 +182,20 @@ class TestTailSums:
             weights.tilted_tail_sum(LUROTH, 10, 0.3)
 
     def test_power_log_log_exponent_range(self):
-        # Gamma(g + 1, x) is only available for g > -1: fail typed, not NaN
+        # the model needs gamma > -1; a tilted tail may go below, where the
+        # continued fraction for Gamma(g + 1, x) holds
         for gamma in (-1.0, -1.5):
             with pytest.raises(DomainError, match="above -1"):
                 weights.power_log_model(2.0, gamma)
         m = weights.power_log_model(2.0, -0.9)
         assert math.isfinite(weights.tail_sum(m, 10))
-        with pytest.raises(DomainError, match="got -1.8"):
-            weights.tilted_tail_sum(m, 10, 2.0)
+        want = quad(lambda x: x**-4.0 * math.log(x + 1.0) ** -1.8, 8192.0, math.inf,
+                    epsabs=0.0, epsrel=1e-13)[0]
+        assert weights._powerlog_tail_integral(8192.0, 4.0, -1.8) == pytest.approx(want, rel=1e-12)
+        assert math.isfinite(weights.tilted_tail_sum(m, 10, 2.0))
+        # log exponent -1.0098 and (q - 1) ln 8193 = 0.27 < g + 2: no Gamma(a, x) path
+        with pytest.raises(DomainError, match="got -1.0098"):
+            weights.tilted_tail_sum(weights.power_log_model(1.01, -0.99), 5, 1.02)
 
     def test_power3_tail(self):
         m = weights.power_model(3.0)
@@ -225,6 +232,14 @@ class TestNumpyOnlyTails:
             want = gammaincc(a, x) * gamma_function(a)
             got = weights._upper_gamma(float(a), float(x))
             assert got == pytest.approx(want, rel=1e-12), (a, x)
+
+    @pytest.mark.parametrize("a", [-0.8, -0.5, 0.0])
+    def test_upper_gamma_nonpositive_a_against_quad(self, a):
+        # the continued fraction serves a <= 0 wherever x >= a + 1
+        for x in np.geomspace(a + 1.0 if a + 1.0 > 0.05 else 0.05, 600.0, 30):
+            want = quad(lambda t: t ** (a - 1.0) * math.exp(-t), x, math.inf,
+                        epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            assert weights._upper_gamma(a, float(x)) == pytest.approx(want, rel=1e-12), (a, x)
 
     @pytest.mark.parametrize("M", [1, 2, 10, 8191, 8192, 8193, 10**5, 2**20 + 1, 10**12])
     def test_zeta_tail_against_scipy(self, M):
