@@ -311,7 +311,7 @@ def cmd_construct_sublinear(args) -> int:
     sched = sublinear.build_sublinear_schedule(model, profile, args.t)
     word = sched.sample_word(args.n, substream(seed, 0x5B11, args.n))
     trace = sched.ratio_trace(word)
-    counts = occupancy.distinct_counts(np.asarray(word))
+    counts = occupancy.distinct_counts(word)
     word = sched.to_model_digits(word)
     if args.word_out:
         Path(args.word_out).write_text(codec.word_to_line(word) + "\n", encoding="utf-8")

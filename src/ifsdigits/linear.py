@@ -365,7 +365,7 @@ def sandwich_violations(theta, word) -> list[int]:
     ``D_n`` the bounds read ``ceil(theta*n) <= D_n < ceil(theta*n) + J(n)``,
     exact integers throughout.
     """
-    counts = distinct_counts(np.asarray(word, dtype=np.int64))
+    counts = distinct_counts(word)
     lower = distinctness_profile(theta, max(counts.size, 1)).r[1 : counts.size + 1]
     bad = (counts < lower) | (counts >= lower + _levels(counts.size))
     return (np.flatnonzero(bad) + 1).tolist()

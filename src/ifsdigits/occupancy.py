@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import DomainError
 from .rng import substream
-from .weights import (_MAX_DRAWS, DigitSampler, WeightModel, tail_sum, tilted_tail_sum,
-                      weights_range)
+from .weights import (_MAX_DRAWS, _SAMPLE_BLOCK, DigitSampler, WeightModel, tail_sum,
+                      tilted_tail_sum, weights_range)
 
 __all__ = [
     "LawReport",
@@ -32,26 +32,68 @@ __all__ = [
 ]
 
 
-# Each digit up to _DENSE keeps its first position in a dense table; larger
-# digits share one overflow slot and are resolved with ``np.unique``.
+# Least size of the dense first-position table; digits past the table keep
+# (digit, position) records instead.
 _DENSE = 1 << 16
+_UNSEEN = np.iinfo(np.int64).max
 
 
 def distinct_counts(word) -> np.ndarray:
     """Vector ``D_1..D_n`` of running distinct counts for a digit word."""
-    w = np.asarray(word, dtype=np.int64)
+    w = _as_digits(word)
     n = w.size
-    if n and w.min() < 1:
-        raise DomainError("digits must be positive integers")
-    first = np.full(_DENSE + 2, n, dtype=np.int64)
-    np.minimum.at(first, np.minimum(w, _DENSE + 1), np.arange(n))
-    dense = first[1 : _DENSE + 1]
     new = np.zeros(n, dtype=bool)
-    new[dense[dense < n]] = True
-    if first[_DENSE + 1] < n:
-        big = np.flatnonzero(w > _DENSE)
-        new[big[np.unique(w[big], return_index=True)[1]]] = True
+    if n:
+        # a table of at most n slots stays within the word's own size
+        new[_first_positions((w,), max(_DENSE, min(int(w.max()), n)))] = True
     return np.cumsum(new, dtype=np.int64)
+
+
+def _as_digits(word) -> np.ndarray:
+    """``word`` as int64 digits; :class:`DomainError` unless each is a positive integer."""
+    w = np.asarray(word)
+    if w.dtype.kind in "iub":
+        digits = w.astype(np.int64, copy=False)
+    else:
+        try:
+            with np.errstate(invalid="ignore"):
+                digits = w.astype(np.int64)
+            integral = bool(np.all(digits == w))
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
+            raise DomainError("digits must be positive integers; the word holds other values")
+    if digits.size and digits.min() < 1:
+        raise DomainError("digits must be positive integers")
+    return digits
+
+
+def _first_positions(blocks, slots: int) -> np.ndarray:
+    """Position of each distinct digit's first occurrence, unsorted and 0-based.
+
+    ``blocks`` are consecutive int64 pieces of one word of positive digits.
+    Digits up to ``slots`` keep their first position in a dense table that
+    every block folds into; larger ones keep (digit, position) records, which
+    ``np.unique`` resolves once the word ends.
+    """
+    first = np.full(slots + 2, _UNSEEN, dtype=np.int64)  # slot slots + 1 takes every larger digit
+    big_digits, big_at = [], []
+    start = 0
+    for block in blocks:
+        at = np.arange(start, start + block.size)
+        np.minimum.at(first, np.minimum(block, slots + 1), at)
+        big = np.flatnonzero(block > slots)
+        if big.size:
+            big_digits.append(block[big])
+            big_at.append(at[big])
+        start += block.size
+    dense = first[1 : slots + 1]
+    found = dense[dense != _UNSEEN]
+    if big_digits:
+        # records are in position order, so the first index of a digit is its first position
+        at = np.concatenate(big_at)[np.unique(np.concatenate(big_digits), return_index=True)[1]]
+        found = np.concatenate((found, at))
+    return found
 
 
 def karlin_constant(rho: float, C: float) -> float:
@@ -161,7 +203,12 @@ def monte_carlo_law(
     sampler = DigitSampler(model)
 
     def one_trial(trial: int) -> np.ndarray:
-        return distinct_counts(sampler.sample(substream(seed, trial), n))[cps_arr - 1]
+        # one block of draws at a time: no array of the word's length is built
+        rng = substream(seed, trial)
+        blocks = (sampler.sample(rng, min(_SAMPLE_BLOCK, n - start))
+                  for start in range(0, n, _SAMPLE_BLOCK))
+        first = np.sort(_first_positions(blocks, _DENSE))
+        return np.searchsorted(first, cps_arr, side="left")  # D_c: first positions below c
 
     # More workers than trials or cores buys nothing; pool.map submits every
     # trial at once, so an unclamped count could start that many threads.

@@ -259,10 +259,9 @@ class SublinearSchedule:
 
     def sandwich_violations(self, word) -> list[int]:
         """Positions where ``f(n) <= D_n <= f(n) + K_n`` fails (exact)."""
-        digits = np.asarray(word, dtype=np.int64)
-        counts = distinct_counts(digits)
-        f = self.profile.values[1 : digits.size + 1]
-        ok = (f <= counts) & (counts <= f + self.K[: digits.size])
+        counts = distinct_counts(word)
+        f = self.profile.values[1 : counts.size + 1]
+        ok = (f <= counts) & (counts <= f + self.K[: counts.size])
         return [int(i) + 1 for i in np.nonzero(~ok)[0]]
 
     def _validate(self, word) -> np.ndarray:

@@ -72,8 +72,10 @@ _KINDS = ("luroth", "power", "power-log", "explicit-prefix")
 # for every exponent the library accepts.
 _EM_CUT = 8192
 
-# Longest word a command may draw at once.  Drawing and counting a word keeps
-# about 40 bytes per digit live in each worker, so this is about 670 MB.
+# Longest word a command may draw.  ``simulate`` streams each trial in blocks
+# of _SAMPLE_BLOCK draws, so its memory does not grow with the word; ``cylsum``
+# draws and sorts whole words, which peaked at 420 MB at this length (Luroth,
+# s = 1, on a 2-CPU virtual machine).
 _MAX_DRAWS = 1 << 24
 
 
@@ -688,7 +690,8 @@ def _float_bits(x):
 # Buckets of the sampler's guide: about 2**_GUIDE_BITS over its table.
 _GUIDE_BITS = 15
 
-# Draws a sampler looks up at once, so that their temporaries stay in cache.
+# Draws a sampler looks up at once, and that ``simulate`` draws per call, so
+# that their temporaries stay in cache.
 _SAMPLE_BLOCK = 1 << 16
 
 

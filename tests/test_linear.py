@@ -182,6 +182,11 @@ class TestSamplingAndSandwich:
         bad = np.ones(6, dtype=np.int64)
         assert linear.sandwich_violations(1, bad) != []
 
+    def test_non_integral_digits_rejected(self):
+        # once truncated to [1, 1], which meets the sandwich
+        with pytest.raises(DomainError, match="integer"):
+            linear.sandwich_violations(0.5, [1.9, 1.2])
+
     def test_sample_reproducible(self):
         sched = linear.build_block_schedule(LUROTH, 0.5, depth=6)
         a = sched.sample_word(6, substream(4, 1))

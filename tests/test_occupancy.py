@@ -120,6 +120,32 @@ class TestDistinctCountsKernel:
         with pytest.raises(DomainError, match="positive"):
             occupancy.distinct_counts([bad])
 
+    @pytest.mark.parametrize("word", [
+        [1.5, 1.7, 2.2],
+        [3.0, 2.5],
+        [1.0, np.nan],
+        [1.0, np.inf],
+        [1e30],
+        ["3"],
+    ])
+    def test_non_integral_digit_rejected(self, word):
+        # the float word [1.5, 1.7, 2.2] once counted as [1, 1, 2]
+        with pytest.raises(DomainError, match="integer"):
+            occupancy.distinct_counts(word)
+
+    def test_integral_floats_and_objects_count(self):
+        expect = [1, 2, 2, 3]
+        assert occupancy.distinct_counts([4.0, 2.0, 4.0, 65537.0]).tolist() == expect
+        assert occupancy.distinct_counts(np.asarray([4, 2, 4, 2**62], dtype=object)).tolist() \
+            == expect
+
+    @pytest.mark.parametrize("top", [65537, 150_000, 200_000, 200_001, 2**40])
+    def test_table_sized_to_the_word(self, top):
+        # digits past the 2**16 least table: dense up to n slots, records beyond
+        word = substream(13, top).integers(1, top + 1, size=200_000)
+        word[-1] = top
+        assert np.array_equal(occupancy.distinct_counts(word), reference_distinct_counts(word))
+
 
 class FakePool:
     """Records ``max_workers`` and maps serially: no thread is started."""
@@ -262,12 +288,17 @@ class TestKarlinConstant:
 
 
 class TestMonteCarloLaw:
-    def test_thread_count_does_not_change_results(self):
-        kw = dict(n=2000, trials=8, checkpoints=(500, 1000, 2000), seed=5)
-        a = occupancy.monte_carlo_law(LUROTH, threads=1, **kw)
-        b = occupancy.monte_carlo_law(LUROTH, threads=4, **kw)
-        assert a.means == b.means
-        assert a.sds == b.sds
+    @pytest.mark.parametrize("model, n, checkpoints", [
+        (LUROTH, 2000, (500, 1000, 2000)),
+        # trials span block edges; power(1.5) also draws digits past the dense table
+        (LUROTH, 2 * weights._SAMPLE_BLOCK + 3, (65_536, 65_537, 131_075)),
+        (weights.power_model(1.5), 2 * weights._SAMPLE_BLOCK + 3, (65_536, 65_537, 131_075)),
+    ], ids=["luroth-2000", "luroth-blocks", "power-1.5-blocks"])
+    def test_thread_count_does_not_change_results(self, model, n, checkpoints):
+        kw = dict(n=n, trials=8, checkpoints=checkpoints, seed=5)
+        report = occupancy.monte_carlo_law(model, threads=1, **kw)
+        assert occupancy.monte_carlo_law(model, threads=2, **kw) == report
+        assert occupancy.monte_carlo_law(model, threads=4, **kw) == report
 
     @pytest.mark.parametrize("model", [
         LUROTH, weights.power_model(1.5), weights.power_log_model(2.0, 1.5),
@@ -285,6 +316,40 @@ class TestMonteCarloLaw:
         ratios = ref / np.asarray(cps) ** (1.0 / model.rho)
         assert rep.means == tuple(float(v) for v in ratios.mean(axis=0))
         assert rep.sds == tuple(float(v) for v in ratios.std(axis=0, ddof=1))
+        assert rep.mean_final_distinct == float(ref[:, -1].mean())
+
+    @pytest.mark.parametrize("n", [
+        weights._SAMPLE_BLOCK - 1,
+        weights._SAMPLE_BLOCK,
+        weights._SAMPLE_BLOCK + 1,
+        3 * weights._SAMPLE_BLOCK + 5,
+    ])
+    def test_blocks_match_reference_loop(self, n):
+        # checkpoints on either side of every block edge the word reaches
+        block = weights._SAMPLE_BLOCK
+        edges = [e + d for e in range(block, n + 1, block) for d in (-1, 0, 1)]
+        cps = tuple(sorted({1, 2, *(c for c in edges if 1 <= c <= n), n}))
+        ref = reference_trial_counts(LUROTH, n, 2, 5, cps)
+        rep = occupancy.monte_carlo_law(LUROTH, n, 2, 5, checkpoints=cps)
+        ratios = ref / np.asarray(cps) ** 0.5
+        assert rep.means == tuple(float(v) for v in ratios.mean(axis=0))
+        assert rep.sds == tuple(float(v) for v in ratios.std(axis=0, ddof=1))
+        assert rep.mean_final_distinct == float(ref[:, -1].mean())
+
+    def test_records_past_the_table_span_blocks(self):
+        model, n, trials, seed = weights.power_model(1.5), 3 * weights._SAMPLE_BLOCK + 5, 3, 6
+        block = weights._SAMPLE_BLOCK
+        word = weights.DigitSampler(model).sample(substream(seed, 0), n)
+        # some digit past the dense table is first drawn in one block and again in a later one
+        big = np.flatnonzero(word > occupancy._DENSE)
+        first = np.unique(word[big], return_index=True)[1]
+        last = np.unique(word[big][::-1], return_index=True)[1]
+        assert (big[first] // block < big[big.size - 1 - last] // block).any()
+        cps = (block, block + 1, 2 * block, 3 * block, n)
+        ref = reference_trial_counts(model, n, trials, seed, cps)
+        rep = occupancy.monte_carlo_law(model, n, trials, seed, checkpoints=cps)
+        ratios = ref / np.asarray(cps) ** (1.0 / 1.5)
+        assert rep.means == tuple(float(v) for v in ratios.mean(axis=0))
         assert rep.mean_final_distinct == float(ref[:, -1].mean())
 
     def test_seed_replay(self):

@@ -395,6 +395,12 @@ class TestSampling:
         bad = sched_1000.sandwich_violations(flat)
         assert bad and bad[0] == 4  # first time the floor passes 1
 
+    def test_non_integral_digits_rejected(self, sched_1000):
+        word = sched_1000.sample_word(10, substream(0, 0x50B)).astype(np.float64)
+        word[3] += 0.5
+        with pytest.raises(DomainError, match="integer"):
+            sched_1000.sandwich_violations(word)
+
     def test_first_digit_is_forced(self, sched_1000):
         word = sched_1000.sample_word(1, substream(0, 0x50B))
         assert list(word) == [sched_1000.k_star + 1]

@@ -490,6 +490,25 @@ class TestSampling:
         assert (want > 1 << 10).any()
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("model, s, table_size", [
+        (LUROTH, 1.0, 1 << 20),
+        (weights.power_model(1.5), 1.0, 1 << 20),
+        (weights.power_log_model(2.0, 1.5), 1.0, 1 << 20),
+        (weights.explicit_prefix_model([0.3, 0.2], 2.5), 1.0, 1 << 20),
+        (LUROTH, 0.75, 1 << 10),  # tilted, with draws past a small table
+    ], ids=["luroth", "power-1.5", "power-log", "explicit-prefix", "luroth-s0.75-small"])
+    def test_blocked_calls_equal_one_call(self, model, s, table_size):
+        # a word drawn in pieces is the word drawn at once: each draw takes one double
+        sampler = weights.DigitSampler(model, s, table_size=table_size)
+        block, size = weights._SAMPLE_BLOCK, 3 * weights._SAMPLE_BLOCK + 5
+        whole = sampler.sample(substream(41, 0xA16), size)
+        for cuts in ([block, 2 * block], [1, block - 1, block + 7, 3 * block]):
+            rng = substream(41, 0xA16)
+            pieces = [sampler.sample(rng, b - a) for a, b in zip([0, *cuts], [*cuts, size])]
+            assert np.array_equal(np.concatenate(pieces), whole)
+        if table_size == 1 << 10:
+            assert (whole > table_size).any()
+
 
 class TestSubstream:
     def test_replay_and_separation(self):
