@@ -1,8 +1,10 @@
-"""Wire formats: digit words as text lines, and named columns as chunked CSV.
+"""Digit words and wire formats: the word reader, text lines and chunked CSV.
 
-A digit word is written as one line of comma-separated positive integers
-(``3,1,4``); the empty word is the empty line.  Tables are written column
-by column through :func:`csv_chunks`, a chunk of rows at a time.
+:func:`as_word` is the one reader of a digit word: every function that takes
+a word reads it there.  A word is written as one line of
+comma-separated positive integers (``3,1,4``); the empty word is the empty
+line.  Tables are written column by column through :func:`csv_chunks`, a
+chunk of rows at a time.
 """
 
 from __future__ import annotations
@@ -13,14 +15,36 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["word_to_line", "word_from_line", "csv_chunks"]
+__all__ = ["as_word", "word_to_line", "word_from_line", "csv_chunks"]
 
 # Rows per chunk of CSV text, so a million-row table never sits in memory as text.
 CSV_CHUNK_ROWS = 8192
 
 
+def as_word(word) -> np.ndarray:
+    """``word`` as int64 digits; :class:`DomainError` unless each is a positive integer.
+
+    Integral floats are accepted; an int64 array is returned as it is.
+    """
+    w = np.asarray(word)
+    if w.dtype.kind in "iub":
+        digits = w.astype(np.int64, copy=False)
+    else:
+        try:
+            with np.errstate(invalid="ignore"):
+                digits = w.astype(np.int64)
+            integral = bool(np.all(digits == w))
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
+            raise DomainError("digits must be positive integers; the word holds other values")
+    if digits.size and digits.min() < 1:
+        raise DomainError("digits must be positive integers")
+    return digits
+
+
 def word_to_line(word) -> str:
-    return ",".join(map(str, np.asarray(word, dtype=np.int64).tolist()))
+    return ",".join(map(str, as_word(word).tolist()))
 
 
 def word_from_line(line: str) -> tuple[int, ...]:

@@ -31,6 +31,7 @@ from itertools import chain
 
 import numpy as np
 
+from .codec import as_word
 from .errors import (
     DepthError,
     DomainError,
@@ -63,12 +64,13 @@ def as_rate(theta) -> Fraction:
     """Normalize a target rate to an exact ``Fraction`` in ``(0, 1]``.
 
     Floats are interpreted through their shortest decimal representation,
-    so ``as_rate(0.3) == Fraction(3, 10)``.
+    so ``as_rate(0.3) == Fraction(3, 10)``.  NaN and infinite rates raise
+    :class:`DomainError`.
     """
-    if isinstance(theta, float):
-        theta = Fraction(str(theta))
-    else:
-        theta = Fraction(theta)
+    try:
+        theta = Fraction(str(theta)) if isinstance(theta, float) else Fraction(theta)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"the rate theta must be a finite number; got {theta!r}") from exc
     if not 0 < theta <= 1:
         raise DomainError("the rate theta must lie in (0, 1]")
     return theta
@@ -233,12 +235,12 @@ class BlockSchedule:
         current block count toward the mass.  Inadmissible words raise
         :class:`NotInSupportError`.
         """
-        log_mass = self._walk(word)[2]
+        log_mass = self._walk(as_word(word))[2]
         return float(log_mass[-1]) if log_mass.size else 0.0
 
     def local_dimension(self, word) -> float:
         """``log mass / log diameter`` at a block-aligned word."""
-        digits = np.asarray(word, dtype=np.int64)
+        digits = as_word(word)
         n = digits.size
         if n == 0:
             raise DomainError("local dimension is undefined for the empty word")
@@ -248,14 +250,13 @@ class BlockSchedule:
         log_diam = float(np.sum(log_weights_of(self.model, digits)))
         return self.log_mass(digits) / log_diam
 
-    def _walk(self, word) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Validate ``word``; return each position's level, distinct count and log mass.
+    def _walk(self, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Validate ``as_word`` digits; return each position's level, distinct count and log mass.
 
         The first level with an inadmissible position raises
         :class:`NotInSupportError`, its window checked before its new/reuse
         times; a word past the schedule depth raises :class:`DepthError`.
         """
-        digits = np.asarray(word, dtype=np.int64)
         distinct = distinct_counts(digits)
         n = min(digits.size, self.boundary(self.depth))
         digits = digits[:n]
@@ -339,7 +340,7 @@ def point_trace(schedule: BlockSchedule, word) -> dict[str, np.ndarray]:
     ratio.  The mass is accumulated one conditional choice at a time, so a
     word ending mid-block costs no extra enumeration.
     """
-    digits = np.asarray(word, dtype=np.int64)
+    digits = as_word(word)
     if digits.size == 0:
         raise DomainError("trace needs a nonempty word")
     log_diam = np.cumsum(log_weights_of(schedule.model, digits))

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import as_word
 from .errors import DomainError
 from .rng import substream
 from .weights import (_MAX_DRAWS, _SAMPLE_BLOCK, DigitSampler, WeightModel, tail_sum,
@@ -40,32 +41,13 @@ _UNSEEN = np.iinfo(np.int64).max
 
 def distinct_counts(word) -> np.ndarray:
     """Vector ``D_1..D_n`` of running distinct counts for a digit word."""
-    w = _as_digits(word)
+    w = as_word(word)
     n = w.size
     new = np.zeros(n, dtype=bool)
     if n:
         # a table of at most n slots stays within the word's own size
         new[_first_positions((w,), max(_DENSE, min(int(w.max()), n)))] = True
     return np.cumsum(new, dtype=np.int64)
-
-
-def _as_digits(word) -> np.ndarray:
-    """``word`` as int64 digits; :class:`DomainError` unless each is a positive integer."""
-    w = np.asarray(word)
-    if w.dtype.kind in "iub":
-        digits = w.astype(np.int64, copy=False)
-    else:
-        try:
-            with np.errstate(invalid="ignore"):
-                digits = w.astype(np.int64)
-            integral = bool(np.all(digits == w))
-        except (TypeError, ValueError, OverflowError):
-            integral = False
-        if not integral:
-            raise DomainError("digits must be positive integers; the word holds other values")
-    if digits.size and digits.min() < 1:
-        raise DomainError("digits must be positive integers")
-    return digits
 
 
 def _first_positions(blocks, slots: int) -> np.ndarray:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import as_word
 from .errors import (
     DomainError,
     NotAdmissibleError,
@@ -34,7 +35,7 @@ from .errors import (
 )
 from .linear import _MAX_WORD_LENGTH
 from .occupancy import distinct_counts
-from .weights import WeightModel, exponent_root, partial_sum_exponent, weights_range
+from .weights import WeightModel, exponent_root, weights_range
 
 __all__ = [
     "AdmissibleProfile",
@@ -163,21 +164,32 @@ def profile_from_spec(spec: dict) -> AdmissibleProfile:
 
 
 def threshold_index(model: WeightModel, t: float, cap: int = 1 << 20) -> int:
-    """Smallest ``K`` with ``partial_sum_exponent(K) >= (1 + t) / 2``."""
+    """Smallest ``K`` with ``s(K) >= (1 + t) / 2`` on the ``K`` largest weights.
+
+    ``s(K)`` is :func:`exponent_root` on the first ``K`` entries of the
+    non-increasing weight table the schedule samples from, so ``K`` is the
+    smallest truncation that reaches the target in the schedule's own order.
+    """
     if not 0.0 < t < 1.0:
         raise DomainError("dimension target t must lie in (0, 1)")
     target = 0.5 * (1.0 + t)
-    lo, hi = 1, 2
-    while partial_sum_exponent(model, hi) < target:
-        lo = hi
+    hi = 2
+    while True:
+        p = _sorted_weight_table(model, hi)[0]
+        if float(p.sum()) >= 1.0 - 1e-15:
+            raise DomainError("truncated weights already sum to 1; no root in [0, 1)")
+        logp = np.log(p)
+        if exponent_root(logp) >= target:
+            break
         hi *= 2
         if hi > cap:
             raise TiltThresholdError(
                 f"no truncation below {cap} reaches exponent {target:g}"
             )
+    lo = hi // 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if partial_sum_exponent(model, mid) >= target:
+        if exponent_root(logp[:mid]) >= target:
             hi = mid
         else:
             lo = mid
@@ -213,7 +225,7 @@ class SublinearSchedule:
 
     def to_model_digits(self, word) -> np.ndarray:
         """Map sorted-order labels to the model's own digits (``word`` itself when sorted)."""
-        word = np.asarray(word, dtype=np.int64)
+        word = as_word(word)
         if self.label_permutation is None:
             return word
         return self.label_permutation[word - 1]
@@ -265,11 +277,9 @@ class SublinearSchedule:
         return [int(i) + 1 for i in np.nonzero(~ok)[0]]
 
     def _validate(self, word) -> np.ndarray:
-        digits = np.asarray(word, dtype=np.int64)
+        digits = as_word(word)
         if digits.size > self.horizon:
             raise DomainError("word longer than the profile horizon")
-        if digits.size and digits.min() < 1:
-            raise DomainError("digits must be positive")
         n = digits.size
         forced = self.forced_time[:n]
         if not np.array_equal(digits[forced], self.forced_digit[:n][forced]):

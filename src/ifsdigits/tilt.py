@@ -164,8 +164,6 @@ def cylinder_sum_exact(
     """
     if n < 1:
         raise DomainError("word length must be positive")
-    if not 0.0 < theta <= 1.0:
-        raise DomainError("theta must lie in (0, 1]")
     if alphabet_cap < 1:
         raise DomainError("alphabet cap must be positive")
     threshold = distinct_threshold(n, theta)
@@ -228,12 +226,10 @@ def cylinder_sum_mc(
         raise DomainError("n and trials must be positive")
     if n > _MAX_DRAWS:
         raise DomainError(f"word length n = {n} exceeds the limit of {_MAX_DRAWS}")
-    if not 0.0 < theta <= 1.0:
-        raise DomainError("theta must lie in (0, 1]")
+    threshold = distinct_threshold(n, theta)
     zeta = tilted_tail_sum(model, 1, s)
     scale = _zeta_power(zeta, n)
     sampler = _tilted_sampler(model, float(s))
-    threshold = distinct_threshold(n, theta)
     rng = substream(seed, 0x7117)
     hits = 0
     chunk = max(1, (1 << 22) // n)
@@ -245,6 +241,7 @@ def cylinder_sum_mc(
         distinct = 1 + np.count_nonzero(words[:, 1:] != words[:, :-1], axis=1)
         hits += int(np.count_nonzero(distinct >= threshold))
         done += batch
+        del words  # free this batch before the next one is drawn
     phat = hits / trials
     se = math.sqrt(phat * (1.0 - phat) / trials)
     return CylinderSumRecord(
@@ -286,8 +283,6 @@ def bound_chain(model: WeightModel, n: int, s: float, theta: float) -> BoundChai
     """
     if n < 1:
         raise DomainError("n must be positive")
-    if not 0.0 < theta <= 1.0:
-        raise DomainError("theta must lie in (0, 1]")
     r = max(math.ceil(n * as_rate(theta) / 4), 1)
     zeta = tilted_tail_sum(model, 1, s)
     q_tail = tilted_tail_sum(model, r, s) / zeta

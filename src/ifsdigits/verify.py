@@ -194,7 +194,7 @@ def check_linear_uniformity(seed: int, threads: int) -> str:
         prefix = [sched.sample_block(i, substream(seed, 0xB10C, i)) for i in range(1, j)]
         total = 0.0
         for block in linear.enumerate_blocks(len(alphabet), 1 << j, 0.5, alphabet=alphabet):
-            word = np.concatenate(prefix + [np.asarray(block)]) if prefix else np.asarray(block)
+            word = np.concatenate(prefix + [block]) if prefix else block
             total += math.exp(sched.log_mass(word))
         expected = math.exp(sched.log_mass(np.concatenate(prefix))) if prefix else 1.0
         _require(

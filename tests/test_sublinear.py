@@ -239,6 +239,20 @@ class TestThresholdIndex:
                 K += 1
             assert sublinear.threshold_index(LUROTH, t) == K
 
+    def test_unsorted_model_searches_sorted_weights(self):
+        # weights 0.05, 0.4, 0.214, 0.104, ...: the three largest reach s = 0.827 at t = 0.5,
+        # the first three in model order (s = 0.692) do not
+        model = weights.explicit_prefix_model((0.05, 0.4), 2.5)
+        table = sublinear._sorted_weight_table(model, 64)[0]
+        for t in (0.1, 0.5, 0.7, 0.9):
+            target = 0.5 * (1.0 + t)
+            K = 2
+            while weights.exponent_root(np.log(table[:K])) < target:
+                K += 1
+            assert sublinear.threshold_index(model, t) == K
+        assert sublinear.threshold_index(model, 0.5) == 3
+        assert weights.partial_sum_exponent(model, 3) < 0.75
+
     def test_domain(self):
         for bad in (0.0, 1.0, -0.2):
             with pytest.raises(DomainError):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +135,20 @@ class TestThreshold:
         # the float product 0.55 * 100000 / 2 is 27500.000000000004
         assert tilt.distinct_threshold(n, theta) == want
         assert tilt.bound_chain(LUROTH, n, 1.0, theta).threshold == want
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, 0.0, 1.5])
+    def test_rate_read_before_any_table(self, monkeypatch, theta):
+        def build(*args, **kwargs):
+            raise AssertionError("a weight table or sampler was built before theta was read")
+
+        for name in ("weights_range", "tilted_tail_sum", "DigitSampler"):
+            monkeypatch.setattr(tilt, name, build)
+        tilt._tilted_sampler.cache_clear()
+        for run in (lambda: tilt.cylinder_sum_exact(LUROTH, 4, 0.75, theta, 4),
+                    lambda: tilt.cylinder_sum_mc(LUROTH, 4, 0.75, theta, trials=10, seed=0),
+                    lambda: tilt.bound_chain(LUROTH, 4, 0.75, theta)):
+            with pytest.raises(DomainError, match="theta"):
+                run()
 
 
 class TestCylinderSumExact:
@@ -272,6 +287,18 @@ class TestCylinderSumMC:
             tilt.cylinder_sum_mc(LUROTH, n, 0.75, 0.5, trials=100, seed=0)
         info = tilt._tilted_sampler.cache_info()
         assert (info.misses, info.hits) == (1, 2)
+
+    def test_one_batch_of_words_held_at_a_time(self):
+        # two batches of 4 words of 2**20 digits; a draw holds its uniforms and
+        # digits, 16 bytes each, and must not also hold the previous batch
+        tilt._tilted_sampler.cache_clear()
+        tracemalloc.start()
+        try:
+            tilt.cylinder_sum_mc(LUROTH, 1 << 20, 1.0, 0.5, trials=8, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * (4 << 20)
 
     def test_guards(self):
         with pytest.raises(DivergenceError):

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -432,6 +433,18 @@ class TestSampling:
             got = np.mean(draws == k)
             sd = math.sqrt(q * (1 - q) / draws.size)
             assert abs(got - q) < 4.5 * sd
+
+    def test_luroth_draws_in_place(self):
+        # the uniforms and the digits are the only word-sized arrays: 2 x 8 bytes per draw
+        size = 1 << 20
+        sampler = weights.DigitSampler(LUROTH)
+        tracemalloc.start()
+        try:
+            sampler.sample(substream(3, 2), size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * size
 
     def test_sampler_reproducible(self):
         a = weights.DigitSampler(LUROTH).sample(substream(3, 1), 1000)
