@@ -1,7 +1,8 @@
 """Digit words and wire formats: the word reader, text lines and chunked CSV.
 
 :func:`as_word` is the one reader of a digit word: every function that takes
-a word reads it there.  A word is written as one line of
+a word reads it there.  Its integral check, :func:`as_integers`, also reads
+profile tables.  A word is written as one line of
 comma-separated positive integers (``3,1,4``); the empty word is the empty
 line.  Tables are written column by column through :func:`csv_chunks`, a
 chunk of rows at a time.
@@ -9,35 +10,40 @@ chunk of rows at a time.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["as_word", "word_to_line", "word_from_line", "csv_chunks"]
+__all__ = ["as_integers", "as_word", "word_to_line", "word_from_line", "csv_chunks"]
 
 # Rows per chunk of CSV text, so a million-row table never sits in memory as text.
 CSV_CHUNK_ROWS = 8192
 
 
-def as_word(word) -> np.ndarray:
-    """``word`` as int64 digits; :class:`DomainError` unless each is a positive integer.
+def as_integers(values, message: str) -> np.ndarray:
+    """``values`` as int64; :class:`DomainError` with ``message`` unless each is an integer.
 
     Integral floats are accepted; an int64 array is returned as it is.
     """
-    w = np.asarray(word)
-    if w.dtype.kind in "iub":
-        digits = w.astype(np.int64, copy=False)
-    else:
-        try:
-            with np.errstate(invalid="ignore"):
-                digits = w.astype(np.int64)
-            integral = bool(np.all(digits == w))
-        except (TypeError, ValueError, OverflowError):
-            integral = False
-        if not integral:
-            raise DomainError("digits must be positive integers; the word holds other values")
+    try:
+        w = np.asarray(values)
+        if w.dtype.kind in "iub":
+            return w.astype(np.int64, copy=False)
+        with np.errstate(invalid="ignore"):
+            ints = w.astype(np.int64)
+        integral = bool(np.all(ints == w))
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise DomainError(message)
+    return ints
+
+
+def as_word(word) -> np.ndarray:
+    """``word`` as int64 digits; :class:`DomainError` unless each is a positive integer."""
+    digits = as_integers(word, "digits must be positive integers; the word holds other values")
     if digits.size and digits.min() < 1:
         raise DomainError("digits must be positive integers")
     return digits
@@ -60,9 +66,19 @@ def word_from_line(line: str) -> tuple[int, ...]:
     return digits
 
 
-def _csv_cells(column) -> Iterator[str]:
+def _csv_cells(column) -> Iterable[str]:
+    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
+        # Each run of equal cells is formatted once.  Cells are compared by their
+        # bits, so -0.0 and 0.0, and NaNs of other payloads, keep their own text.
+        bits = column.view(f"u{column.itemsize}")
+        head = np.ones(column.size, dtype=bool)
+        np.not_equal(bits[1:], bits[:-1], out=head[1:])
+        heads = np.flatnonzero(head)
+        fmt = repr if column.dtype.kind == "f" else str
+        text = np.array(list(map(fmt, column[heads].tolist())), dtype=object)
+        return np.repeat(text, np.diff(heads, append=column.size)).tolist()
     if isinstance(column, np.ndarray):
-        return map(repr if column.dtype.kind == "f" else str, column.tolist())
+        return map(str, column.tolist())
     return ("" if v is None else float.__repr__(v) if isinstance(v, float) else str(v)
             for v in column)
 
@@ -71,7 +87,8 @@ def csv_chunks(columns: dict) -> Iterator[str]:
     """CSV text of equally long named columns: the header line, then chunks of rows.
 
     Floats are written with ``repr``, ints with ``str``, strings as they are
-    and ``None`` as an empty cell.  Every chunk ends with a newline.
+    and ``None`` as an empty cell.  In a numeric array column each run of
+    equal cells is formatted once.  Every chunk ends with a newline.
     """
     yield ",".join(columns) + "\n"
     rows = len(next(iter(columns.values()), ()))

@@ -90,7 +90,10 @@ def distinctness_profile(theta, L: int) -> BlockProfile:
         raise DomainError("block length must be positive")
     theta = as_rate(theta)
     num, den = theta.numerator, theta.denominator
-    arr = np.asarray([(num * t + den - 1) // den for t in range(L + 1)], dtype=np.int64)
+    if num * L + den - 1 < 2**63:
+        arr = (num * np.arange(L + 1, dtype=np.int64) + (den - 1)) // den
+    else:  # num * t would overflow int64: exact Python integers
+        arr = np.asarray([(num * t + den - 1) // den for t in range(L + 1)], dtype=np.int64)
     is_new = np.concatenate(([False], np.diff(arr) > 0))
     return BlockProfile(r=arr, is_new=is_new, new_count=int(arr[L]))
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import as_word
+from .codec import as_integers, as_word
 from .errors import (
     DomainError,
     NotAdmissibleError,
@@ -89,8 +89,11 @@ def make_admissible(g, provenance: str = "user") -> AdmissibleProfile:
 
 
 def profile_from_table(table, provenance: str = "user-table") -> AdmissibleProfile:
-    """Validate an explicit table ``f(0), f(1), ..., f(horizon)``."""
-    return _validate_profile(np.asarray(list(table), dtype=np.int64), provenance)
+    """Validate an explicit table ``f(0), f(1), ..., f(horizon)`` of integers."""
+    values = as_integers(list(table), "profile table entries must be integers")
+    if values.ndim != 1:
+        raise DomainError("profile table must be a flat list of integers")
+    return _validate_profile(values, provenance)
 
 
 def _validate_profile(values: np.ndarray, provenance: str) -> AdmissibleProfile:

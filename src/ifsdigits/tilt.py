@@ -174,11 +174,9 @@ def cylinder_sum_exact(
         raise EnumerationSizeError(
             f"exact mode at n = {n}, cap = {alphabet_cap} exceeds its size limit"
         )
-    if s <= 0.0:
-        raise DomainError("tilt exponent must be positive")
+    tail = tilted_tail_sum(model, alphabet_cap + 1, s)
     w = weights_range(model, 1, alphabet_cap + 1) ** s
     z_capped = float(w.sum())
-    tail = tilted_tail_sum(model, alphabet_cap + 1, s)
     z_full = z_capped + tail
     z_capped_n = _zeta_power(z_capped, n)
     _zeta_power(z_full, n)

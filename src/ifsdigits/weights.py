@@ -296,8 +296,8 @@ def tilted_tail_sum(model: WeightModel, M: int, s: float) -> float:
     """``sum_{k>=M} p_k**s`` for ``rho*s > 1``, relative error below 1e-10."""
     M = _positive_int(M, "tail start")
     s = float(s)
-    if s <= 0.0:
-        raise DomainError("tilt exponent must be positive")
+    if not (s > 0.0 and math.isfinite(s)):
+        raise DomainError(f"tilt exponent must be positive and finite; got s = {s!r}")
     if not model.rho * s > 1.0:
         raise DivergenceError(
             f"sum of p_k**s diverges: rho*s = {model.rho * s:g} <= 1"

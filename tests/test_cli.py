@@ -72,6 +72,36 @@ class TestExitCodes:
         assert cli.main(argv) == 3
         assert "theta must be a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["weights", "--tilted-tail", "1", "inf"],
+        ["weights", "--tilted-tail", "1", "nan"],
+        ["cylsum", "--n", "4", "--s", "inf", "--theta", "0.5", "--trials", "10"],
+    ])
+    def test_non_finite_tilt_exponent_is_3(self, capsys, argv):
+        assert cli.main(argv) == 3
+        assert "tilt exponent must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("f5", [2.7, "x", None, 1e30])
+    def test_non_integer_profile_table_is_3(self, capsys, f5):
+        table = [math.isqrt(n) for n in range(1025)]
+        table[5] = f5
+        profile = json.dumps({"kind": "table", "table": table})
+        argv = ["construct", "sublinear", "--t", "0.5", "--n", "100", "--profile", profile]
+        assert cli.main(argv) == 3
+        assert "profile table entries must be integers" in capsys.readouterr().err
+
+    def test_integral_float_profile_table_reads_as_integers(self, tmp_path):
+        table = [math.isqrt(n) for n in range(1025)]
+        texts = []
+        for f5 in (2, 2.0):
+            table[5] = f5
+            profile = json.dumps({"kind": "table", "table": table})
+            code, text = run_cli(tmp_path, ["construct", "sublinear", "--t", "0.5", "--n", "100",
+                                            "--profile", profile])
+            assert code == 0
+            texts.append(text)
+        assert texts[0] == texts[1]
+
     def test_bad_target_is_3(self, capsys):
         code = cli.main(
             ["construct", "sublinear", "--t", "1.5", "--n", "100"]

@@ -78,6 +78,31 @@ def f_string_rows(rows, fmt):
     return "".join(fmt(*row) + "\n" for row in rows)
 
 
+def _cell(v):
+    """One CSV cell the way the row-at-a-time tables wrote it."""
+    return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+
+
+_CHUNK = codec.CSV_CHUNK_ROWS
+RUN_COLUMNS = [
+    pytest.param(np.repeat([1.5, 2.25], [_CHUNK + 3, 10]), id="run-across-chunks"),
+    pytest.param(np.repeat([-0.0, 0.0, -0.0], [5, 7, 3]), id="signed-zeros"),
+    pytest.param(np.repeat([np.nan, np.inf, -np.inf, np.nan, 1.0], [4, 3, 2, 1, 2]),
+                 id="non-finite"),
+    pytest.param(np.array([np.nan, -np.nan, np.float64(np.nan) * -1]), id="nan-payloads"),
+    pytest.param(np.array([3.0]), id="length-1"),
+    pytest.param(np.array([], dtype=np.float64), id="length-0"),
+    pytest.param(np.repeat([True, False, True], [3, 1, _CHUNK]), id="bool"),
+    pytest.param(np.repeat(np.array([7, -7, 2**31 - 1], dtype=np.int32), [2, _CHUNK, 4]),
+                 id="int32"),
+    pytest.param(np.repeat(np.array([0.1, -0.0, 0.0, 3e38], dtype=np.float32), [3, 2, 2, 5]),
+                 id="float32"),
+    pytest.param(np.repeat(np.array(["a", "a", "b"], dtype=object), [2, _CHUNK, 1]),
+                 id="object-strings"),
+    pytest.param(np.arange(2 * _CHUNK + 1, dtype=np.int64), id="all-distinct"),
+]
+
+
 class TestCsvChunks:
     def test_weights_table(self):
         rows = [("p", 1, 0.5), ("cum", 1, 0.5), ("s", 2, weights.partial_sum_exponent(LUROTH, 2)),
@@ -189,3 +214,22 @@ class TestCsvChunks:
 
     def test_empty_table_is_header_only(self):
         assert "".join(codec.csv_chunks({"a": [], "b": []})) == "a,b\n"
+
+    @pytest.mark.parametrize("column", RUN_COLUMNS)
+    def test_column_equals_row_at_a_time(self, column):
+        index = np.arange(column.size)
+        want = "i,x\n" + f_string_rows(zip(index.tolist(), column), lambda i, v: f"{i},{_cell(v)}")
+        assert "".join(codec.csv_chunks({"i": index, "x": column})) == want
+
+    def test_each_run_formatted_once_per_chunk(self, monkeypatch):
+        calls = []
+
+        def counting_repr(v):
+            calls.append(v)
+            return repr(v)
+
+        monkeypatch.setattr(codec, "repr", counting_repr, raising=False)
+        column = np.repeat([0.5, -0.0, 0.25], [_CHUNK - 1, 2, _CHUNK - 1])  # 3 runs, 2 chunks
+        text = "".join(codec.csv_chunks({"x": column}))
+        assert text == "x\n" + "".join(f"{v!r}\n" for v in column.tolist())
+        assert 3 <= len(calls) <= 3 + 2

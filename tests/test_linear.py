@@ -41,6 +41,23 @@ class TestRateAndProfile:
             for t in range(17):
                 assert prof.r[t] == -((-theta.numerator * t) // theta.denominator)
 
+    @pytest.mark.parametrize("L", [1, 306, 307, 1226, 1227, 1230, 1 << 16])
+    @pytest.mark.parametrize("theta", [0.5, Fraction(1, 3), 0.3, 1, 0.30000000000000004])
+    def test_profile_equals_python_integer_loop(self, theta, L):
+        # as_rate(0.30000000000000004) is 7500000000000001 / 25000000000000000, so
+        # num * t + den - 1 leaves int64 from t = 1227: there the profile takes
+        # exact Python integers.
+        rate = linear.as_rate(theta)
+        num, den = rate.numerator, rate.denominator
+        want = [(num * t + den - 1) // den for t in range(L + 1)]
+        prof = linear.distinctness_profile(theta, L)
+        assert prof.r.dtype == np.int64
+        assert prof.r.tolist() == want
+        assert prof.new_count == want[-1]
+        assert np.flatnonzero(prof.is_new).tolist() == [
+            t for t in range(1, L + 1) if want[t] > want[t - 1]
+        ]
+
     def test_new_times(self):
         prof = linear.distinctness_profile(Fraction(1, 2), 8)
         assert np.flatnonzero(prof.is_new).tolist() == [1, 3, 5, 7]

@@ -177,6 +177,10 @@ class TestProfiles:
         assert prof.values.tolist() == table
         assert prof.provenance == "user-table"
 
+    def test_nested_table_refused(self):
+        with pytest.raises(DomainError, match="flat list"):
+            sublinear.profile_from_table([[math.isqrt(n)] for n in range(201)])
+
     def test_spec_wire_validation(self):
         with pytest.raises(DomainError):
             sublinear.profile_from_spec({"horizon": 100})
