@@ -77,8 +77,6 @@ def _csv_cells(column) -> Iterable[str]:
         fmt = repr if column.dtype.kind == "f" else str
         text = np.array(list(map(fmt, column[heads].tolist())), dtype=object)
         return np.repeat(text, np.diff(heads, append=column.size)).tolist()
-    if isinstance(column, np.ndarray):
-        return map(str, column.tolist())
     return ("" if v is None else float.__repr__(v) if isinstance(v, float) else str(v)
             for v in column)
 

@@ -106,6 +106,7 @@ def _expected_distinct_at(model: WeightModel, ns: tuple[int, ...]) -> list[float
 
     The chunk bounds do not depend on ``n``, so each chunk is built once for
     every ``n`` still summing; each value is the one a pass of its own gives.
+    A chunk is worked on in place and dropped before the next is built.
     """
     totals = [1.0 if n == 1 else 0.0 for n in ns]
     ends = [1 if n == 1 else 0 for n in ns]  # first digit left to the remainder; 0 while summing
@@ -113,14 +114,18 @@ def _expected_distinct_at(model: WeightModel, ns: tuple[int, ...]) -> list[float
     chunk = 1 << 14
     while not all(ends):
         hi = lo + chunk
-        p = weights_range(model, lo, hi)
-        log_q = np.log1p(-p)
+        log_q = weights_range(model, lo, hi)
+        p_last = float(log_q[-1])
+        np.log1p(np.negative(log_q, out=log_q), out=log_q)
+        terms = np.empty_like(log_q)
         for i, n in enumerate(ns):
             if not ends[i]:
-                terms = -np.expm1(n * log_q)
+                np.expm1(np.multiply(log_q, n, out=terms), out=terms)
+                np.negative(terms, out=terms)
                 totals[i] += float(terms.sum())
-                if terms[-1] < 1e-12 * totals[i] or n * p[-1] < 1e-6:
+                if terms[-1] < 1e-12 * totals[i] or n * p_last < 1e-6:
                     ends[i] = hi
+        del log_q, terms
         lo = hi
         chunk = min(chunk * 2, 1 << 22)
     for i, (n, end) in enumerate(zip(ns, ends)):

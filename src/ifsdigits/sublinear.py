@@ -297,8 +297,6 @@ def build_sublinear_schedule(
     model: WeightModel, profile: AdmissibleProfile, t: float
 ) -> SublinearSchedule:
     """Assemble the forced/free plan for dimension target ``t`` in (0, 1)."""
-    if not 0.0 < t < 1.0:
-        raise DomainError("dimension target t must lie in (0, 1)")
     horizon = profile.horizon
     f = profile.values
     k_star = threshold_index(model, t)

@@ -2,14 +2,16 @@
 
 Each check is a small, deterministic procedure that either returns a
 detail string or raises :class:`CheckFailure`.  :data:`CHECKS` lists every
-check once, in run order, as a row ``(name, function, tier)``.  The
-``quick`` tier (23 checks, about 2 s) runs the rows of tier ``quick``: the
-module invariants plus A4, A7, A9 and A10.  The ``full`` tier (29 checks,
-about 10 s) runs every row, so it adds A1, A2, A3, A5, A6 and A8.  The
-acceptance criteria A1-A10 are the rows named ``A#``, with their thresholds
-and runtime budgets; ``tests/test_acceptance.py`` runs those same rows.
-Every check receives the run seed so failures are reproducible from the
-report alone; A3, A5 and A8 sample fixed word seeds (0-9, 0 and 0-4).
+check once, in run order, as a row ``(name, function, tier, budget)``, and
+:func:`run_check` runs and times one row.  The ``quick`` tier (23 checks,
+about 1 s) runs the rows of tier ``quick``: the module invariants plus
+A4, A7, A9 and A10.  The ``full`` tier (29 checks, about 5 s) runs every
+row, so it adds A1, A2, A3, A5, A6 and A8.  The acceptance criteria A1-A10
+are the rows named ``A#``, with their thresholds in the check and their
+runtime budgets in the row; ``tests/test_acceptance.py`` runs those same
+rows through :func:`run_check`.  Every check receives the run seed so
+failures are reproducible from the report alone; A3, A5 and A8 sample fixed
+word seeds (0-9, 0 and 0-4).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from . import linear, occupancy, sublinear, tilt, weights
 from .errors import NotAdmissibleError
 from .rng import DEFAULT_SEED, substream
 
-__all__ = ["CHECKS", "CheckFailure", "CheckResult", "VerifyReport", "run_suite"]
+__all__ = ["CHECKS", "CheckFailure", "CheckResult", "VerifyReport", "run_check", "run_suite"]
 
 
 class CheckFailure(AssertionError):
@@ -395,30 +397,26 @@ def check_rng_reproducibility(seed: int, threads: int) -> str:
 
 
 def check_a1_luroth_occupancy_law(seed: int, threads: int) -> str:
-    start = time.perf_counter()
     n = 10**6
     report = occupancy.monte_carlo_law(
         weights.luroth_model(), n, 100, seed, checkpoints=(n,), threads=threads
     )
-    elapsed = time.perf_counter() - start
     ratio = report.means[-1]
     exact = report.exact_expectations[-1]
     rel_err = abs(report.mean_final_distinct - exact) / exact
     detail = (
         f"mean D/sqrt(n) = {ratio:.4f} in [1.7125, 1.8325] "
         f"(sqrt(pi) = {math.sqrt(math.pi):.4f}); mean D vs exact off by "
-        f"{100 * rel_err:.3f}% (<1%); {elapsed:.1f}s (<120s)"
+        f"{100 * rel_err:.3f}% (<1%)"
     )
-    _require(1.7125 <= ratio <= 1.8325 and rel_err < 0.01 and elapsed < 120.0, detail)
+    _require(1.7125 <= ratio <= 1.8325 and rel_err < 0.01, detail)
     return detail
 
 
 def check_a2_power_law_occupancy(seed: int, threads: int) -> str:
-    start = time.perf_counter()
     report = occupancy.monte_carlo_law(
         weights.power_model(3.0), 10**6, 50, seed, threads=threads
     )
-    elapsed = time.perf_counter() - start
     exact = report.exact_expectations[-1]
     rel_err = abs(report.mean_final_distinct - exact) / exact
     const = report.karlin
@@ -426,7 +424,7 @@ def check_a2_power_law_occupancy(seed: int, threads: int) -> str:
     detail = (
         f"mean D vs exact off by {100 * rel_err:.3f}% (<1%); law constant "
         f"{const:.4f} approached, final-checkpoint gap {gaps[-1]:.4f} is the "
-        f"smallest of {len(gaps)} checkpoints; {elapsed:.1f}s"
+        f"smallest of {len(gaps)} checkpoints"
     )
     _require(rel_err < 0.01 and gaps[-1] == min(gaps), detail)
     return detail
@@ -434,7 +432,6 @@ def check_a2_power_law_occupancy(seed: int, threads: int) -> str:
 
 def check_a3_linear_sandwich(seed: int, threads: int) -> str:
     # Fixed word seeds 0-9, independent of the run seed.
-    start = time.perf_counter()
     model = weights.luroth_model()
     violations = 0
     words = 0
@@ -444,18 +441,15 @@ def check_a3_linear_sandwich(seed: int, threads: int) -> str:
             word = sched.sample_word(14, substream(word_seed, 0x11EA, 14))
             violations += len(linear.sandwich_violations(theta, word))
             words += 1
-    elapsed = time.perf_counter() - start
     detail = (
         f"0 sandwich violations required, {violations} found over {words} "
-        f"words (3 rates x 10 seeds, depth 14, n up to {2**15 - 2}); "
-        f"{elapsed:.1f}s (<60s)"
+        f"words (3 rates x 10 seeds, depth 14, n up to {2**15 - 2})"
     )
-    _require(violations == 0 and elapsed < 60.0, detail)
+    _require(violations == 0, detail)
     return detail
 
 
 def check_a4_block_count_formula(seed: int, threads: int) -> str:
-    start = time.perf_counter()
     mismatches = 0
     cases = 0
     for N, L, theta in itertools.product(range(1, 6), range(1, 7), (0.3, 0.5, 1.0)):
@@ -467,37 +461,29 @@ def check_a4_block_count_formula(seed: int, threads: int) -> str:
         cases += 1
         if formula != enumerated:
             mismatches += 1
-    elapsed = time.perf_counter() - start
     detail = (
         f"counting formula equals exhaustive enumeration on all {cases} "
-        f"(N <= 5, L <= 6, theta) grid cells, {mismatches} mismatches; "
-        f"{elapsed:.1f}s (<60s)"
+        f"(N <= 5, L <= 6, theta) grid cells, {mismatches} mismatches"
     )
-    _require(mismatches == 0 and elapsed < 60.0, detail)
+    _require(mismatches == 0, detail)
     return detail
 
 
 def check_a5_local_dimension_trend(seed: int, threads: int) -> str:
     # Fixed word seed 0, independent of the run seed.
-    start = time.perf_counter()
     sched = linear.build_block_schedule(weights.luroth_model(), 0.5, depth=14)
     word = sched.sample_word(14, substream(0, 0x11EA, 14))
     d14 = sched.local_dimension(word)
     d6 = sched.local_dimension(word[: sched.boundary(6)])
-    elapsed = time.perf_counter() - start
     detail = (
         f"depth-14 local dimension {d14:.4f} in [0.40, 0.60] and closer to "
-        f"0.5 than depth-6 value {d6:.4f}; {elapsed:.1f}s (<60s)"
+        f"0.5 than depth-6 value {d6:.4f}"
     )
-    _require(
-        0.40 <= d14 <= 0.60 and abs(d14 - 0.5) < abs(d6 - 0.5) and elapsed < 60.0,
-        detail,
-    )
+    _require(0.40 <= d14 <= 0.60 and abs(d14 - 0.5) < abs(d6 - 0.5), detail)
     return detail
 
 
 def check_a6_change_of_measure_identity(seed: int, threads: int) -> str:
-    start = time.perf_counter()
     model = weights.luroth_model()
     cap = 6
     worst = 0.0
@@ -522,11 +508,10 @@ def check_a6_change_of_measure_identity(seed: int, threads: int) -> str:
     mc6 = tilt.cylinder_sum_mc(model, 6, 0.75, 0.8, trials=10**6, seed=seed)
     lo = exact6.value - 3.0 * mc6.stderr
     hi = exact6.value + exact6.truncation_deficit + 3.0 * mc6.stderr
-    elapsed = time.perf_counter() - start
     detail = (
         f"exact enumeration identity on {checked} grid cells, worst relative "
         f"gap {worst:.2e} (<1e-12); 10^6-trial MC at n=6 inside the "
-        f"exact-plus-deficit bracket within 3 se; {elapsed:.1f}s"
+        "exact-plus-deficit bracket within 3 se"
     )
     _require(worst < 1e-12 and lo <= mc6.value <= hi, detail)
     return detail
@@ -547,7 +532,6 @@ def check_a7_tilted_tail_scaling(seed: int, threads: int) -> str:
 
 def check_a8_sublinear_sandwich_and_decay(seed: int, threads: int) -> str:
     # Fixed word seeds 0-4, independent of the run seed.
-    start = time.perf_counter()
     model = weights.luroth_model()
     horizon = 10**5
     profile = sublinear.profile_from_spec({"kind": "sqrt", "horizon": horizon})
@@ -563,14 +547,12 @@ def check_a8_sublinear_sandwich_and_decay(seed: int, threads: int) -> str:
             late = float(trace.log_ratio[49999:].max())
             if not late < early:
                 decay_fail += 1
-    elapsed = time.perf_counter() - start
     detail = (
         f"exact sandwich over 10 words (2 targets x 5 seeds, n <= 10^5): "
         f"{violations} violations; late-window ratio maximum below the "
-        f"early-window maximum in {10 - decay_fail}/10 traces; "
-        f"{elapsed:.1f}s (<120s)"
+        f"early-window maximum in {10 - decay_fail}/10 traces"
     )
-    _require(violations == 0 and decay_fail == 0 and elapsed < 120.0, detail)
+    _require(violations == 0 and decay_fail == 0, detail)
     return detail
 
 
@@ -623,57 +605,67 @@ def check_a10_exponent_solver(seed: int, threads: int) -> str:
     return detail
 
 
-# Every check in run order: (name, function, tier).  Criteria that take well
-# under a second also run in the quick tier.
+# Every check in run order: (name, function, tier, budget in seconds or None).
+# The quick tier holds the module invariants and the criteria that draw
+# nothing (A4, A7, A9, A10); the criteria that sample words or trials run in
+# the full tier only.
 CHECKS = (
-    ("weights-normalization", check_weights_normalization, "quick"),
-    ("weights-tilt-monotone", check_weights_tilt_monotone, "quick"),
-    ("weights-potter-scan", check_weights_potter, "quick"),
-    ("weights-sampler-law", check_weights_sampler_law, "quick"),
-    ("occupancy-counter", check_occupancy_counter, "quick"),
-    ("occupancy-expectation", check_occupancy_expectation, "quick"),
-    ("occupancy-law-small", check_occupancy_law_small, "quick"),
-    ("linear-uniformity", check_linear_uniformity, "quick"),
-    ("linear-sandwich", check_linear_sandwich, "quick"),
-    ("linear-mass-additivity", check_linear_mass_additivity, "quick"),
-    ("linear-local-dimension", check_linear_local_dimension, "quick"),
-    ("sublinear-profiles", check_sublinear_profiles, "quick"),
-    ("sublinear-sandwich", check_sublinear_sandwich, "quick"),
-    ("sublinear-ratio-decay", check_sublinear_ratio_decay, "quick"),
-    ("tilt-change-of-measure", check_tilt_change_of_measure, "quick"),
-    ("tilt-monotonicity", check_tilt_monotonicity, "quick"),
-    ("tilt-mc", check_tilt_mc, "quick"),
-    ("tilt-bound-chain", check_tilt_bound_chain, "quick"),
-    ("rng-reproducibility", check_rng_reproducibility, "quick"),
-    ("A4", check_a4_block_count_formula, "quick"),
-    ("A7", check_a7_tilted_tail_scaling, "quick"),
-    ("A9", check_a9_combinatorial_lemma, "quick"),
-    ("A10", check_a10_exponent_solver, "quick"),
-    ("A1", check_a1_luroth_occupancy_law, "full"),
-    ("A2", check_a2_power_law_occupancy, "full"),
-    ("A3", check_a3_linear_sandwich, "full"),
-    ("A5", check_a5_local_dimension_trend, "full"),
-    ("A6", check_a6_change_of_measure_identity, "full"),
-    ("A8", check_a8_sublinear_sandwich_and_decay, "full"),
+    ("weights-normalization", check_weights_normalization, "quick", None),
+    ("weights-tilt-monotone", check_weights_tilt_monotone, "quick", None),
+    ("weights-potter-scan", check_weights_potter, "quick", None),
+    ("weights-sampler-law", check_weights_sampler_law, "quick", None),
+    ("occupancy-counter", check_occupancy_counter, "quick", None),
+    ("occupancy-expectation", check_occupancy_expectation, "quick", None),
+    ("occupancy-law-small", check_occupancy_law_small, "quick", None),
+    ("linear-uniformity", check_linear_uniformity, "quick", None),
+    ("linear-sandwich", check_linear_sandwich, "quick", None),
+    ("linear-mass-additivity", check_linear_mass_additivity, "quick", None),
+    ("linear-local-dimension", check_linear_local_dimension, "quick", None),
+    ("sublinear-profiles", check_sublinear_profiles, "quick", None),
+    ("sublinear-sandwich", check_sublinear_sandwich, "quick", None),
+    ("sublinear-ratio-decay", check_sublinear_ratio_decay, "quick", None),
+    ("tilt-change-of-measure", check_tilt_change_of_measure, "quick", None),
+    ("tilt-monotonicity", check_tilt_monotonicity, "quick", None),
+    ("tilt-mc", check_tilt_mc, "quick", None),
+    ("tilt-bound-chain", check_tilt_bound_chain, "quick", None),
+    ("rng-reproducibility", check_rng_reproducibility, "quick", None),
+    ("A4", check_a4_block_count_formula, "quick", 60),
+    ("A7", check_a7_tilted_tail_scaling, "quick", None),
+    ("A9", check_a9_combinatorial_lemma, "quick", None),
+    ("A10", check_a10_exponent_solver, "quick", None),
+    ("A1", check_a1_luroth_occupancy_law, "full", 120),
+    ("A2", check_a2_power_law_occupancy, "full", None),
+    ("A3", check_a3_linear_sandwich, "full", 60),
+    ("A5", check_a5_local_dimension_trend, "full", 60),
+    ("A6", check_a6_change_of_measure_identity, "full", None),
+    ("A8", check_a8_sublinear_sandwich_and_decay, "full", 120),
 )
+
+
+def run_check(row: tuple, seed: int, threads: int) -> CheckResult:
+    """Run and time one row of :data:`CHECKS`; a :class:`CheckFailure` or a
+    run over the row's budget fails it, with the seed in the detail."""
+    name, fn, _, budget = row
+    start = time.perf_counter()
+    try:
+        detail = fn(seed, threads)
+        passed = True
+    except CheckFailure as exc:
+        detail = str(exc)
+        passed = False
+    seconds = time.perf_counter() - start
+    if budget is not None:
+        detail += f"; {seconds:.1f}s (<{budget:g}s)"
+        passed = passed and seconds < budget
+    if not passed:
+        detail += f" [reproduce with seed={seed}]"
+    return CheckResult(name=name, passed=passed, seconds=seconds, detail=detail)
 
 
 def run_suite(tier: str = "quick", seed: int = DEFAULT_SEED, threads: int = 1) -> VerifyReport:
     if tier not in ("quick", "full"):
         raise ValueError(f"unknown verification tier {tier!r}")
-    results = []
-    for name, fn, row_tier in CHECKS:
-        if tier == "quick" and row_tier != "quick":
-            continue
-        start = time.perf_counter()
-        try:
-            detail = fn(seed, threads)
-            passed = True
-        except CheckFailure as exc:
-            detail = f"{exc} [reproduce with seed={seed}]"
-            passed = False
-        elapsed = time.perf_counter() - start
-        results.append(
-            CheckResult(name=name, passed=passed, seconds=elapsed, detail=detail)
-        )
-    return VerifyReport(tier=tier, seed=seed, results=tuple(results))
+    results = tuple(
+        run_check(row, seed, threads) for row in CHECKS if tier == "full" or row[2] == "quick"
+    )
+    return VerifyReport(tier=tier, seed=seed, results=results)

@@ -567,12 +567,13 @@ def verify_potter_report(model: WeightModel, report: PotterReport) -> bool:
     """Re-check a report with plain loops (independent of the scan path)."""
     bound = 1.0 / (2.0 ** (model.rho + report.epsilon) * report.C_eps)
     limit = min(report.scan_limit, _POTTER_RECHECK_LIMIT)
+    p = [0.0] + [weight(model, k) for k in range(1, limit + 1)]  # p[k] is p_k
     for kk in range(report.k_eps, limit + 1):
-        pk = weight(model, kk)
+        pk = p[kk]
         if pk < 0.5 * kk ** -model.rho * slowly_varying(model, kk):
             return False
         for mm in range(kk, min(2 * kk - 1, limit) + 1):
-            if weight(model, mm) / pk < bound:
+            if p[mm] / pk < bound:
                 return False
     return True
 

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, reproducibility, wire formats."""
 
+import csv
 import importlib
 import json
 import math
@@ -370,7 +371,7 @@ class TestExitCodes:
         def fail(seed, threads):
             raise verify.CheckFailure("injected failure")
 
-        monkeypatch.setattr(verify, "CHECKS", verify.CHECKS + (("fail-inject", fail, "quick"),))
+        monkeypatch.setattr(verify, "CHECKS", verify.CHECKS + (("fail-inject", fail, "quick", None),))
         code, text = run_cli(tmp_path, ["verify", "quick", "--threads", "4", "--format", "json"])
         assert code == 4
         assert_canonical_json(text)
@@ -633,6 +634,21 @@ class TestConstructOutputs:
         assert f_vals == [math.isqrt(n) for n in range(1, 101)]
         assert all(f <= d <= f + k for f, d, k in zip(f_vals, d_vals, k_vals))
 
+    def test_sublinear_csv_and_json_agree_cell_for_cell(self, tmp_path):
+        # CSV cells are formatted once per run of equal cells; each float must
+        # still be the repr of its JSON value and each int its str
+        argv = ["construct", "sublinear", "--t", "0.5", "--n", "20000", "--seed", "1"]
+        _, text = run_cli(tmp_path, argv + ["--format", "csv"], "out.csv")
+        _, doc = run_cli(tmp_path, argv + ["--format", "json"], "out.json")
+        rows = list(csv.DictReader(line for line in text.splitlines() if not line.startswith("#")))
+        obj = json.loads(doc)
+        assert [r["n"] for r in rows] == [str(n) for n in range(1, 20001)]
+        keys = {"log_ratio": "log_ratio", "free_part": "free_part", "forced_part": "forced_part",
+                "f_n": "f", "K_n": "K", "D_n": "distinct"}
+        for col, key in keys.items():
+            for cell, value in zip([r[col] for r in rows], obj[key], strict=True):
+                assert cell == (repr(value) if isinstance(value, float) else str(value)), (col, cell)
+
     def test_power_profile_flags(self, tmp_path):
         code, text = run_cli(
             tmp_path,
@@ -643,6 +659,17 @@ class TestConstructOutputs:
         )
         assert code == 0
         assert "profile=builtin-power(0.4,2.0)" in text.split("\n")[0]
+
+    def test_log_profile_flag(self, tmp_path):
+        code, text = run_cli(
+            tmp_path, ["construct", "sublinear", "--t", "0.5", "--n", "10000", "--profile", "log"]
+        )
+        assert code == 0
+        lines = text.strip().split("\n")
+        assert "profile=builtin-log" in lines[0]
+        rows = [line.split(",") for line in lines[2:]]
+        assert [int(r[4]) for r in rows] == [math.floor(math.log(n + 1.0)) for n in range(1, 10001)]
+        assert all(int(r[4]) <= int(r[6]) <= int(r[4]) + int(r[5]) for r in rows)
 
 
 class TestCylsum:

@@ -1,4 +1,4 @@
-"""The check registry: which named checks each ``verify`` tier runs, in order."""
+"""The check registry: which named checks each ``verify`` tier runs, in order, and how a row is run."""
 
 import pytest
 
@@ -38,7 +38,9 @@ def stub_checks(monkeypatch):
     def stub(seed, threads):
         return "stub"
 
-    monkeypatch.setattr(verify, "CHECKS", tuple((name, stub, tier) for name, _, tier in verify.CHECKS))
+    monkeypatch.setattr(
+        verify, "CHECKS", tuple((name, stub, tier, budget) for name, _, tier, budget in verify.CHECKS)
+    )
 
 
 @pytest.mark.parametrize("tier, names", [("quick", QUICK), ("full", FULL)])
@@ -47,3 +49,35 @@ def test_tier_check_names(stub_checks, tier, names):
     report = verify.run_suite(tier)
     assert [r.name for r in report.results] == names
     assert len(names) == {"quick": 23, "full": 29}[tier]
+
+
+def test_budgets():
+    budgets = {name: budget for name, _, _, budget in verify.CHECKS if budget is not None}
+    assert budgets == {"A1": 120, "A3": 60, "A4": 60, "A5": 60, "A8": 120}
+
+
+def test_budget_is_reported():
+    row = next(row for row in verify.CHECKS if row[0] == "A4")
+    result = verify.run_check(row, 7, 1)
+    assert result.passed
+    assert result.detail.endswith(f"; {result.seconds:.1f}s (<60s)")
+
+
+def test_row_over_its_budget_fails(stub_checks, monkeypatch):
+    # a row that passes its check still fails over its budget
+    rows = tuple((n, f, t, 0 if n == "A7" else b) for n, f, t, b in verify.CHECKS)
+    monkeypatch.setattr(verify, "CHECKS", rows)
+    report = verify.run_suite("quick", seed=7)
+    assert not report.passed
+    (failed,) = [r for r in report.results if not r.passed]
+    assert failed.name == "A7"
+    assert failed.detail == f"stub; {failed.seconds:.1f}s (<0s) [reproduce with seed=7]"
+
+
+def test_check_failure_names_the_seed():
+    def fail(seed, threads):
+        raise verify.CheckFailure(f"broke at seed {seed}")
+
+    result = verify.run_check(("fail", fail, "quick", None), 11, 1)
+    assert not result.passed
+    assert result.detail == "broke at seed 11 [reproduce with seed=11]"

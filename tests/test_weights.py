@@ -9,9 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.integrate import quad
-from scipy.special import gamma as gamma_function
-from scipy.special import gammaincc, zeta
 
 from ifsdigits import weights
 from ifsdigits.errors import (
@@ -190,9 +187,6 @@ class TestTailSums:
                 weights.power_log_model(2.0, gamma)
         m = weights.power_log_model(2.0, -0.9)
         assert math.isfinite(weights.tail_sum(m, 10))
-        want = quad(lambda x: x**-4.0 * math.log(x + 1.0) ** -1.8, 8192.0, math.inf,
-                    epsabs=0.0, epsrel=1e-13)[0]
-        assert weights._powerlog_tail_integral(8192.0, 4.0, -1.8) == pytest.approx(want, rel=1e-12)
         assert math.isfinite(weights.tilted_tail_sum(m, 10, 2.0))
         # log exponent -1.0098 and (q - 1) ln 8193 = 0.27 < g + 2: no Gamma(a, x) path
         with pytest.raises(DomainError, match="got -1.0098"):
@@ -210,6 +204,7 @@ class TestTailSums:
 
 def reference_tail_integral(a: float, q: float, g: float) -> float:
     """The earlier scipy-based tail integral: regularized ``gammaincc`` times ``Gamma``."""
+    gammaincc = pytest.importorskip("scipy.special").gammaincc
     ln_a = math.log(a + 1.0)
     total = 0.0
     coef = 1.0
@@ -225,18 +220,23 @@ def reference_tail_integral(a: float, q: float, g: float) -> float:
 
 
 class TestNumpyOnlyTails:
-    """The private Gamma(a, x) and the one tail solver against scipy oracles."""
+    """The private Gamma(a, x) and the one tail solver against scipy oracles.
+
+    scipy is a test-only dependency: each oracle test skips without it.
+    """
 
     @pytest.mark.parametrize("a", [*np.geomspace(0.01, 12.0, 17), 1.0])
     def test_upper_gamma_against_scipy(self, a):
+        special = pytest.importorskip("scipy.special")
         for x in np.geomspace(1e-4, 700.0, 60):
-            want = gammaincc(a, x) * gamma_function(a)
+            want = special.gammaincc(a, x) * special.gamma(a)
             got = weights._upper_gamma(float(a), float(x))
             assert got == pytest.approx(want, rel=1e-12), (a, x)
 
     @pytest.mark.parametrize("a", [-0.8, -0.5, 0.0])
     def test_upper_gamma_nonpositive_a_against_quad(self, a):
         # the continued fraction serves a <= 0 wherever x >= a + 1
+        quad = pytest.importorskip("scipy.integrate").quad
         for x in np.geomspace(a + 1.0 if a + 1.0 > 0.05 else 0.05, 600.0, 30):
             want = quad(lambda t: t ** (a - 1.0) * math.exp(-t), x, math.inf,
                         epsabs=0.0, epsrel=1e-13, limit=200)[0]
@@ -244,6 +244,7 @@ class TestNumpyOnlyTails:
 
     @pytest.mark.parametrize("M", [1, 2, 10, 8191, 8192, 8193, 10**5, 2**20 + 1, 10**12])
     def test_zeta_tail_against_scipy(self, M):
+        zeta = pytest.importorskip("scipy.special").zeta
         for q in np.geomspace(1.001, 20.0, 25):
             got = weights._powerlog_raw_tail(M, float(q), 0.0)
             assert got == pytest.approx(zeta(q, M), rel=1e-12), (q, M)
@@ -256,7 +257,15 @@ class TestNumpyOnlyTails:
                     got = weights._powerlog_tail_integral(a, q, float(g))
                     assert got == pytest.approx(want, rel=1e-12), (g, q, a)
 
+    def test_tail_integral_below_log_exponent_minus_one_against_quad(self):
+        # power-log(2, -0.9) tilted at s = 2 has log exponent -1.8
+        quad = pytest.importorskip("scipy.integrate").quad
+        want = quad(lambda x: x**-4.0 * math.log(x + 1.0) ** -1.8, 8192.0, math.inf,
+                    epsabs=0.0, epsrel=1e-13)[0]
+        assert weights._powerlog_tail_integral(8192.0, 4.0, -1.8) == pytest.approx(want, rel=1e-12)
+
     def test_explicit_prefix_tail_against_scipy(self):
+        zeta = pytest.importorskip("scipy.special").zeta
         m = weights.explicit_prefix_model((0.1, 0.3), rho=2.5)
         c = 0.6 / zeta(2.5, 3)
         assert m.power_constant == pytest.approx(c, rel=1e-12)
