@@ -7,7 +7,8 @@ byte-identical across reruns with the same arguments; the thread count
 only affects wall time, never output bytes.
 
 Exit codes: 0 success, 2 usage (argparse), 3 invalid values, 4 a
-verification suite reported failures.
+verification suite reported failures, 141 (128 + SIGPIPE) the reader closed
+the output pipe early, with nothing written to stderr.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import nullcontext
 from itertools import chain, islice
@@ -401,6 +403,11 @@ def main(argv=None) -> int:
     except IfsDigitsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's final flush of the
+        # buffered output cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

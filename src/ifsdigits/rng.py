@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = ["DEFAULT_SEED", "substream"]
 
 # Default seed used by the command-line tools.
@@ -20,8 +22,12 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     """Return a generator for the substream addressed by ``(seed, *path)``.
 
     ``path`` is typically a trial index, optionally followed by finer
-    coordinates (for example ``substream(seed, trial, level)``).
+    coordinates (for example ``substream(seed, trial, level)``).  A
+    negative seed raises :class:`DomainError`.
     """
-    ss = np.random.SeedSequence((int(seed),) + tuple(int(p) for p in path))
+    seed = int(seed)
+    if seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed}")
+    ss = np.random.SeedSequence((seed,) + tuple(int(p) for p in path))
     key = ss.generate_state(2, np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -9,13 +9,17 @@ A4, A7, A9 and A10.  The ``full`` tier (29 checks, about 5 s) runs every
 row, so it adds A1, A2, A3, A5, A6 and A8.  The acceptance criteria A1-A10
 are the rows named ``A#``, with their thresholds in the check and their
 runtime budgets in the row; ``tests/test_acceptance.py`` runs those same
-rows through :func:`run_check`.  Every check receives the run seed so
-failures are reproducible from the report alone; A3, A5 and A8 sample fixed
-word seeds (0-9, 0 and 0-4).
+rows through :func:`run_check`.  A check gets ``seed`` or ``threads`` only if
+its signature names them: 13 rows read the seed, and ``occupancy-law-small``,
+A1 and A2 also the threads.  Only a failed row that reads the seed ends in
+``[reproduce with seed=S]``.  The sandwich rows draw the CLI's words, those of
+``construct linear --depth 8 --seed W`` for W = S..S+2 and ``construct
+sublinear --n N --seed S`` for N = 20000 and 10000.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import time
@@ -83,7 +87,7 @@ def _models_under_test():
     ]
 
 
-def check_weights_normalization(seed: int, threads: int) -> str:
+def check_weights_normalization() -> str:
     worst = 0.0
     for name, model in _models_under_test():
         err = abs(weights.tail_sum(model, 1) - 1.0)
@@ -92,7 +96,7 @@ def check_weights_normalization(seed: int, threads: int) -> str:
     return f"four model kinds normalized, worst residual {worst:.1e}"
 
 
-def check_weights_tilt_monotone(seed: int, threads: int) -> str:
+def check_weights_tilt_monotone() -> str:
     model = weights.luroth_model()
     grid = np.linspace(0.55, 1.0, 10)
     vals = [weights.tilted_tail_sum(model, 1, float(s)) for s in grid]
@@ -103,7 +107,7 @@ def check_weights_tilt_monotone(seed: int, threads: int) -> str:
     return f"Z(s) strictly decreasing over 10 grid points, Z(0.55)={vals[0]:.4f}"
 
 
-def check_weights_potter(seed: int, threads: int) -> str:
+def check_weights_potter() -> str:
     model = weights.luroth_model()
     rep = weights.potter_scan(model, 1.0)
     _require(rep.k_eps == 1, f"k_eps={rep.k_eps}, expected 1")
@@ -114,7 +118,7 @@ def check_weights_potter(seed: int, threads: int) -> str:
     return f"dyadic ratio scan: k_eps={rep.k_eps}, C_eps={rep.C_eps}, re-verified"
 
 
-def check_weights_sampler_law(seed: int, threads: int) -> str:
+def check_weights_sampler_law(seed: int) -> str:
     model = weights.luroth_model()
     rng = substream(seed, 0x5A)
     n = 200_000
@@ -138,7 +142,7 @@ _PI_MINUS_3_PARTIAL_QUOTIENTS = (
 )
 
 
-def check_occupancy_counter(seed: int, threads: int) -> str:
+def check_occupancy_counter() -> str:
     count = int(occupancy.distinct_counts((7, 15, 1, 292, 1, 1, 1, 2))[-1])
     _require(count == 5, f"eight-digit stream counted {count}, expected 5")
     counts = occupancy.distinct_counts(_PI_MINUS_3_PARTIAL_QUOTIENTS)
@@ -153,7 +157,7 @@ def check_occupancy_counter(seed: int, threads: int) -> str:
     return "streaming counts match hand counts; increments in {0,1}"
 
 
-def check_occupancy_expectation(seed: int, threads: int) -> str:
+def check_occupancy_expectation() -> str:
     model = weights.luroth_model()
     _require(occupancy.expected_distinct(model, 1) == 1.0, "one draw occupies one box")
     k = np.arange(1, 200_001, dtype=np.float64)
@@ -188,7 +192,7 @@ def check_occupancy_law_small(seed: int, threads: int) -> str:
 # -- linear construction -------------------------------------------------------------
 
 
-def check_linear_uniformity(seed: int, threads: int) -> str:
+def check_linear_uniformity(seed: int) -> str:
     model = weights.luroth_model()
     sched = linear.build_block_schedule(model, 0.5, depth=3)
     for j in (1, 2, 3):
@@ -206,18 +210,25 @@ def check_linear_uniformity(seed: int, threads: int) -> str:
     return "level masses sum to the parent mass exactly (levels 1..3)"
 
 
-def check_linear_sandwich(seed: int, threads: int) -> str:
-    model = weights.luroth_model()
+def _linear_sandwich(depth: int, word_seeds) -> dict[str, int]:
+    """Sandwich violations per failing word of ``construct linear --depth {depth}``."""
+    failures = {}
     for theta in (0.3, 0.5, 1.0):
-        sched = linear.build_block_schedule(model, theta, depth=8)
-        for trial in range(3):
-            word = sched.sample_word(8, substream(seed, 0x5A4D, int(theta * 10), trial))
-            bad = linear.sandwich_violations(theta, word)
-            _require(not bad, f"theta={theta} trial {trial}: violations at {bad[:5]}")
+        sched = linear.build_block_schedule(weights.luroth_model(), theta, depth=depth)
+        for word_seed in word_seeds:
+            word = sched.sample_word(depth, substream(word_seed, 0x11EA, depth))
+            if bad := linear.sandwich_violations(theta, word):
+                failures[f"theta={theta}, word seed {word_seed}"] = len(bad)
+    return failures
+
+
+def check_linear_sandwich(seed: int) -> str:
+    failures = _linear_sandwich(8, range(seed, seed + 3))
+    _require(not failures, f"sandwich violations per failing word: {failures}")
     return "theta*n <= D_n < theta*n + level holds exactly (3 rates, 3 seeds, depth 8)"
 
 
-def check_linear_mass_additivity(seed: int, threads: int) -> str:
+def check_linear_mass_additivity(seed: int) -> str:
     model = weights.luroth_model()
     sched = linear.build_block_schedule(model, 0.5, depth=2)
     word = sched.sample_word(1, substream(seed, 0xADD))
@@ -232,7 +243,7 @@ def check_linear_mass_additivity(seed: int, threads: int) -> str:
     return "one-step extension masses add up to the prefix mass"
 
 
-def check_linear_local_dimension(seed: int, threads: int) -> str:
+def check_linear_local_dimension(seed: int) -> str:
     model = weights.luroth_model()
     sched = linear.build_block_schedule(model, 0.5, depth=10)
     rng_word = sched.sample_word(10, substream(seed, 0xD10))
@@ -251,7 +262,7 @@ def check_linear_local_dimension(seed: int, threads: int) -> str:
 # -- sublinear construction ----------------------------------------------------------
 
 
-def check_sublinear_profiles(seed: int, threads: int) -> str:
+def check_sublinear_profiles() -> str:
     prof = sublinear.profile_from_spec({"kind": "sqrt", "horizon": 10_000})
     k = np.arange(10_001)
     _require(
@@ -267,7 +278,27 @@ def check_sublinear_profiles(seed: int, threads: int) -> str:
     return "sqrt profile exact; linear growth rejected naming the decay clause"
 
 
-def check_sublinear_sandwich(seed: int, threads: int) -> str:
+def _sublinear_words(horizon: int, word_seeds) -> tuple[dict[str, int], list[str], int]:
+    """Sandwich violations per failing word, the words whose log ratio does not fall (maximum
+    over ``[h/2 - 1:]`` not below that over ``[:h/2]``) and the trace count, over the words
+    ``construct sublinear --t t --n {horizon}`` writes at t = 0.5, 0.9 for each word seed."""
+    model = weights.luroth_model()
+    profile = sublinear.profile_from_spec({"kind": "sqrt", "horizon": horizon})
+    violations, no_decay = {}, []
+    for t in (0.5, 0.9):
+        sched = sublinear.build_sublinear_schedule(model, profile, t)
+        for word_seed in word_seeds:
+            word = sched.sample_word(horizon, substream(word_seed, 0x5B11, horizon))
+            key = f"t={t}, word seed {word_seed}"
+            if bad := sched.sandwich_violations(word):
+                violations[key] = len(bad)
+            log_ratio = sched.ratio_trace(word).log_ratio
+            if not log_ratio[horizon // 2 - 1 :].max() < log_ratio[: horizon // 2].max():
+                no_decay.append(key)
+    return violations, no_decay, 2 * len(word_seeds)
+
+
+def check_sublinear_sandwich(seed: int) -> str:
     model = weights.luroth_model()
     prof = sublinear.profile_from_spec({"kind": "sqrt", "horizon": 20_000})
     for t in (0.5, 0.9):
@@ -276,58 +307,54 @@ def check_sublinear_sandwich(seed: int, threads: int) -> str:
         for K, s in zip(kvals, sched.s_of_n[first]):
             resid = abs(float(np.sum(sched.sorted_weights[:K] ** s)) - 1.0)
             _require(resid < 1e-10, f"t={t}: tilt normalization residual {resid:.2e}")
-        word = sched.sample_word(20_000, substream(seed, 0x5B, int(t * 10)))
-        bad = sched.sandwich_violations(word)
-        _require(not bad, f"t={t}: sandwich fails at positions {bad[:5]}")
+    violations, _, _ = _sublinear_words(20_000, (seed,))
+    _require(not violations, f"sandwich violations per failing word: {violations}")
     return "f(n) <= D_n <= f(n) + K_n exactly for t in {0.5, 0.9} at horizon 2e4"
 
 
-def check_sublinear_ratio_decay(seed: int, threads: int) -> str:
-    model = weights.luroth_model()
-    prof = sublinear.profile_from_spec({"kind": "sqrt", "horizon": 10_000})
-    details = []
-    for t in (0.5, 0.9):
-        sched = sublinear.build_sublinear_schedule(model, prof, t)
-        word = sched.sample_word(10_000, substream(seed, 0xDECA, int(t * 10)))
-        trace = sched.ratio_trace(word).log_ratio
-        early = float(trace[:5000].max())
-        late = float(trace[5000:].max())
-        _require(late < early, f"t={t}: late max {late:.2f} not below early {early:.2f}")
-        details.append(f"t={t}: {early:.1f} -> {late:.1f}")
-    return "log mass-to-diameter ratio drifts down (" + "; ".join(details) + ")"
+def check_sublinear_ratio_decay(seed: int) -> str:
+    _, no_decay, traces = _sublinear_words(10_000, (seed,))
+    _require(not no_decay, f"late-window ratio maximum not below the early one for {no_decay}")
+    return f"log mass-to-diameter ratio drifts down in {traces}/{traces} traces at horizon 1e4"
 
 
 # -- tilt ---------------------------------------------------------------------------
 
 
-def check_tilt_change_of_measure(seed: int, threads: int) -> str:
+def _distinct_mass(q: list[float], m: int) -> list[float]:
+    """Brute-force oracle: ``[P(m draws from q take d distinct values) for d]``."""
+    mass = [0.0] * (len(q) + 1)
+    for word in itertools.product(range(len(q)), repeat=m):
+        mass[len(set(word))] += math.prod(q[i] for i in word)
+    return mass
+
+
+def _change_of_measure(cap: int, lengths) -> dict[str, float]:
+    """Relative gap per cell (m, s, theta) of ``S_m = Z**m P(D_m >= threshold)`` at
+    ``cap``: ``cylinder_sum_exact`` against :func:`_distinct_mass`."""
     model = weights.luroth_model()
-    worst = 0.0
-    for n in (2, 3, 4, 5):
-        for s in (0.6, 0.75, 0.9):
+    gaps = {}
+    for s in (0.6, 0.75, 0.9):
+        w = [weights.weight(model, k) ** s for k in range(1, cap + 1)]
+        z = math.fsum(w)
+        q = [x / z for x in w]
+        for m in lengths:
+            mass = _distinct_mass(q, m)
             for theta in (0.4, 0.8, 1.0):
-                rec = tilt.cylinder_sum_exact(model, n, s, theta, alphabet_cap=5)
-                w = weights.weights_range(model, 1, 6) ** s
-                z = float(w.sum())
-                q = w / z
-                qdp = {0: 1.0}
-                for _ in range(n):
-                    nxt: dict[int, float] = {}
-                    for mask, val in qdp.items():
-                        for kk in range(5):
-                            nm = mask | (1 << kk)
-                            nxt[nm] = nxt.get(nm, 0.0) + val * q[kk]
-                    qdp = nxt
-                thr = tilt.distinct_threshold(n, theta)
-                prob = math.fsum(v for m, v in qdp.items() if m.bit_count() >= thr)
-                lhs, rhs = rec.value, z**n * prob
-                rel = abs(lhs - rhs) / max(rhs, 1e-300)
-                worst = max(worst, rel)
-                _require(rel < 1e-12, f"(n={n},s={s},theta={theta}): rel {rel:.2e}")
-    return f"Z**n x tilted probability matches the direct sum (worst rel {worst:.1e})"
+                rhs = z**m * math.fsum(mass[tilt.distinct_threshold(m, theta) :])
+                rec = tilt.cylinder_sum_exact(model, m, s, theta, alphabet_cap=cap)
+                gaps[f"(m={m}, s={s}, theta={theta})"] = abs(rec.value - rhs) / rhs
+    return gaps
 
 
-def check_tilt_monotonicity(seed: int, threads: int) -> str:
+def check_tilt_change_of_measure() -> str:
+    gaps = _change_of_measure(5, range(2, 6))
+    cell = max(gaps, key=gaps.get)
+    _require(gaps[cell] < 1e-12, f"{cell}: rel {gaps[cell]:.2e}")
+    return f"Z**n x tilted probability matches the direct sum (worst rel {gaps[cell]:.1e})"
+
+
+def check_tilt_monotonicity() -> str:
     model = weights.luroth_model()
     for theta in (0.4, 0.8):
         vals = [
@@ -344,7 +371,7 @@ def check_tilt_monotonicity(seed: int, threads: int) -> str:
     return "S_n nonincreasing in s and in theta on the exact grid"
 
 
-def check_tilt_mc(seed: int, threads: int) -> str:
+def check_tilt_mc(seed: int) -> str:
     # At n = 4, theta = 1 the threshold is 2: every word but the constant ones
     # counts, so S_4(s, 1) = Z(s)**4 - Z(4s), on the full alphabet or any cap.
     model, s, cap = weights.luroth_model(), 0.75, 6
@@ -361,7 +388,7 @@ def check_tilt_mc(seed: int, threads: int) -> str:
     return f"S_4(0.75, 1) on luroth: {full:.4f}, MC {rec.value:.4f}; cap {cap} exact to {rel:.1e}"
 
 
-def check_tilt_bound_chain(seed: int, threads: int) -> str:
+def check_tilt_bound_chain() -> str:
     # The chain's first link, both sides exact on the capped alphabet: m distinct
     # digits put digits >= ceil(m/2) on at least ceil(m/2) positions.
     model, cap = weights.luroth_model(), 64
@@ -384,7 +411,7 @@ def check_tilt_bound_chain(seed: int, threads: int) -> str:
 # -- rng ----------------------------------------------------------------------------
 
 
-def check_rng_reproducibility(seed: int, threads: int) -> str:
+def check_rng_reproducibility(seed: int) -> str:
     a = substream(seed, 1, 2).random(8)
     b = substream(seed, 1, 2).random(8)
     c = substream(seed, 1, 3).random(8)
@@ -421,35 +448,28 @@ def check_a2_power_law_occupancy(seed: int, threads: int) -> str:
     rel_err = abs(report.mean_final_distinct - exact) / exact
     const = report.karlin
     gaps = [abs(mean - const) for mean in report.means]
+    closest, i = gaps[-1] == min(gaps), gaps.index(min(gaps))
     detail = (
         f"mean D vs exact off by {100 * rel_err:.3f}% (<1%); law constant "
-        f"{const:.4f} approached, final-checkpoint gap {gaps[-1]:.4f} is the "
-        f"smallest of {len(gaps)} checkpoints"
+        f"{const:.4f} approached, final-checkpoint gap {gaps[-1]:.4f} is "
+        f"{'the' if closest else 'not the'} smallest of {len(gaps)} checkpoints"
+        + ("" if closest else f"; the smallest is {gaps[i]:.4f} at n = {report.checkpoints[i]}")
     )
     _require(rel_err < 0.01 and gaps[-1] == min(gaps), detail)
     return detail
 
 
-def check_a3_linear_sandwich(seed: int, threads: int) -> str:
-    # Fixed word seeds 0-9, independent of the run seed.
-    model = weights.luroth_model()
-    violations = 0
-    words = 0
-    for theta in (0.3, 0.5, 1.0):
-        sched = linear.build_block_schedule(model, theta, depth=14)
-        for word_seed in range(10):
-            word = sched.sample_word(14, substream(word_seed, 0x11EA, 14))
-            violations += len(linear.sandwich_violations(theta, word))
-            words += 1
+def check_a3_linear_sandwich() -> str:
+    failures = _linear_sandwich(14, range(10))
     detail = (
-        f"0 sandwich violations required, {violations} found over {words} "
+        f"0 sandwich violations required, {sum(failures.values())} found over 30 "
         f"words (3 rates x 10 seeds, depth 14, n up to {2**15 - 2})"
     )
-    _require(violations == 0, detail)
+    _require(not failures, f"{detail}; violations per failing word: {failures}")
     return detail
 
 
-def check_a4_block_count_formula(seed: int, threads: int) -> str:
+def check_a4_block_count_formula() -> str:
     mismatches = 0
     cases = 0
     for N, L, theta in itertools.product(range(1, 6), range(1, 7), (0.3, 0.5, 1.0)):
@@ -469,8 +489,7 @@ def check_a4_block_count_formula(seed: int, threads: int) -> str:
     return detail
 
 
-def check_a5_local_dimension_trend(seed: int, threads: int) -> str:
-    # Fixed word seed 0, independent of the run seed.
+def check_a5_local_dimension_trend() -> str:
     sched = linear.build_block_schedule(weights.luroth_model(), 0.5, depth=14)
     word = sched.sample_word(14, substream(0, 0x11EA, 14))
     d14 = sched.local_dimension(word)
@@ -483,41 +502,24 @@ def check_a5_local_dimension_trend(seed: int, threads: int) -> str:
     return detail
 
 
-def check_a6_change_of_measure_identity(seed: int, threads: int) -> str:
+def check_a6_change_of_measure_identity(seed: int) -> str:
     model = weights.luroth_model()
-    cap = 6
-    worst = 0.0
-    checked = 0
-    for s in (0.6, 0.75, 0.9):
-        w = [weights.weight(model, k) ** s for k in range(1, cap + 1)]
-        z = math.fsum(w)
-        q = [x / z for x in w]
-        # aggregate tilted probability mass by (length, distinct count)
-        by_distinct = {m: [0.0] * (cap + 1) for m in range(1, 7)}
-        for m in range(1, 7):
-            for word in itertools.product(range(cap), repeat=m):
-                by_distinct[m][len(set(word))] += math.prod(q[i] for i in word)
-        for m, theta in itertools.product(range(1, 7), (0.4, 0.8, 1.0)):
-            need = tilt.distinct_threshold(m, theta)
-            prob = math.fsum(by_distinct[m][need:])
-            rec = tilt.cylinder_sum_exact(model, m, s, theta, alphabet_cap=cap)
-            rel = abs(rec.value - z**m * prob) / (z**m * prob)
-            worst = max(worst, rel)
-            checked += 1
-    exact6 = tilt.cylinder_sum_exact(model, 6, 0.75, 0.8, alphabet_cap=cap)
+    gaps = _change_of_measure(6, range(1, 7))
+    cell = max(gaps, key=gaps.get)
+    exact6 = tilt.cylinder_sum_exact(model, 6, 0.75, 0.8, alphabet_cap=6)
     mc6 = tilt.cylinder_sum_mc(model, 6, 0.75, 0.8, trials=10**6, seed=seed)
     lo = exact6.value - 3.0 * mc6.stderr
     hi = exact6.value + exact6.truncation_deficit + 3.0 * mc6.stderr
     detail = (
-        f"exact enumeration identity on {checked} grid cells, worst relative "
-        f"gap {worst:.2e} (<1e-12); 10^6-trial MC at n=6 inside the "
+        f"exact enumeration identity on {len(gaps)} grid cells, worst relative "
+        f"gap {gaps[cell]:.2e} (<1e-12); 10^6-trial MC at n=6 inside the "
         "exact-plus-deficit bracket within 3 se"
     )
-    _require(worst < 1e-12 and lo <= mc6.value <= hi, detail)
+    _require(gaps[cell] < 1e-12 and lo <= mc6.value <= hi, f"{detail}; worst cell {cell}")
     return detail
 
 
-def check_a7_tilted_tail_scaling(seed: int, threads: int) -> str:
+def check_a7_tilted_tail_scaling() -> str:
     model = weights.luroth_model()
     ratios = {
         M: weights.tilted_tail_sum(model, M, 0.75) * math.sqrt(M)
@@ -530,33 +532,18 @@ def check_a7_tilted_tail_scaling(seed: int, threads: int) -> str:
     return detail
 
 
-def check_a8_sublinear_sandwich_and_decay(seed: int, threads: int) -> str:
-    # Fixed word seeds 0-4, independent of the run seed.
-    model = weights.luroth_model()
-    horizon = 10**5
-    profile = sublinear.profile_from_spec({"kind": "sqrt", "horizon": horizon})
-    violations = 0
-    decay_fail = 0
-    for t in (0.5, 0.9):
-        sched = sublinear.build_sublinear_schedule(model, profile, t)
-        for word_seed in range(5):
-            word = sched.sample_word(horizon, substream(word_seed, 0x5B11, horizon))
-            violations += len(sched.sandwich_violations(word))
-            trace = sched.ratio_trace(word)
-            early = float(trace.log_ratio[:50000].max())
-            late = float(trace.log_ratio[49999:].max())
-            if not late < early:
-                decay_fail += 1
+def check_a8_sublinear_sandwich_and_decay() -> str:
+    violations, no_decay, traces = _sublinear_words(10**5, range(5))
     detail = (
-        f"exact sandwich over 10 words (2 targets x 5 seeds, n <= 10^5): "
-        f"{violations} violations; late-window ratio maximum below the "
-        f"early-window maximum in {10 - decay_fail}/10 traces"
+        f"exact sandwich over {traces} words (2 targets x 5 seeds, n <= 10^5): "
+        f"{sum(violations.values())} violations; late-window ratio maximum below the "
+        f"early-window maximum in {traces - len(no_decay)}/{traces} traces"
     )
-    _require(violations == 0 and decay_fail == 0, detail)
+    _require(not violations and not no_decay, f"{detail}; failing words: {violations}, {no_decay}")
     return detail
 
 
-def check_a9_combinatorial_lemma(seed: int, threads: int) -> str:
+def check_a9_combinatorial_lemma() -> str:
     report = tilt.distinct_forces_large_check(6, 6)
     ok = report.counterexample is None
     detail = (
@@ -568,7 +555,7 @@ def check_a9_combinatorial_lemma(seed: int, threads: int) -> str:
     return detail
 
 
-def check_a10_exponent_solver(seed: int, threads: int) -> str:
+def check_a10_exponent_solver() -> str:
     model = weights.luroth_model()
     s1 = weights.partial_sum_exponent(model, 1)
     ladder = (2, 10, 100, 1000, 10**4)
@@ -643,12 +630,15 @@ CHECKS = (
 
 
 def run_check(row: tuple, seed: int, threads: int) -> CheckResult:
-    """Run and time one row of :data:`CHECKS`; a :class:`CheckFailure` or a
-    run over the row's budget fails it, with the seed in the detail."""
+    """Run and time one row of :data:`CHECKS`, passing ``seed`` and ``threads`` only to
+    a check whose signature names them.  A :class:`CheckFailure` or a run over the
+    row's budget fails the row, and a failed row that reads the seed names it."""
     name, fn, _, budget = row
+    params = inspect.signature(fn).parameters
+    inputs = {key: value for key, value in (("seed", seed), ("threads", threads)) if key in params}
     start = time.perf_counter()
     try:
-        detail = fn(seed, threads)
+        detail = fn(**inputs)
         passed = True
     except CheckFailure as exc:
         detail = str(exc)
@@ -657,7 +647,7 @@ def run_check(row: tuple, seed: int, threads: int) -> CheckResult:
     if budget is not None:
         detail += f"; {seconds:.1f}s (<{budget:g}s)"
         passed = passed and seconds < budget
-    if not passed:
+    if not passed and "seed" in inputs:
         detail += f" [reproduce with seed={seed}]"
     return CheckResult(name=name, passed=passed, seconds=seconds, detail=detail)
 

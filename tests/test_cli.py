@@ -381,6 +381,41 @@ class TestExitCodes:
         assert [c["name"] for c in failed] == ["fail-inject"]
         assert all(c["passed"] for c in report["checks"] if c["name"] != "fail-inject")
 
+    @pytest.mark.parametrize("argv, config_seed", [
+        (["simulate", "--n", "10", "--trials", "2", "--seed", "-1"], None),
+        (["construct", "linear", "--theta", "0.5", "--depth", "3", "--seed", "-1"], None),
+        (["cylsum", "--n", "4", "--s", "0.75", "--theta", "0.5", "--trials", "10", "--seed", "-1"],
+         None),
+        (["simulate", "--n", "10", "--trials", "2"], -5),
+        (["verify", "quick", "--seed", "-1"], None),
+    ], ids=["simulate", "linear", "cylsum", "config", "verify"])
+    def test_negative_seed_is_3(self, tmp_path, capsys, argv, config_seed):
+        if config_seed is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"seed": config_seed}), encoding="utf-8")
+            argv = argv + ["--config", str(cfg)]
+        code, text = run_cli(tmp_path, argv)
+        assert code == 3
+        assert text == ""
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+    def test_closed_output_pipe_is_141(self):
+        # the reader takes one line and closes the pipe while the CSV is still being written
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ifsdigits.cli", "construct", "sublinear", "--t", "0.5",
+             "--n", "100000", "--profile", "log"],
+            cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline().startswith(b"# seed=")
+        proc.stdout.close()
+        try:
+            assert proc.wait(timeout=30) == 141
+        finally:
+            proc.kill()
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
 
 class TestReproducibility:
     def test_simulate_bytes_stable_across_threads(self, tmp_path):

@@ -257,6 +257,25 @@ class TestThresholdIndex:
         assert sublinear.threshold_index(model, 0.5) == 3
         assert weights.partial_sum_exponent(model, 3) < 0.75
 
+    def test_rising_weights_grow_the_sorted_window(self, monkeypatch):
+        # power-log(2, 10) weights rise up to k = 142, past the first window
+        # (4 * 50 + 64 entries, tail from entry 132), which must grow to settle
+        model = weights.power_log_model(2.0, 10.0)
+        assert sublinear.threshold_index(model, 0.5) == 1067
+        windows = []
+
+        def spy(model, lo, hi):
+            windows.append(hi - 1)
+            return weights.weights_range(model, lo, hi)
+
+        monkeypatch.setattr(sublinear, "weights_range", spy)
+        table, perm = sublinear._sorted_weight_table(model, 50)
+        assert windows == [264, 1056]
+        p = weights.weights_range(model, 1, (1 << 16) + 1)
+        order = np.argsort(-p, kind="stable")[:50]
+        np.testing.assert_array_equal(perm, order + 1)
+        np.testing.assert_array_equal(table, p[order])
+
     def test_domain(self):
         for bad in (0.0, 1.0, -0.2):
             with pytest.raises(DomainError):
