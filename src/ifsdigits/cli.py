@@ -169,10 +169,10 @@ def _resolve(args) -> tuple[weights.WeightModel, int]:
         spec["kind"] = "luroth"
     seed = getattr(args, "seed", None)
     if seed is None:
-        try:
-            seed = int(cfg.get("seed", DEFAULT_SEED))
-        except (TypeError, ValueError) as exc:
-            raise IfsDigitsError(f"config field 'seed' is not an integer: {exc}") from exc
+        seed = cfg.get("seed", DEFAULT_SEED)
+        # a JSON integer only: int() would read 1.7 and true as seed 1
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise IfsDigitsError(f"config field 'seed' is not an integer: {seed!r}")
     return weights.model_from_spec(spec), seed
 
 

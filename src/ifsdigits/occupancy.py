@@ -21,8 +21,8 @@ import numpy as np
 from .codec import as_word
 from .errors import DomainError
 from .rng import substream
-from .weights import (_MAX_DRAWS, _SAMPLE_BLOCK, DigitSampler, WeightModel, tail_sum,
-                      tilted_tail_sum, weights_range)
+from .weights import (_MAX_DRAWS, _NO_DEEP, _SAMPLE_BLOCK, DigitSampler, WeightModel,
+                      tail_sum, tilted_tail_sum, weights_range)
 
 __all__ = [
     "LawReport",
@@ -46,35 +46,48 @@ def distinct_counts(word) -> np.ndarray:
     new = np.zeros(n, dtype=bool)
     if n:
         # a table of at most n slots stays within the word's own size
-        new[_first_positions((w,), max(_DENSE, min(int(w.max()), n)))] = True
+        new[_first_positions([(w, *_NO_DEEP)], max(_DENSE, min(int(w.max()), n)))] = True
     return np.cumsum(new, dtype=np.int64)
 
 
-def _first_positions(blocks, slots: int) -> np.ndarray:
+def _first_positions(blocks, slots: int, label=None) -> np.ndarray:
     """Position of each distinct digit's first occurrence, unsorted and 0-based.
 
-    ``blocks`` are consecutive int64 pieces of one word of positive digits.
-    Digits up to ``slots`` keep their first position in a dense table that
-    every block folds into; larger ones keep (digit, position) records, which
-    ``np.unique`` resolves once the word ends.
+    ``blocks`` are consecutive pieces of one word, each a triple as
+    :meth:`DigitSampler.draw` returns it: labels, and the positions in the
+    piece (where the labels read 0) and remaining masses of its deep draws.
+    Labels up to ``slots`` keep their first position in a dense table that
+    every block folds into; larger ones keep (label, position) records.  Once
+    the word ends, ``label`` labels its deep draws into more records, and
+    ``np.unique`` resolves them all.
     """
-    first = np.full(slots + 2, _UNSEEN, dtype=np.int64)  # slot slots + 1 takes every larger digit
-    big_digits, big_at = [], []
+    # slot 0 takes the unlabelled deep draws, slot slots + 1 every larger label
+    first = np.full(slots + 2, _UNSEEN, dtype=np.int64)
+    big_digits, big_at, deep_at, deep_mass = [], [], [], []
     start = 0
-    for block in blocks:
+    for block, at_deep, mass in blocks:
         at = np.arange(start, start + block.size)
         np.minimum.at(first, np.minimum(block, slots + 1), at)
         big = np.flatnonzero(block > slots)
         if big.size:
             big_digits.append(block[big])
             big_at.append(at[big])
+        if at_deep.size:
+            deep_at.append(at_deep + start)
+            deep_mass.append(mass)
         start += block.size
     dense = first[1 : slots + 1]
     found = dense[dense != _UNSEEN]
+    if deep_at:
+        big_at.append(np.concatenate(deep_at))
+        big_digits.append(label(big_at[-1], np.concatenate(deep_mass)))
     if big_digits:
-        # records are in position order, so the first index of a digit is its first position
-        at = np.concatenate(big_at)[np.unique(np.concatenate(big_digits), return_index=True)[1]]
-        found = np.concatenate((found, at))
+        digits, at = np.concatenate(big_digits), np.concatenate(big_at)
+        if deep_at:  # the deep records follow the others: put them all in position order
+            order = np.argsort(at)
+            digits, at = digits[order], at[order]
+        # records in position order: the first index of a digit is its first position
+        found = np.concatenate((found, at[np.unique(digits, return_index=True)[1]]))
     return found
 
 
@@ -192,9 +205,9 @@ def monte_carlo_law(
     def one_trial(trial: int) -> np.ndarray:
         # one block of draws at a time: no array of the word's length is built
         rng = substream(seed, trial)
-        blocks = (sampler.sample(rng, min(_SAMPLE_BLOCK, n - start))
+        blocks = (sampler.draw(rng, min(_SAMPLE_BLOCK, n - start))
                   for start in range(0, n, _SAMPLE_BLOCK))
-        first = np.sort(_first_positions(blocks, _DENSE))
+        first = np.sort(_first_positions(blocks, _DENSE, sampler.label))
         return np.searchsorted(first, cps_arr, side="left")  # D_c: first positions below c
 
     # More workers than trials or cores buys nothing; pool.map submits every

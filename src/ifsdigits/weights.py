@@ -19,7 +19,8 @@ law; :class:`WeightModel` states which fields each kind fixes.
 This module owns every scalar quantity derived from the weights: tail sums,
 tilted tail sums ``sum_{k>=M} p_k**s``, the exponent at which a truncated
 s-power sum equals one, empirical dyadic-ratio (Potter-type) constants, and
-inverse-CDF digit sampling.
+inverse-CDF digit sampling, which labels the draws past its table by the
+equality of their digits (:class:`DigitSampler`).
 
 Every power-type tail is ``sum_{k>=M} k**-q * log(k+1)**g`` (Hurwitz zeta at
 ``g = 0``), summed by one solver: an explicit head plus an Euler-Maclaurin
@@ -32,7 +33,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -581,39 +581,16 @@ def verify_potter_report(model: WeightModel, report: PotterReport) -> bool:
 # -- sampling -----------------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
-def _tail_anchor(model: WeightModel, M: int, s: float) -> float:
-    """``tilted_tail_sum(model, M, s)``, kept for the tail inversions that start at ``M``."""
-    return tilted_tail_sum(model, M, s)
-
-
-# Largest tail start a tail inversion evaluates: its digit is at most 2**62.
-_INVERT_LIMIT = (1 << 62) + 1
-
-# Secant guesses per tail inversion.
-_GUESS_STEPS = 6
-
-# Relative rounding noise the float tail may carry, so that it need not be
-# monotone within it: a guess settles the tail starts on its side of the
-# target only when its tail clears the target by more than this.
-_TAIL_NOISE = 1e-13
-
-
 def _invert_tail(model: WeightModel, s: float, target: float, lo: int) -> int:
     """Smallest ``k >= lo`` with ``tilted_tail_sum(k+1) < target``.
 
-    The search gallops up from ``lo`` by doubling, then bisects.  Each of its
-    comparisons ``T(m) < target`` is answered by the bracket of
-    :func:`_guess_bracket` where that settles it, and by a scalar tail
-    evaluation elsewhere, so the digit is the one the plain search finds
-    even where the float tail is not monotone.
+    The search gallops up from ``lo`` by doubling, then bisects, one scalar
+    tail evaluation per step.  It raises :class:`TiltThresholdError` once the
+    doubling passes ``2**62``.
     """
-    a, b = _guess_bracket(model, s, target, lo)
-    if b - a == 1 and b <= 1 << 61:
-        return a  # the bracket settles every comparison, and the search ends at a
 
     def below(m: int) -> bool:
-        return m >= b or (m > a and tilted_tail_sum(model, m, s) < target)
+        return tilted_tail_sum(model, m, s) < target
 
     k_lo = lo
     k_hi = max(2 * k_lo, k_lo + 1)
@@ -631,55 +608,33 @@ def _invert_tail(model: WeightModel, s: float, target: float, lo: int) -> int:
     return k_lo if below(k_lo + 1) else k_hi
 
 
-def _guess_bracket(model: WeightModel, s: float, target: float, lo: int) -> tuple[int, int]:
-    """Tail starts ``a < b``: ``T(m) >= target`` up to ``a``, ``T(m) < target`` from ``b`` on.
+def _weight_bound(model: WeightModel, m: int) -> float:
+    """A bound on ``p_k`` for every ``k >= m``: the tail formula's supremum over
+    real ``x >= m``, and any prefix weight past ``m``."""
+    if model.kind == "luroth":
+        return weight(model, m)
+    x = max(float(m), len(model.prefix) + 1.0, _log_factor_peak(model.rho, model.gamma))
+    tail = x ** -model.rho * math.log(x + 1.0) ** model.gamma / model._norm
+    return max((tail, *model.prefix[m - 1 :]))
 
-    Only a tail that clears the target by the relative margin ``_TAIL_NOISE``
-    settles the starts on its side; ``a = lo`` and ``b > _INVERT_LIMIT``
-    settle nothing.  Regular variation makes ``log T`` nearly linear in
-    ``log m``, so secants guess where ``T`` crosses the two margins: the
-    first through the cached tails at ``lo + 1`` and ``2 (lo + 1)``, later
-    ones through the two latest evaluations.  Guesses alternate between the
-    unsettled sides and are clamped into the open bracket.
+
+def _log_factor_peak(rho: float, gamma: float) -> float:
+    """Where ``x**-rho * log(x+1)**gamma`` peaks on ``x > 0``; 0 where it only falls.
+
+    Its log derivative has the sign of ``gamma x - rho (x+1) log(x+1)``, which
+    is negative for every ``x > 0`` at ``gamma <= rho`` and otherwise changes
+    sign once, at ``y = log(x+1)`` in ``(0, gamma/rho)``; bisection finds it.
     """
-    high, low = target * (1.0 + _TAIL_NOISE), target * (1.0 - _TAIL_NOISE)
-    a, b = lo, _INVERT_LIMIT + 1
-    points = []
-    for m in (lo + 1, 2 * lo + 2):
-        t = _tail_anchor(model, m, s)
-        if t >= high:
-            a = m
-        elif t < low:
-            b = min(b, m)
-        if t > 0.0:
-            points.append((math.log(m), math.log(t)))
-    if len(points) < 2 or not target > 0.0:
-        return a, b
-    (u0, v0), (u, v) = points
-    slope = (v - v0) / (u - u0)
-    want_b = True
-    for _ in range(_GUESS_STEPS):
-        if b - a <= 1 or not slope < 0.0:
-            break
-        x = u + (math.log(low if want_b else high) - v) / slope
-        # T(m) < low from floor(x) + 1 on, T(m) >= high up to floor(x); a
-        # guess past exp(44) > 2**62 goes to the top of the bracket
-        m = math.floor(math.exp(x)) + int(want_b) if x < 44.0 else b - 1
-        m = min(max(m, a + 1), b - 1)
-        t = tilted_tail_sum(model, m, s)
-        if t >= high:
-            a, want_b = m, True
-        elif t < low:
-            b, want_b = m, False
+    if gamma <= rho:
+        return 0.0
+    lo, hi = 0.0, gamma / rho
+    for _ in range(64):
+        y = 0.5 * (lo + hi)
+        if rho * math.exp(y) * y < gamma * math.expm1(y):
+            lo = y
         else:
-            want_b = not want_b
-        if not t > 0.0:
-            break
-        u_m, v_m = math.log(m), math.log(t)
-        if (v_m - v) * (u_m - u) < 0.0:  # keep only falling secants
-            slope = (v_m - v) / (u_m - u)
-        u, v = u_m, v_m
-    return a, b
+            hi = y
+    return math.expm1(lo)
 
 
 def _float_bits(x):
@@ -695,13 +650,37 @@ _GUIDE_BITS = 15
 _SAMPLE_BLOCK = 1 << 16
 
 
+# A deep draw's label past the table: this plus its position in the word.  No
+# inverted digit reaches it, since the inversion stops at 2**62.
+_LABEL_BASE = (1 << 62) + 1
+
+# A grid start m lies at or below a deep draw's digit k once
+# T(m) >= R * (1 + _GRID_SLACK): k < m would give T(k+1) >= R unless the float
+# tails at m and k + 1 erred by more than 2e-10 together, and each errs by
+# under 1e-10.
+_GRID_SLACK = 1e-9
+
+# A deep draw's margin is bound(m) * (1 + _BOUND_SLACK) + _MASS_NOISE * R: the
+# bound on q_k, with room for its own rounding, plus twice the 2e-10 R by which
+# the float tail can widen the masses of one digit.
+_BOUND_SLACK = 1e-6
+_MASS_NOISE = 4e-10
+
+# The positions and remaining masses of a word with no deep draws.
+_NO_DEEP = (np.empty(0, dtype=np.int64), np.empty(0))
+
+
 class DigitSampler:
-    """Vectorized inverse-CDF sampler for ``p_k**s / Z_s``.
+    """Vectorized inverse-CDF sampler for ``p_k**s / Z_s`` that labels its deep draws.
 
     ``s = 1`` samples the base model.  A cumulative table covers the bulk of
-    the mass; a draw beyond the table inverts the tilted tail sum with scalar
-    evaluations (:func:`_invert_tail`), so the sampled law is the exact
-    inverse-CDF law at every index.
+    the mass, and a draw inside it gets its digit.  A *deep* draw, past the
+    table, gets a label: its digit where that is needed, and otherwise a
+    number past ``2**62`` that no other draw of the word carries.  Two draws
+    of one word have equal labels exactly when their inverse-CDF digits are
+    equal, which is all a distinct count reads.  :meth:`sample` labels the
+    draws of its own call; :meth:`draw` leaves the deep draws for
+    :meth:`label` to take over a whole word drawn in pieces.
 
     A target ``t`` is located in the table through a guide over the bits of
     the remaining mass ``total - t``, which the float bit pattern turns into
@@ -710,6 +689,21 @@ class DigitSampler:
     the bit view are both monotone, so the table entries on either side of
     ``t`` bound its bucket: the guide brackets the ``searchsorted`` answer,
     and a bisection inside the bracket returns it exactly.
+
+    Why deep labels keep equality.  Write ``T(m)`` for
+    ``tilted_tail_sum(model, m, s)``, within 1e-10 relative of the true tail,
+    and ``q_k = p_k**s``.  :func:`_invert_tail` gives a deep draw's remaining
+    mass ``R = total - t`` the digit ``k`` with ``T(k+1) < R <= T(k)``, so two
+    draws of digit ``k`` lie within ``q_k`` of each other, plus ``2e-10 R`` of
+    float noise.  The grid start ``m = (table_size + 1) * 2**j`` taken for a
+    draw is the largest with ``T(m) >= R (1 + 1e-9)``, if any, which forces
+    ``k >= m``: so ``k`` lies past the table, and ``q_k`` is at most the
+    bound :func:`_weight_bound` puts on the weights past ``m``.  A draw whose
+    neighbours in the sorted masses both lie farther away than
+    ``bound**s (1 + 1e-6) + 4e-10 R`` therefore shares its digit with no
+    other draw, and its label is ``2**62 + 1 + position``.  Every other deep
+    draw is inverted; one whose digit lies past ``2**62`` raises
+    :class:`TiltThresholdError`.
     """
 
     def __init__(self, model: WeightModel, s: float = 1.0, table_size: int = 1 << 20):
@@ -736,26 +730,63 @@ class DigitSampler:
         # first bucket past the table's last, brackets [table_size, table_size]
         self._top = (span >> self._shift) + 1
         self._guide = np.searchsorted(bits, np.arange(self._top + 2), side="left")
+        # the margin grid: tails, negated to increase, and weight bounds at
+        # the starts (table_size + 1) * 2**j up to 2**62
+        starts = [table_size + 1]
+        while 2 * starts[-1] <= 1 << 62:
+            starts.append(2 * starts[-1])
+        tails = np.array([tilted_tail_sum(model, m, self.s) for m in starts])
+        self._grid_tails = -np.minimum.accumulate(tails)
+        self._grid_bounds = np.array([_weight_bound(model, m) ** self.s for m in starts])
+        self._grid_bounds *= 1.0 + _BOUND_SLACK
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Labels of ``size`` draws: digits inside the table, deep labels over this call."""
+        out, at, mass = self.draw(rng, size)
+        if at.size:
+            out[at] = self.label(at, mass)
+        return out
+
+    def draw(self, rng: np.random.Generator, size: int):
+        """``size`` draws as ``(labels, at, mass)``: the deep draws, at
+        positions ``at`` of ``labels`` where they read 0, have remaining
+        masses ``mass``.  :meth:`label` labels them once the word ends."""
         u = rng.random(size)
         if self._fast_luroth:
             # floor(1 / (1 - u)) in place: only the uniforms and the digits span the word
             np.subtract(1.0, u, out=u)
             np.divide(1.0, u, out=u)
-            return np.floor(u, out=u).astype(np.int64)
+            return (np.floor(u, out=u).astype(np.int64), *_NO_DEEP)
         out = u.view(np.int64)  # each block's digits overwrite its uniforms
+        deep_at, deep_mass = [], []
         for start in range(0, size, _SAMPLE_BLOCK):
             block = slice(start, start + _SAMPLE_BLOCK)
             target = u[block] * self.total
             digits = self._locate(target)
             digits += 1
-            for i in np.flatnonzero(digits > self._table_size):
-                digits[i] = _invert_tail(
-                    self.model, self.s, self.total - target[i], self._table_size
-                )
+            deep = np.flatnonzero(digits > self._table_size)
+            if deep.size:
+                deep_at.append(deep + start)
+                deep_mass.append(self.total - target[deep])
+                digits[deep] = 0
             out[block] = digits
-        return out
+        if not deep_at:
+            return (out, *_NO_DEEP)
+        return out, np.concatenate(deep_at), np.concatenate(deep_mass)
+
+    def label(self, at: np.ndarray, mass: np.ndarray) -> np.ndarray:
+        """Labels of every deep draw of one word, at positions ``at`` with
+        remaining masses ``mass``: see the class docstring."""
+        labels = at + _LABEL_BASE
+        order = np.argsort(mass)
+        r = mass[order]
+        j = np.searchsorted(self._grid_tails, -r * (1.0 + _GRID_SLACK), side="right") - 1
+        margin = np.where(j >= 0, self._grid_bounds[j], np.inf) + _MASS_NOISE * r
+        gap = np.diff(r)
+        alone = (np.append(gap, np.inf) > margin) & (np.insert(gap, 0, np.inf) > margin)
+        for i in order[~alone]:
+            labels[i] = _invert_tail(self.model, self.s, float(mass[i]), self._table_size)
+        return labels
 
     def _locate(self, target: np.ndarray) -> np.ndarray:
         """``np.searchsorted(self._cum, target, side="right")`` for ``0 <= target <= total``."""

@@ -257,11 +257,22 @@ class TestExitCodes:
         assert code == 3
         assert "error: truncation deficit" in capsys.readouterr().err
 
-    def test_unreachable_tail_quantile_is_3(self, capsys):
-        # at rho*s = 1.05 a draw can need a digit past 2**62
+    def test_isolated_draws_past_2_62_run(self, capsys):
+        # at rho*s = 1.05 some draws lie past 2**62; each is alone in its word,
+        # so it is labelled without being located, and the command runs
         code = cli.main(
             ["cylsum", "--n", "40", "--s", "0.525", "--theta", "0.5", "--trials", "2000"]
         )
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
+    def test_clustered_draws_past_2_62_are_3(self, capsys):
+        # power-log(1.05, 2) puts most draws past 2**62; two of them lie so close
+        # that only their digits can tell them apart, and those are out of reach
+        code = cli.main([
+            "cylsum", "--model", "power-log", "--rho", "1.05", "--gamma", "2", "--s", "1",
+            "--n", "40", "--theta", "0.5", "--trials", "1000",
+        ])
         assert code == 3
         assert "error: tail inversion ran past 2**62" in capsys.readouterr().err
 
@@ -398,6 +409,17 @@ class TestExitCodes:
         assert code == 3
         assert text == ""
         assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config_seed", [1.7, True, 5.0, "5"])
+    def test_non_integer_config_seed_is_3(self, tmp_path, capsys, config_seed):
+        # int() once ran 1.7 and true as seed 1 and exited 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": config_seed}), encoding="utf-8")
+        code, text = run_cli(tmp_path, ["simulate", "--n", "10", "--trials", "2",
+                                        "--config", str(cfg)])
+        assert code == 3
+        assert text == ""
+        assert "config field 'seed' is not an integer" in capsys.readouterr().err
 
     def test_closed_output_pipe_is_141(self):
         # the reader takes one line and closes the pipe while the CSV is still being written

@@ -352,6 +352,23 @@ class TestMonteCarloLaw:
         assert rep.means == tuple(float(v) for v in ratios.mean(axis=0))
         assert rep.mean_final_distinct == float(ref[:, -1].mean())
 
+    def test_deep_digit_shared_across_blocks(self):
+        # power(1.5) at seed 14 draws digit 3353291, past the 2**20-entry
+        # sampler table, at positions 931079 and 1026172: blocks 14 and 15.
+        # Labels taken per block would count it twice.
+        model, n, seed = weights.power_model(1.5), 1 << 20, 14
+        sampler = weights.DigitSampler(model)
+        word, at, mass = sampler.draw(substream(seed, 0), n)
+        word[at] = [weights._invert_tail(model, 1.0, float(r), sampler._table_size) for r in mass]
+        shared = np.flatnonzero(word == 3353291)
+        assert shared.tolist() == [931079, 1026172]
+        assert (shared // weights._SAMPLE_BLOCK).tolist() == [14, 15]
+        cps = (931_079, 931_080, 1_026_172, 1_026_173, n)
+        first = np.sort(np.unique(word, return_index=True)[1])
+        want = np.searchsorted(first, cps, side="left")
+        rep = occupancy.monte_carlo_law(model, n, 1, seed, checkpoints=cps)
+        assert rep.means == tuple(float(v) for v in want / np.asarray(cps) ** (1.0 / 1.5))
+
     def test_seed_replay(self):
         a = occupancy.monte_carlo_law(LUROTH, n=500, trials=4, seed=9)
         b = occupancy.monte_carlo_law(LUROTH, n=500, trials=4, seed=9)

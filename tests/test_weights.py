@@ -421,6 +421,25 @@ GUIDE_CASES = [
 ]
 
 
+def exact_draws(sampler, rng, size):
+    """The draws of ``sampler.sample`` with every deep draw inverted to its digit."""
+    digits, at, mass = sampler.draw(rng, size)
+    digits[at] = [weights._invert_tail(sampler.model, sampler.s, float(r), sampler._table_size)
+                  for r in mass]
+    return digits
+
+
+def assert_labels_match(got, want, table_size):
+    """The label contract: digits inside the table, and deep labels that map
+    one-to-one onto the digits, so that every distinct count is the same."""
+    inside = want <= table_size
+    assert np.array_equal(got[inside], want[inside])
+    assert (got[~inside] > table_size).all()
+    pairs = np.unique(np.stack([got, want]), axis=1)
+    assert np.unique(pairs[0]).size == np.unique(pairs[1]).size == pairs.shape[1]
+    assert np.unique(got).size == np.unique(want).size
+
+
 class TestSampling:
     def test_luroth_frequencies(self):
         rng = substream(17, 0xA11)
@@ -502,34 +521,81 @@ class TestSampling:
     def test_blocks_match_reference_draws(self):
         # several blocks, the last one partial, with draws past a small table
         model, s, size = weights.power_model(1.5), 1.0, 3 * weights._SAMPLE_BLOCK + 5
-        sampler = weights.DigitSampler(model, s, table_size=1 << 10)
+        sampler = weights.DigitSampler(model, s, table_size=1 << 13)
         target = substream(37, 0xA15).random(size) * sampler.total
         want = np.searchsorted(sampler._cum, target, side="right") + 1
-        for i in np.flatnonzero(want > 1 << 10):
-            want[i] = weights._invert_tail(model, s, sampler.total - target[i], 1 << 10)
+        for i in np.flatnonzero(want > 1 << 13):
+            want[i] = weights._invert_tail(model, s, sampler.total - target[i], 1 << 13)
         got = sampler.sample(substream(37, 0xA15), size)
         assert got.dtype == np.int64
-        assert (want > 1 << 10).any()
-        assert np.array_equal(got, want)
+        assert (want > 1 << 13).any()
+        assert_labels_match(got, want, 1 << 13)
 
     @pytest.mark.parametrize("model, s, table_size", [
         (LUROTH, 1.0, 1 << 20),
         (weights.power_model(1.5), 1.0, 1 << 20),
         (weights.power_log_model(2.0, 1.5), 1.0, 1 << 20),
         (weights.explicit_prefix_model([0.3, 0.2], 2.5), 1.0, 1 << 20),
-        (LUROTH, 0.75, 1 << 10),  # tilted, with draws past a small table
+        (LUROTH, 0.75, 1 << 13),  # tilted, with draws past a small table
     ], ids=["luroth", "power-1.5", "power-log", "explicit-prefix", "luroth-s0.75-small"])
     def test_blocked_calls_equal_one_call(self, model, s, table_size):
-        # a word drawn in pieces is the word drawn at once: each draw takes one double
+        # a word drawn in pieces is the word drawn at once: each draw takes one
+        # double.  Each call labels its own deep draws, so a piece of the word
+        # matches the whole word's labels under the label contract, and draws
+        # labelled once the word ends are the whole word's.
         sampler = weights.DigitSampler(model, s, table_size=table_size)
         block, size = weights._SAMPLE_BLOCK, 3 * weights._SAMPLE_BLOCK + 5
         whole = sampler.sample(substream(41, 0xA16), size)
         for cuts in ([block, 2 * block], [1, block - 1, block + 7, 3 * block]):
             rng = substream(41, 0xA16)
-            pieces = [sampler.sample(rng, b - a) for a, b in zip([0, *cuts], [*cuts, size])]
-            assert np.array_equal(np.concatenate(pieces), whole)
-        if table_size == 1 << 10:
+            ends = list(zip([0, *cuts], [*cuts, size]))
+            for a, b in ends:
+                assert_labels_match(sampler.sample(rng, b - a), whole[a:b], table_size)
+            rng = substream(41, 0xA16)
+            drawn = [sampler.draw(rng, b - a) for a, b in ends]
+            word = np.concatenate([d[0] for d in drawn])
+            at = np.concatenate([d[1] + a for d, (a, _) in zip(drawn, ends)])
+            if at.size:
+                word[at] = sampler.label(at, np.concatenate([d[2] for d in drawn]))
+            assert np.array_equal(word, whole)
+        if table_size == 1 << 13:
             assert (whole > table_size).any()
+
+    @pytest.mark.parametrize("model, s", [
+        (LUROTH, 0.75),
+        (weights.power_model(1.5), 1.0),
+        (weights.power_log_model(2.0, 1.5), 0.8),
+        (weights.explicit_prefix_model([0.3, 0.2], 2.5), 0.6),
+    ], ids=["luroth", "power", "power-log", "explicit-prefix"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_labels_keep_digit_equality(self, model, s, seed, table_size=1 << 13, size=1 << 16):
+        sampler = weights.DigitSampler(model, s, table_size=table_size)
+        got = sampler.sample(substream(seed, 0xA17), size)
+        want = exact_draws(sampler, substream(seed, 0xA17), size)
+        assert np.count_nonzero(want > table_size) > 100
+        # some deep digits repeat, and some draws are labelled without a digit
+        assert np.unique(want[want > table_size]).size < np.count_nonzero(want > table_size)
+        assert (got > 1 << 62).any()
+        assert_labels_match(got, want, table_size)
+
+    def test_labels_where_weights_rise_past_the_table(self):
+        # power-log(3, 24) weights peak near digit 2972, past the 1024-entry
+        # table, so the margin takes that peak, not the edge weight
+        model = weights.power_log_model(3.0, 24.0)
+        self.test_labels_keep_digit_equality(model, 1.0, 0, 1 << 10, 1_000)
+
+    @pytest.mark.parametrize("model, m", [
+        (LUROTH, 1025),
+        (weights.power_model(1.5), 1025),
+        (weights.explicit_prefix_model([0.1] * 6, 2.5), 3),
+        (weights.power_log_model(3.0, 24.0), 1025),
+        (weights.power_log_model(3.0, 24.0), 5000),
+    ])
+    def test_weight_bound_covers_the_tail(self, model, m):
+        p = weights.weights_range(model, m, m + 100_000)
+        bound = weights._weight_bound(model, m)
+        assert bound >= p.max()
+        assert bound <= p.max() * (1.0 + 1e-9)
 
 
 class TestSubstream:
@@ -553,33 +619,6 @@ class TestInvertTailGuard:
             weights._invert_tail(LUROTH, 1.0, 1e-300, 1)
 
 
-def reference_invert_tail(model, s, target, lo):
-    """The plain search ``_invert_tail`` replays: gallop by doubling, then bisect."""
-    k_lo = lo
-    k_hi = max(2 * k_lo, k_lo + 1)
-    while weights.tilted_tail_sum(model, k_hi + 1, s) >= target:
-        k_lo = k_hi
-        k_hi *= 2
-        if k_hi > 1 << 62:
-            raise TiltThresholdError("tail inversion ran past 2**62")
-    while k_hi - k_lo > 1:
-        mid = (k_lo + k_hi) // 2
-        if weights.tilted_tail_sum(model, mid + 1, s) < target:
-            k_hi = mid
-        else:
-            k_lo = mid
-    if weights.tilted_tail_sum(model, k_lo + 1, s) < target:
-        return k_lo
-    return k_hi
-
-
-def invert_or_none(invert, model, s, target, lo):
-    try:
-        return invert(model, s, target, lo)
-    except TiltThresholdError:
-        return None
-
-
 # one model per kind, each at tilts with rho*s = 1.05, about 1.5 and 3
 TILTED_KINDS = {
     "luroth": (LUROTH, (0.525, 0.75, 1.5)),
@@ -601,42 +640,24 @@ def fallback_targets(model, s, lo, count, seed):
     return [edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf), *(edge * u)]
 
 
-class TestInvertTailAgainstReference:
+class TestInvertTail:
     @pytest.mark.parametrize("lo", [1 << 10, 1000, 1 << 20])
     @pytest.mark.parametrize("model, s", TILTED_CASES)
-    def test_same_digits_and_errors(self, model, s, lo):
+    def test_digit_brackets_the_target(self, model, s, lo):
         # lo = 2**10 runs the searches across _EM_CUT; 1000 is no power of two
+        top = lo << ((1 << 62) // lo).bit_length() - 1  # the doubling's last start
         raised = 0
         for target in fallback_targets(model, s, lo, 40, lo):
-            want = invert_or_none(reference_invert_tail, model, s, target, lo)
-            assert invert_or_none(weights._invert_tail, model, s, target, lo) == want, target
-            raised += want is None
+            try:
+                k = weights._invert_tail(model, s, target, lo)
+            except TiltThresholdError:
+                raised += 1
+                assert weights.tilted_tail_sum(model, top + 1, s) >= target
+                continue
+            assert weights.tilted_tail_sum(model, k + 1, s) < target
+            assert k == lo or weights.tilted_tail_sum(model, k, s) >= target
         if model.rho * s < 1.1:
-            assert raised > 0  # the 2**62 limit is reached and matched
-
-    @pytest.mark.parametrize("kind", list(TILTED_KINDS))
-    def test_fewer_tail_calls(self, monkeypatch, kind):
-        model, (_, s, _) = TILTED_KINDS[kind]
-        lo = 1 << 20
-        calls = [0]
-        tail = weights.tilted_tail_sum
-
-        def counted(*args):
-            calls[0] += 1
-            return tail(*args)
-
-        monkeypatch.setattr(weights, "tilted_tail_sum", counted)
-        used = {}
-        for name, invert in (("reference", reference_invert_tail), ("guess", weights._invert_tail)):
-            weights._tail_anchor.cache_clear()
-            calls[0] = 0
-            for target in fallback_targets(model, s, lo, 100, 7):
-                invert(model, s, target, lo)
-            used[name] = calls[0]
-        weights._tail_anchor.cache_clear()
-        # the power-log guess has to learn the log factor; it still needs
-        # under a quarter of the bisection's evaluations
-        assert used["guess"] < used["reference"] / (4 if kind == "power-log" else 8), used
+            assert raised > 0  # the 2**62 limit is reached
 
     def test_limit_follows_the_doubling(self):
         # from lo = 3 the search doubles to 3 * 2**60 and stops below 2**62,
@@ -644,28 +665,8 @@ class TestInvertTailAgainstReference:
         s = 0.525
         target = weights.tilted_tail_sum(LUROTH, 4 * 10**18, s)
         with pytest.raises(TiltThresholdError):
-            reference_invert_tail(LUROTH, s, target, 3)
-        with pytest.raises(TiltThresholdError):
             weights._invert_tail(LUROTH, s, target, 3)
-        digit = weights._invert_tail(LUROTH, s, target, 1 << 20)
-        assert digit == reference_invert_tail(LUROTH, s, target, 1 << 20) > 3 << 60
-
-    def test_noisy_tail_keeps_the_search_digit(self, monkeypatch):
-        # a tail that is not monotone within a few ulps, as float tails far
-        # out can be: the digit is still the one the plain search finds
-        def noisy_tail(model, M, s):
-            return M ** -0.5 * (1.0 + 4e-16 * ((M * 2654435761) % 7 - 3))
-
-        monkeypatch.setattr(weights, "tilted_tail_sum", noisy_tail)
-        weights._tail_anchor.cache_clear()
-        lo = 1 << 20
-        edge = noisy_tail(LUROTH, lo + 1, 0.75)
-        # log-uniform targets put the digits anywhere up to past 2**62
-        for target in edge * np.exp(-25.0 * substream(5, 0xF2).random(300)):
-            target = float(target)
-            want = invert_or_none(reference_invert_tail, LUROTH, 0.75, target, lo)
-            assert invert_or_none(weights._invert_tail, LUROTH, 0.75, target, lo) == want
-        weights._tail_anchor.cache_clear()
+        assert weights._invert_tail(LUROTH, s, target, 1 << 20) > 3 << 60
 
     @pytest.mark.parametrize("model, s", TILTED_CASES)
     def test_float_tail_monotone(self, model, s):
@@ -673,20 +674,9 @@ class TestInvertTailAgainstReference:
             tails = [weights.tilted_tail_sum(model, m, s) for m in range(start, start + 80)]
             assert all(np.diff(tails) < 0.0), start
 
-    @pytest.mark.parametrize("kind", list(TILTED_KINDS))
-    def test_sampler_draws_match_reference(self, monkeypatch, kind):
-        model, (_, s, _) = TILTED_KINDS[kind]
-        sampler = weights.DigitSampler(model, s, table_size=1 << 10)
-        got = sampler.sample(substream(9, 0xF3), 5_000)
-        monkeypatch.setattr(weights, "_invert_tail", reference_invert_tail)
-        want = sampler.sample(substream(9, 0xF3), 5_000)
-        assert got.dtype == np.int64
-        assert np.count_nonzero(got > 1 << 10) > 20
-        assert np.array_equal(got, want)
-
-    def test_threads_share_the_anchor_cache(self):
-        # simulate's workers share the cached table-edge tails; draws from a
-        # cold cache under frequent thread switches equal the serial ones
+    def test_threads_draw_the_serial_labels(self):
+        # simulate's workers share one sampler; draws under frequent thread
+        # switches, with deep draws inverted, equal the serial ones
         model, (_, s, _) = TILTED_KINDS["power"]
         sampler = weights.DigitSampler(model, s, table_size=1 << 10)
 
@@ -694,7 +684,6 @@ class TestInvertTailAgainstReference:
             return sampler.sample(substream(11, i), 2_000)
 
         want = [draw(i) for i in range(8)]
-        weights._tail_anchor.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
