@@ -37,12 +37,13 @@ def _parse_seed(text: str) -> int:
     return int(text, 0)
 
 
+# An empty item, as in "4,,8" or ",", raises ValueError: argparse's usage error.
 def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
+    return [int(part) for part in text.split(",")]
 
 
 def _parse_float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part]
+    return [float(part) for part in text.split(",")]
 
 
 def _parse_number(text: str) -> int | float:
@@ -169,10 +170,7 @@ def _resolve(args) -> tuple[weights.WeightModel, int]:
         spec["kind"] = "luroth"
     seed = getattr(args, "seed", None)
     if seed is None:
-        seed = cfg.get("seed", DEFAULT_SEED)
-        # a JSON integer only: int() would read 1.7 and true as seed 1
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise IfsDigitsError(f"config field 'seed' is not an integer: {seed!r}")
+        seed = codec.as_count(cfg.get("seed", DEFAULT_SEED), "config field 'seed'", least=0)
     return weights.model_from_spec(spec), seed
 
 

@@ -1,8 +1,9 @@
-"""Digit words and wire formats: the word reader, text lines and chunked CSV.
+"""Input readers and wire formats: counts, digit words, text lines and chunked CSV.
 
-:func:`as_word` is the one reader of a digit word: every function that takes
-a word reads it there.  Its integral check, :func:`as_integers`, also reads
-profile tables.  A word is written as one line of
+:func:`as_count` is the one reader of a count, size, index or seed, and
+:func:`as_word` the one reader of a digit word: every function that takes
+one reads it there.  The word's integral check, :func:`as_integers`, also
+reads profile tables.  A word is written as one line of
 comma-separated positive integers (``3,1,4``); the empty word is the empty
 line.  Tables are written column by column through :func:`csv_chunks`, a
 chunk of rows at a time.
@@ -16,10 +17,23 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["as_integers", "as_word", "word_to_line", "word_from_line", "csv_chunks"]
+__all__ = ["as_count", "as_integers", "as_word", "word_to_line", "word_from_line", "csv_chunks"]
 
 # Rows per chunk of CSV text, so a million-row table never sits in memory as text.
 CSV_CHUNK_ROWS = 8192
+
+
+def as_count(value, what: str, least: int = 1) -> int:
+    """``value`` as an int; :class:`DomainError` unless it is an integer of at least ``least``.
+
+    Python and numpy integers are read; bools and floats, integral ones too, are not.
+    """
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise DomainError(f"{what} is not an integer: {value!r}")
+    if value < least:
+        rule = {0: "a non-negative integer", 1: "a positive integer"}.get(least)
+        raise DomainError(f"{what} must be {rule or f'at least {least}'}, got {int(value)}")
+    return int(value)
 
 
 def as_integers(values, message: str) -> np.ndarray:

@@ -31,7 +31,7 @@ from itertools import chain
 
 import numpy as np
 
-from .codec import as_word
+from .codec import as_count, as_word
 from .errors import (
     DepthError,
     DomainError,
@@ -86,8 +86,7 @@ class BlockProfile:
 
 
 def distinctness_profile(theta, L: int) -> BlockProfile:
-    if L < 1:
-        raise DomainError("block length must be positive")
+    L = as_count(L, "block length")
     theta = as_rate(theta)
     num, den = theta.numerator, theta.denominator
     if num * L + den - 1 < 2**63:
@@ -111,8 +110,7 @@ def count_blocks(N: int, L: int, theta) -> BlockCount:
     times, where ``m = ceil(theta L)``.  Exact value reported for block
     lengths up to 2048; the log form always.
     """
-    if N < 1:
-        raise DomainError("alphabet size must be positive")
+    N = as_count(N, "alphabet size")
     prof = distinctness_profile(theta, L)
     m = prof.new_count
     if m > N:
@@ -138,6 +136,7 @@ def enumerate_blocks(N: int, L: int, theta, alphabet=None, limit: int = 2_000_00
     Intended for enumeration oracles; refuses to start when the count
     exceeds ``limit``.
     """
+    N = as_count(N, "alphabet size")
     prof = distinctness_profile(theta, L)
     if prof.new_count > N:
         return
@@ -195,13 +194,13 @@ class BlockSchedule:
 
     def window(self, j: int) -> range:
         """Alphabet of level ``j``: ``[2**(j-1) base, 2**j base)``."""
-        if not 1 <= j <= self.depth:
+        if as_count(j, "level") > self.depth:
             raise DomainError(f"level {j} outside schedule depth {self.depth}")
         return range(self.base << (j - 1), self.base << j)
 
     def boundary(self, j: int) -> int:
         """Word length after ``j`` full blocks: ``2**(j+1) - 2``."""
-        if not 0 <= j <= self.depth:
+        if as_count(j, "level", least=0) > self.depth:
             raise DomainError("level outside schedule")
         return (1 << (j + 1)) - 2
 
@@ -225,7 +224,7 @@ class BlockSchedule:
 
     def sample_word(self, depth: int, rng: np.random.Generator) -> np.ndarray:
         """Concatenation of one sampled block per level ``1..depth``."""
-        if not 1 <= depth <= self.depth:
+        if as_count(depth, "depth") > self.depth:
             raise DomainError("depth outside schedule")
         return np.concatenate([self.sample_block(j, rng) for j in range(1, depth + 1)])
 
@@ -307,27 +306,23 @@ def build_block_schedule(
     distinct symbols, at most its window's size.
     """
     theta = as_rate(theta)
-    if depth < 1:
-        raise DomainError("depth must be positive")
+    depth = as_count(depth, "depth")
     word_length = (1 << (depth + 1)) - 2
     if word_length > _MAX_WORD_LENGTH:
         raise DepthError(
             f"depth {depth} needs words of {word_length} digits, "
             f"over the limit of {_MAX_WORD_LENGTH} (depth 21)"
         )
-    if k1 is None:
-        k1 = potter_scan(model, 1.0).k_eps
-    if k1 < 1:
-        raise DomainError("k1 must be a positive integer")
+    k1 = potter_scan(model, 1.0).k_eps if k1 is None else as_count(k1, "k1")
     m1 = -((-2 * theta.numerator) // theta.denominator)  # ceil(2 theta)
-    base = max(int(m1), int(k1))
+    base = max(m1, k1)
     for j in range(1, depth + 1):
         if base << j > 1 << 62:
             raise DepthError(f"alphabet indices overflow at level {j}")
     return BlockSchedule(
         model=model,
         theta=theta,
-        k1=int(k1),
+        k1=k1,
         base=base,
         depth=depth,
         profile=distinctness_profile(theta, 1 << depth),

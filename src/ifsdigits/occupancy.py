@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import as_word
+from .codec import as_count, as_word
 from .errors import DomainError
 from .rng import substream
 from .weights import (_MAX_DRAWS, _NO_DEEP, _SAMPLE_BLOCK, DigitSampler, WeightModel,
@@ -109,9 +109,7 @@ def expected_distinct(model: WeightModel, n: int) -> float:
     by ``n * tail_sum`` and resolved with a second-order correction, keeping
     the result within ~1e-9 relative of the full series.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise DomainError("n must be a positive integer")
-    return _expected_distinct_at(model, (int(n),))[0]
+    return _expected_distinct_at(model, (as_count(n, "n"),))[0]
 
 
 def _expected_distinct_at(model: WeightModel, ns: tuple[int, ...]) -> list[float]:
@@ -190,12 +188,11 @@ def monte_carlo_law(
     Results are independent of ``threads`` because each trial owns its
     stream and aggregation is by trial index.
     """
-    if n < 1 or trials < 1:
-        raise DomainError("n and trials must be positive")
+    n, trials = as_count(n, "n"), as_count(trials, "trials")
     if n > _MAX_DRAWS:
         raise DomainError(f"n = {n} digits per trial exceeds the limit of {_MAX_DRAWS}")
-    cps = tuple(int(c) for c in (checkpoints or _default_checkpoints(n)))
-    if any(c < 1 or c > n for c in cps):
+    cps = tuple(as_count(c, "checkpoint") for c in (checkpoints or _default_checkpoints(n)))
+    if any(c > n for c in cps):
         raise DomainError("checkpoints must lie in [1, n]")
     if any(b <= a for a, b in zip(cps, cps[1:])):
         raise DomainError("checkpoints must increase strictly")
@@ -232,8 +229,8 @@ def monte_carlo_law(
     return LawReport(
         model_desc=model.describe(),
         rho=model.rho,
-        n=int(n),
-        trials=int(trials),
+        n=n,
+        trials=trials,
         seed=int(seed),
         checkpoints=cps,
         means=means,

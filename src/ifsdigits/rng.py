@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .codec import as_count
 
 __all__ = ["DEFAULT_SEED", "substream"]
 
@@ -22,12 +22,10 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     """Return a generator for the substream addressed by ``(seed, *path)``.
 
     ``path`` is typically a trial index, optionally followed by finer
-    coordinates (for example ``substream(seed, trial, level)``).  A
-    negative seed raises :class:`DomainError`.
+    coordinates (for example ``substream(seed, trial, level)``).  The seed
+    and each coordinate must be non-negative integers (:func:`as_count`).
     """
-    seed = int(seed)
-    if seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed}")
-    ss = np.random.SeedSequence((seed,) + tuple(int(p) for p in path))
-    key = ss.generate_state(2, np.uint64)
+    entropy = [as_count(seed, "seed", least=0)]
+    entropy += [as_count(p, "substream path entry", least=0) for p in path]
+    key = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import as_integers, as_word
+from .codec import as_count, as_integers, as_word
 from .errors import (
     DomainError,
     NotAdmissibleError,
@@ -140,9 +140,7 @@ def profile_from_spec(spec: dict) -> AdmissibleProfile:
         if not isinstance(table, (list, tuple)):
             raise DomainError("table profile needs a 'table' array")
         return profile_from_table(table)
-    horizon = spec.get("horizon")
-    if not isinstance(horizon, int) or horizon < 10:
-        raise DomainError("profile spec needs an integer horizon >= 10")
+    horizon = as_count(spec.get("horizon"), "profile spec horizon", least=10)
     if kind == "power":
         beta = spec.get("beta")
         c = spec.get("c", 1.0)
@@ -237,7 +235,7 @@ class SublinearSchedule:
 
     def sample_word(self, n_max: int, rng: np.random.Generator) -> np.ndarray:
         """Draw the first ``n_max`` digits under the product law."""
-        if not 1 <= n_max <= self.horizon:
+        if as_count(n_max, "n_max") > self.horizon:
             raise DomainError("n_max outside the profile horizon")
         word = np.zeros(n_max, dtype=np.int64)
         forced = self.forced_time[:n_max]

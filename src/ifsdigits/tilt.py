@@ -28,6 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .codec import as_count
 from .errors import DomainError, EnumerationSizeError
 from .linear import as_rate
 from .rng import substream
@@ -65,8 +66,7 @@ def distinct_forces_large_check(n_max: int = 6, value_max: int = 6) -> LemmaScan
     """Exhaustively verify: ``m`` distinct values force ``ceil(m/2)`` positions
     with value ``>= ceil(m/2)``, over every tuple up to the given size.
     """
-    if n_max < 1 or value_max < 1:
-        raise DomainError("scan bounds must be positive")
+    n_max, value_max = as_count(n_max, "n_max"), as_count(value_max, "value_max")
     # The scan visits value_max + value_max**2 + ... + value_max**n_max tuples;
     # from value_max = 2 on, the first 64 lengths alone pass the limit.
     lengths = range(1, min(n_max, 64) + 1)
@@ -89,7 +89,7 @@ def distinct_forces_large_check(n_max: int = 6, value_max: int = 6) -> LemmaScan
 
 def distinct_threshold(n: int, theta) -> int:
     """The distinct-count threshold ``ceil(n * theta / 2)``, with ``theta`` read exactly."""
-    return math.ceil(n * as_rate(theta) / 2)
+    return math.ceil(as_count(n, "word length") * as_rate(theta) / 2)
 
 
 @dataclass(frozen=True)
@@ -162,10 +162,7 @@ def cylinder_sum_exact(
     capped and the full ``Z(s)**n`` must be normal floats and that bracket
     finite.
     """
-    if n < 1:
-        raise DomainError("word length must be positive")
-    if alphabet_cap < 1:
-        raise DomainError("alphabet cap must be positive")
+    n, alphabet_cap = as_count(n, "word length"), as_count(alphabet_cap, "alphabet cap")
     threshold = distinct_threshold(n, theta)
     cost = alphabet_cap * (n + 1) * (
         _EXACT_STEP_COST + (n + 1) * (min(alphabet_cap, threshold) + 1)
@@ -220,8 +217,7 @@ def cylinder_sum_mc(
     estimate and its binomial standard error are scaled by ``Z(s)**n``.
     Deterministic per seed.
     """
-    if n < 1 or trials < 1:
-        raise DomainError("n and trials must be positive")
+    n, trials = as_count(n, "word length"), as_count(trials, "trials")
     if n > _MAX_DRAWS:
         raise DomainError(f"word length n = {n} exceeds the limit of {_MAX_DRAWS}")
     threshold = distinct_threshold(n, theta)
@@ -279,8 +275,7 @@ def bound_chain(model: WeightModel, n: int, s: float, theta: float) -> BoundChai
     ``>= r``, the probability of the distinct-count event is at most
     ``(e n Q / r) ** r``.
     """
-    if n < 1:
-        raise DomainError("n must be positive")
+    n = as_count(n, "word length")
     r = max(math.ceil(n * as_rate(theta) / 4), 1)
     zeta = tilted_tail_sum(model, 1, s)
     q_tail = tilted_tail_sum(model, r, s) / zeta

@@ -173,20 +173,19 @@ def check_occupancy_expectation() -> str:
 
 
 def check_occupancy_law_small(seed: int, threads: int) -> str:
-    model = weights.luroth_model()
-    report = occupancy.monte_carlo_law(model, 10_000, 30, seed, threads=threads)
+    report = occupancy.monte_carlo_law(weights.luroth_model(), 10_000, 30, seed, threads=threads)
     exact = report.exact_expectations[-1]
     mean = report.mean_final_distinct
     se = report.sds[-1] * math.sqrt(10_000) / math.sqrt(report.trials)
-    _require(
-        abs(mean - exact) < 4 * se,
-        f"mean {mean:.1f} vs exact {exact:.1f} beyond 4 se ({se:.2f})",
-    )
-    gaps = [abs(m - report.karlin) for m in report.means]
-    _require(
-        gaps[-1] == min(gaps), "final checkpoint is not the closest to the limit"
-    )
-    return f"n=1e4 law: mean {mean:.1f} vs exact {exact:.1f}, final checkpoint closest"
+    within = f"within 4 se ({se:.2f}; false-alarm rate about 6e-5, two-sided normal)"
+    _require(abs(mean - exact) < 4 * se, f"mean {mean:.1f} vs exact {exact:.1f} not {within}")
+    # Convergence toward sqrt(pi) is read from the exact expectations, which no seed moves.
+    gaps = [abs(e / math.sqrt(c) - report.karlin)
+            for e, c in zip(report.exact_expectations, report.checkpoints)]
+    falls = all(b < a for a, b in zip(gaps, gaps[1:]))
+    trend = f"exact gap to sqrt(pi) {gaps[0]:.3f} .. {gaps[-1]:.4f} over {len(gaps)} checkpoints"
+    _require(falls, f"{trend} does not fall at every checkpoint")
+    return f"n=1e4 law: mean {mean:.1f} vs exact {exact:.1f} {within}; {trend}, falling strictly"
 
 
 # -- linear construction -------------------------------------------------------------

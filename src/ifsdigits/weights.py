@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import as_word
+from .codec import as_count, as_word
 from .errors import (
     DivergenceError,
     DomainError,
@@ -233,7 +233,7 @@ def _number(value, what: str) -> float:
 
 def weight(model: WeightModel, k: int) -> float:
     """``p_k``.  Digits are indexed from 1."""
-    k = _positive_int(k, "digit index")
+    k = as_count(k, "digit index")
     if model.kind == "luroth":
         return 1.0 / (k * (k + 1.0))
     if k <= len(model.prefix):
@@ -241,16 +241,10 @@ def weight(model: WeightModel, k: int) -> float:
     return k ** -model.rho * math.log(k + 1.0) ** model.gamma / model._norm
 
 
-def _positive_int(value, what: str) -> int:
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
-        raise DomainError(f"{what} must be a positive integer, got {value!r}")
-    return int(value)
-
-
 def weights_range(model: WeightModel, lo: int, hi: int) -> np.ndarray:
     """Vector of ``p_k`` for ``k`` in ``[lo, hi)``."""
-    if lo < 1 or hi < lo:
-        raise DomainError("need 1 <= lo <= hi")
+    lo = as_count(lo, "lo")
+    hi = as_count(hi, "hi", least=lo)
     k = np.arange(lo, hi, dtype=np.float64)
     if model.kind == "luroth":
         return 1.0 / (k * (k + 1.0))
@@ -278,7 +272,7 @@ def log_weights_of(model: WeightModel, word) -> np.ndarray:
 
 def slowly_varying(model: WeightModel, k: int) -> float:
     """The declared slowly varying factor ``L(k)`` with ``p_k = k**-rho L(k)``."""
-    k = _positive_int(k, "digit index")
+    k = as_count(k, "digit index")
     if model.kind == "luroth":
         return k / (k + 1.0)
     return math.log(k + 1.0) ** model.gamma / model._norm
@@ -294,7 +288,7 @@ def tail_sum(model: WeightModel, M: int) -> float:
 
 def tilted_tail_sum(model: WeightModel, M: int, s: float) -> float:
     """``sum_{k>=M} p_k**s`` for ``rho*s > 1``, relative error below 1e-10."""
-    M = _positive_int(M, "tail start")
+    M = as_count(M, "tail start")
     s = float(s)
     if not (s > 0.0 and math.isfinite(s)):
         raise DomainError(f"tilt exponent must be positive and finite; got s = {s!r}")
@@ -433,7 +427,7 @@ def partial_sum_exponent(model: WeightModel, K: int) -> float:
     :func:`exponent_root`; the residual stays below 1e-12 for every ``K``
     up to 1e4.
     """
-    K = _positive_int(K, "K")
+    K = as_count(K, "K")
     if K == 1:
         return 0.0
     p = weights_range(model, 1, K + 1)
@@ -502,8 +496,7 @@ def potter_scan(
     epsilon = float(epsilon)
     if epsilon <= 0.0:
         raise DomainError("epsilon must be positive")
-    if scan_limit < 4:
-        raise DomainError("scan_limit must be at least 4")
+    scan_limit = as_count(scan_limit, "scan_limit", least=4)
     p = weights_range(model, 1, scan_limit + 1)
     k = np.arange(1, scan_limit + 1, dtype=np.float64)
     L = _slowly_varying_vec(model, scan_limit)

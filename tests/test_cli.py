@@ -177,6 +177,27 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--tilted-tail" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["cylsum", "--n", ",", "--s", "0.75", "--theta", "0.5"],
+        ["cylsum", "--n", "4,,8", "--s", "0.75", "--theta", "0.5"],
+        ["simulate", "--n", "10", "--trials", "2", "--checkpoints", ","],
+        ["weights", "--model", "explicit-prefix", "--rho", "2.5", "--prefix", "0.3,"],
+        ["weights", "--model", "explicit-prefix", "--rho", "2.5", "--prefix", ","],
+    ], ids=["n-comma", "n-inner", "checkpoints-comma", "prefix-trailing", "prefix-comma"])
+    def test_empty_list_item_is_2(self, tmp_path, capsys, argv):
+        # these once ran without the empty items: no rows, n = 4 and 8, the
+        # default checkpoints, and one prefix weight
+        with pytest.raises(SystemExit) as exc:
+            run_cli(tmp_path, argv)
+        assert exc.value.code == 2
+        assert "invalid _parse_" in capsys.readouterr().err
+        assert not (tmp_path / "out.txt").exists()
+
+    def test_non_integer_tail_start_is_3(self, capsys):
+        code = cli.main(["weights", "--tilted-tail", "2.5", "0.75"])
+        assert code == 3
+        assert "tail start is not an integer: 2.5" in capsys.readouterr().err
+
     @pytest.mark.parametrize("depth", ["22", "40", "70"])
     def test_too_deep_linear_is_3(self, capsys, depth):
         code = cli.main(["construct", "linear", "--theta", "0.5", "--depth", depth])
@@ -408,7 +429,8 @@ class TestExitCodes:
         code, text = run_cli(tmp_path, argv)
         assert code == 3
         assert text == ""
-        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        noun = "seed" if config_seed is None else "config field 'seed'"
+        assert f"{noun} must be a non-negative integer, got -" in capsys.readouterr().err
 
     @pytest.mark.parametrize("config_seed", [1.7, True, 5.0, "5"])
     def test_non_integer_config_seed_is_3(self, tmp_path, capsys, config_seed):

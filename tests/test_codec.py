@@ -1,11 +1,15 @@
-"""Wire formats: digit-word lines and chunked CSV."""
+"""Input readers and wire formats: counts, digit words, word lines and chunked CSV."""
 
+import json
 import math
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ifsdigits import codec, linear, occupancy, sublinear, weights
+from ifsdigits import cli, codec, linear, occupancy, sublinear, tilt, weights
 from ifsdigits.errors import DomainError
 from ifsdigits.rng import substream
 
@@ -71,6 +75,107 @@ class TestWordReader:
 
     def test_float_copy_reads_the_same(self, entry, word):
         assert _plain(entry(word.astype(np.float64))) == _plain(entry(word))
+
+
+def _config_seed(seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "cfg.json")
+        path.write_text(json.dumps({"seed": seed}), encoding="utf-8")
+        return cli._resolve(SimpleNamespace(config=str(path)))[1]
+
+
+def _random(rng):
+    return rng.random(2).tolist()
+
+
+def _k1_base(k1):
+    return linear.build_block_schedule(LUROTH, 0.5, 3, k1=k1).base
+
+
+# Every public function that takes a count, size, index or seed, as
+# (count -> plain result, a count it accepts, the least count it accepts).
+# Before codec.as_count, some of them ran at a truncated float count
+# (bound_chain, checkpoints, k1, potter_scan, weights_range, substream) and
+# others ended in a TypeError or IndexError traceback.
+COUNT_ENTRY_POINTS = [
+    pytest.param(lambda k: weights.weight(LUROTH, k), 3, 1, id="weight"),
+    pytest.param(lambda k: weights.slowly_varying(LUROTH, k), 3, 1, id="slowly_varying"),
+    pytest.param(lambda lo: weights.weights_range(LUROTH, lo, 5).tolist(), 2, 1, id="weights_range-lo"),
+    pytest.param(lambda hi: weights.weights_range(LUROTH, 1, hi).tolist(), 3, 1, id="weights_range-hi"),
+    pytest.param(lambda m: weights.tail_sum(LUROTH, m), 3, 1, id="tail_sum"),
+    pytest.param(lambda m: weights.tilted_tail_sum(LUROTH, m, 0.75), 3, 1, id="tilted_tail_sum"),
+    pytest.param(lambda k: weights.partial_sum_exponent(LUROTH, k), 3, 1, id="partial_sum_exponent"),
+    pytest.param(lambda limit: weights.potter_scan(LUROTH, 1.0, limit), 8, 4, id="potter_scan"),
+    pytest.param(lambda n: occupancy.expected_distinct(LUROTH, n), 5, 1, id="expected_distinct"),
+    pytest.param(lambda n: occupancy.monte_carlo_law(LUROTH, n, 2, 1), 64, 1, id="monte_carlo_law-n"),
+    pytest.param(lambda trials: occupancy.monte_carlo_law(LUROTH, 64, trials, 1), 2, 1,
+                 id="monte_carlo_law-trials"),
+    pytest.param(lambda c: occupancy.monte_carlo_law(LUROTH, 64, 2, 1, checkpoints=(c, 64)), 8, 1,
+                 id="monte_carlo_law-checkpoint"),
+    pytest.param(lambda n: tilt.distinct_forces_large_check(n, 2), 3, 1, id="lemma-n_max"),
+    pytest.param(lambda v: tilt.distinct_forces_large_check(3, v), 2, 1, id="lemma-value_max"),
+    pytest.param(lambda n: tilt.distinct_threshold(n, 0.5), 7, 1, id="distinct_threshold"),
+    pytest.param(lambda n: tilt.cylinder_sum_exact(LUROTH, n, 0.75, 0.5, 4), 3, 1,
+                 id="cylinder_sum_exact-n"),
+    pytest.param(lambda cap: tilt.cylinder_sum_exact(LUROTH, 3, 0.75, 0.5, cap), 4, 1,
+                 id="cylinder_sum_exact-cap"),
+    pytest.param(lambda n: tilt.cylinder_sum_mc(LUROTH, n, 0.75, 0.5, 50, 1), 4, 1,
+                 id="cylinder_sum_mc-n"),
+    pytest.param(lambda trials: tilt.cylinder_sum_mc(LUROTH, 4, 0.75, 0.5, trials, 1), 50, 1,
+                 id="cylinder_sum_mc-trials"),
+    pytest.param(lambda n: tilt.bound_chain(LUROTH, n, 0.75, 0.5), 40, 1, id="bound_chain"),
+    pytest.param(lambda L: linear.distinctness_profile(0.5, L).r.tolist(), 6, 1,
+                 id="distinctness_profile"),
+    pytest.param(lambda N: linear.count_blocks(N, 4, 0.5), 5, 1, id="count_blocks-N"),
+    pytest.param(lambda L: linear.count_blocks(5, L, 0.5), 4, 1, id="count_blocks-L"),
+    pytest.param(lambda N: list(linear.enumerate_blocks(N, 3, 0.5)), 3, 1, id="enumerate_blocks"),
+    pytest.param(lambda d: linear.build_block_schedule(LUROTH, 0.5, d, k1=1).profile.r.tolist(), 3, 1,
+                 id="build_block_schedule-depth"),
+    pytest.param(_k1_base, 2, 1, id="build_block_schedule-k1"),
+    pytest.param(lambda j: list(_LINEAR.window(j)), 2, 1, id="BlockSchedule.window"),
+    pytest.param(_LINEAR.boundary, 2, 0, id="BlockSchedule.boundary"),
+    pytest.param(lambda j: _LINEAR.sample_block(j, substream(1, 2)).tolist(), 2, 1,
+                 id="BlockSchedule.sample_block"),
+    pytest.param(lambda d: _LINEAR.sample_word(d, substream(1, 2)).tolist(), 3, 1,
+                 id="BlockSchedule.sample_word"),
+    pytest.param(lambda h: sublinear.profile_from_spec({"kind": "sqrt", "horizon": h}).values.tolist(),
+                 1024, 10, id="profile_from_spec"),
+    pytest.param(lambda n: _SUBLINEAR.sample_word(n, substream(1, 2)).tolist(), 20, 1,
+                 id="SublinearSchedule.sample_word"),
+    pytest.param(lambda seed: _random(substream(seed)), 5, 0, id="substream-seed"),
+    pytest.param(lambda index: _random(substream(1, index)), 3, 0, id="substream-path"),
+    pytest.param(_config_seed, 42, 0, id="config-seed"),
+]
+
+
+@pytest.mark.parametrize("entry, good, least", COUNT_ENTRY_POINTS)
+class TestCountReader:
+    """Each entry point reads its counts through ``codec.as_count``."""
+
+    @pytest.mark.parametrize("bad", ["floor", -1, 2.5, 2.0, True, "3", None])
+    def test_refuses_other_than_integers_at_the_floor(self, entry, good, least, bad):
+        if entry is _k1_base and bad is None:
+            pytest.skip("k1=None asks for the scan-derived start index")
+        with pytest.raises(DomainError):
+            entry(least - 1 if bad == "floor" else bad)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.uint32])
+    def test_numpy_integer_reads_the_same(self, entry, good, least, kind):
+        if entry is _config_seed:
+            pytest.skip("a JSON config holds no numpy integers")
+        assert entry(kind(good)) == entry(good)
+
+
+def test_count_messages():
+    with pytest.raises(DomainError, match=r"^n is not an integer: 2\.0$"):
+        codec.as_count(2.0, "n")
+    with pytest.raises(DomainError, match="^n must be a positive integer, got 0$"):
+        codec.as_count(0, "n")
+    with pytest.raises(DomainError, match="^seed must be a non-negative integer, got -1$"):
+        codec.as_count(np.int64(-1), "seed", least=0)
+    with pytest.raises(DomainError, match="^horizon must be at least 10, got 9$"):
+        codec.as_count(9, "horizon", least=10)
+    assert type(codec.as_count(np.uint32(7), "n")) is int
 
 
 def f_string_rows(rows, fmt):

@@ -1,6 +1,7 @@
 """The check registry: which named checks each ``verify`` tier runs, in order, and how a row is run."""
 
 import ast
+import inspect
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -129,10 +130,30 @@ def test_no_unread_parameters():
     assert unread == []
 
 
-@pytest.mark.parametrize(
-    "name", ["linear-sandwich", "sublinear-sandwich", "sublinear-ratio-decay"]
-)
-def test_shared_rows_hold_at_seeds_0_to_19(name):
+# The quick rows that draw with the run seed.
+SEED_ROWS = [
+    "weights-sampler-law",
+    "occupancy-law-small",
+    "linear-uniformity",
+    "linear-sandwich",
+    "linear-mass-additivity",
+    "linear-local-dimension",
+    "sublinear-sandwich",
+    "sublinear-ratio-decay",
+    "tilt-mc",
+    "rng-reproducibility",
+]
+
+
+def test_seed_rows_are_the_quick_rows_that_read_the_seed():
+    reads = [name for name, fn, tier, _ in verify.CHECKS
+             if tier == "quick" and "seed" in inspect.signature(fn).parameters]
+    assert reads == SEED_ROWS
+
+
+@pytest.mark.parametrize("name", SEED_ROWS)
+def test_quick_rows_hold_at_seeds_0_to_19(name):
+    # a failure that ends in [reproduce with seed=S] must belong to the code, not to the seed
     row = next(row for row in verify.CHECKS if row[0] == name)
     results = [verify.run_check(row, seed, 1) for seed in range(20)]
     assert [r.detail for r in results if not r.passed] == []
