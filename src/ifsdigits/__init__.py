@@ -54,6 +54,7 @@ from .tilt import (
     bound_chain,
     cylinder_sum_exact,
     cylinder_sum_mc,
+    cylinder_sums_mc,
     distinct_forces_large_check,
 )
 from .verify import run_suite
@@ -107,6 +108,7 @@ __all__ = [
     "count_blocks",
     "cylinder_sum_exact",
     "cylinder_sum_mc",
+    "cylinder_sums_mc",
     "distinct_counts",
     "distinct_forces_large_check",
     "distinctness_profile",

@@ -342,16 +342,11 @@ def cmd_construct_sublinear(args) -> int:
 
 def cmd_cylsum(args) -> int:
     model, seed = _resolve(args)
-    records = []
-    bounds = []
-    for n in args.n:
-        if args.mode == "exact":
-            records.append(tilt.cylinder_sum_exact(model, n, args.s, args.theta, args.cap))
-        else:
-            records.append(
-                tilt.cylinder_sum_mc(model, n, args.s, args.theta, args.trials, seed)
-            )
-        bounds.append(tilt.bound_chain(model, n, args.s, args.theta))
+    if args.mode == "exact":
+        records = [tilt.cylinder_sum_exact(model, n, args.s, args.theta, args.cap) for n in args.n]
+    else:
+        records = tilt.cylinder_sums_mc(model, args.n, args.s, args.theta, args.trials, seed)
+    bounds = [tilt.bound_chain(model, n, args.s, args.theta) for n in args.n]
     if args.format == "json":
         _emit_json(args, {
             "seed": seed,

@@ -136,7 +136,7 @@ def enumerate_blocks(N: int, L: int, theta, alphabet=None, limit: int = 2_000_00
     Intended for enumeration oracles; refuses to start when the count
     exceeds ``limit``.
     """
-    N = as_count(N, "alphabet size")
+    N, limit = as_count(N, "alphabet size"), as_count(limit, "limit")
     prof = distinctness_profile(theta, L)
     if prof.new_count > N:
         return

@@ -188,7 +188,7 @@ def monte_carlo_law(
     Results are independent of ``threads`` because each trial owns its
     stream and aggregation is by trial index.
     """
-    n, trials = as_count(n, "n"), as_count(trials, "trials")
+    n, trials, threads = as_count(n, "n"), as_count(trials, "trials"), as_count(threads, "threads")
     if n > _MAX_DRAWS:
         raise DomainError(f"n = {n} digits per trial exceeds the limit of {_MAX_DRAWS}")
     cps = tuple(as_count(c, "checkpoint") for c in (checkpoints or _default_checkpoints(n)))

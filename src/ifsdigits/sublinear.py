@@ -171,6 +171,7 @@ def threshold_index(model: WeightModel, t: float, cap: int = 1 << 20) -> int:
     non-increasing weight table the schedule samples from, so ``K`` is the
     smallest truncation that reaches the target in the schedule's own order.
     """
+    cap = as_count(cap, "cap", least=2)
     if not 0.0 < t < 1.0:
         raise DomainError("dimension target t must lie in (0, 1)")
     target = 0.5 * (1.0 + t)

@@ -24,7 +24,6 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -32,7 +31,15 @@ from .codec import as_count
 from .errors import DomainError, EnumerationSizeError
 from .linear import as_rate
 from .rng import substream
-from .weights import _MAX_DRAWS, DigitSampler, WeightModel, tilted_tail_sum, weights_range
+from .weights import (
+    _MAX_DRAWS,
+    _NO_DEEP,
+    _SAMPLE_BLOCK,
+    DigitSampler,
+    WeightModel,
+    tilted_tail_sum,
+    weights_range,
+)
 
 __all__ = [
     "CylinderSumRecord",
@@ -42,6 +49,7 @@ __all__ = [
     "distinct_threshold",
     "cylinder_sum_exact",
     "cylinder_sum_mc",
+    "cylinder_sums_mc",
     "bound_chain",
 ]
 
@@ -197,12 +205,6 @@ def cylinder_sum_exact(
     )
 
 
-@lru_cache(maxsize=4)
-def _tilted_sampler(model: WeightModel, s: float) -> DigitSampler:
-    """One sampler per tilted law, shared by the word lengths of a command."""
-    return DigitSampler(model, s=s)
-
-
 def cylinder_sum_mc(
     model: WeightModel,
     n: int,
@@ -211,45 +213,100 @@ def cylinder_sum_mc(
     trials: int,
     seed: int,
 ) -> CylinderSumRecord:
-    """Monte Carlo ``S_n = Z(s)**n * P(distinct count >= threshold)``.
+    """Monte Carlo ``S_n``: :func:`cylinder_sums_mc` at the one length ``n``."""
+    return cylinder_sums_mc(model, (n,), s, theta, trials, seed)[0]
 
-    Words are drawn iid from the tilted law over the full alphabet; the
+
+def cylinder_sums_mc(
+    model: WeightModel,
+    ns,
+    s: float,
+    theta: float,
+    trials: int,
+    seed: int,
+) -> list[CylinderSumRecord]:
+    """Monte Carlo ``S_n = Z(s)**n * P(distinct count >= threshold)`` for each ``n`` of ``ns``.
+
+    Words are drawn iid from the tilted law over the full alphabet; each
     estimate and its binomial standard error are scaled by ``Z(s)**n``.
-    Deterministic per seed.
+    Every length reads its ``n * trials`` draws from the start of one
+    stream, so the stream is drawn once, in blocks of whole words of the
+    longest length, and each shorter length reads a prefix of it.  Every
+    length is validated before the first draw.  Deterministic per seed.
     """
-    n, trials = as_count(n, "word length"), as_count(trials, "trials")
-    if n > _MAX_DRAWS:
-        raise DomainError(f"word length n = {n} exceeds the limit of {_MAX_DRAWS}")
-    threshold = distinct_threshold(n, theta)
+    ns = [as_count(n, "word length") for n in ns]
+    if not ns:
+        raise DomainError("cylinder sums need at least one word length")
+    trials = as_count(trials, "trials")
+    for n in ns:
+        if n > _MAX_DRAWS:
+            raise DomainError(f"word length n = {n} exceeds the limit of {_MAX_DRAWS}")
+    thresholds = [distinct_threshold(n, theta) for n in ns]
     zeta = tilted_tail_sum(model, 1, s)
-    scale = _zeta_power(zeta, n)
-    sampler = _tilted_sampler(model, float(s))
+    scales = [_zeta_power(zeta, n) for n in ns]
+    sampler = DigitSampler(model, s=s)
     rng = substream(seed, 0x7117)
-    hits = 0
-    chunk = max(1, (1 << 22) // n)
-    done = 0
-    while done < trials:
-        batch = min(chunk, trials - done)
-        words = sampler.sample(rng, batch * n).reshape(batch, n)
-        words.sort(axis=1)
-        distinct = 1 + np.count_nonzero(words[:, 1:] != words[:, :-1], axis=1)
-        hits += int(np.count_nonzero(distinct >= threshold))
-        done += batch
-        del words  # free this batch before the next one is drawn
-    phat = hits / trials
-    se = math.sqrt(phat * (1.0 - phat) / trials)
-    return CylinderSumRecord(
-        n=n,
-        s=float(s),
-        theta=float(theta),
-        mode="monte-carlo",
-        value=scale * phat,
-        stderr=scale * se,
-        truncation_deficit=None,
-        log_zeta=math.log(zeta),
-        prob=phat,
-        trials=trials,
-    )
+    longest = max(ns)
+    block = max(1, _SAMPLE_BLOCK // longest) * longest
+    # the last of the longest lengths sorts each block in place, so it reads
+    # the block after every other length has copied its share
+    order = sorted(range(len(ns)), key=ns.__getitem__)
+    hits = [0] * len(ns)
+    carry = [(np.empty(0, dtype=np.int64), *_NO_DEEP)] * len(ns)
+    for start in range(0, longest * trials, block):
+        labels, at, mass = sampler.draw(rng, min(block, longest * trials - start))
+        for i in order:
+            take = min(labels.size, ns[i] * trials - start)
+            if take <= 0:
+                continue
+            if i == order[-1]:  # a whole number of its words, and no carry
+                scope = labels, at, mass
+            else:
+                cut = np.searchsorted(at, take)
+                held = carry[i][0].size
+                scope = (np.concatenate((carry[i][0], labels[:take])),
+                         np.concatenate((carry[i][1], at[:cut] + held)),
+                         np.concatenate((carry[i][2], mass[:cut])))
+            found, carry[i] = _count_rich_words(sampler, ns[i], thresholds[i], *scope)
+            hits[i] += found
+        del labels, at, mass, scope  # free this block before the next one is drawn
+    records = []
+    for n, scale, found in zip(ns, scales, hits):
+        phat = found / trials
+        se = math.sqrt(phat * (1.0 - phat) / trials)
+        records.append(CylinderSumRecord(
+            n=n,
+            s=float(s),
+            theta=float(theta),
+            mode="monte-carlo",
+            value=scale * phat,
+            stderr=scale * se,
+            truncation_deficit=None,
+            log_zeta=math.log(zeta),
+            prob=phat,
+            trials=trials,
+        ))
+    return records
+
+
+def _count_rich_words(sampler, n, threshold, labels, at, mass):
+    """Words of ``labels`` with at least ``threshold`` distinct digits, and the draws past them.
+
+    ``labels`` holds draws from :meth:`DigitSampler.draw`, whose deep draws
+    at ``at`` have masses ``mass``.  Its whole words of length ``n`` are
+    labelled in one scope and sorted in place; the incomplete last word is
+    returned unlabelled, as ``(labels, at, mass)``, to lead the next block.
+    """
+    whole = labels.size - labels.size % n
+    cut = np.searchsorted(at, whole)
+    rest = (labels[whole:].copy(), at[cut:] - whole, mass[cut:])
+    words = labels[:whole]
+    if cut:
+        words[at[:cut]] = sampler.label(at[:cut], mass[:cut])
+    words = words.reshape(-1, n)
+    words.sort(axis=1)
+    distinct = 1 + np.count_nonzero(words[:, 1:] != words[:, :-1], axis=1)
+    return int(np.count_nonzero(distinct >= threshold)), rest
 
 
 # -- the bound chain ---------------------------------------------------------------

@@ -376,15 +376,17 @@ def check_tilt_mc(seed: int) -> str:
     model, s, cap = weights.luroth_model(), 0.75, 6
     full = weights.tilted_tail_sum(model, 1, s) ** 4 - weights.tilted_tail_sum(model, 1, 4 * s)
     rec = tilt.cylinder_sum_mc(model, 4, s, 1.0, trials=200_000, seed=seed)
+    within = "within 4 se (false-alarm rate about 6.3e-5, two-sided normal)"
     _require(
         abs(rec.value - full) < 4 * (rec.stderr or 1e-9),
-        f"Monte Carlo estimate {rec.value:.4f} vs exact {full:.4f}",
+        f"Monte Carlo estimate {rec.value:.4f} vs exact {full:.4f} not {within}",
     )
     w = weights.weights_range(model, 1, cap + 1) ** s
     capped = math.fsum(w) ** 4 - math.fsum(w**4)
     rel = abs(tilt.cylinder_sum_exact(model, 4, s, 1.0, cap).value - capped) / capped
     _require(rel < 1e-12, f"exact mode at cap {cap}: rel {rel:.2e}")
-    return f"S_4(0.75, 1) on luroth: {full:.4f}, MC {rec.value:.4f}; cap {cap} exact to {rel:.1e}"
+    return (f"S_4(0.75, 1) on luroth: {full:.4f}, MC {rec.value:.4f} {within}; "
+            f"cap {cap} exact to {rel:.1e}")
 
 
 def check_tilt_bound_chain() -> str:

@@ -700,6 +700,7 @@ class DigitSampler:
     """
 
     def __init__(self, model: WeightModel, s: float = 1.0, table_size: int = 1 << 20):
+        table_size = as_count(table_size, "table_size")
         self.model = model
         self.s = float(s)
         self.total = tilted_tail_sum(model, 1, self.s) if self.s != 1.0 else 1.0
@@ -744,7 +745,7 @@ class DigitSampler:
         """``size`` draws as ``(labels, at, mass)``: the deep draws, at
         positions ``at`` of ``labels`` where they read 0, have remaining
         masses ``mass``.  :meth:`label` labels them once the word ends."""
-        u = rng.random(size)
+        u = rng.random(as_count(size, "size", least=0))
         if self._fast_luroth:
             # floor(1 / (1 - u)) in place: only the uniforms and the digits span the word
             np.subtract(1.0, u, out=u)

@@ -244,6 +244,17 @@ class TestExitCodes:
         assert code == 3
         assert "error: Z(s)**n is not a normal float" in capsys.readouterr().err
 
+    def test_cylsum_every_length_read_before_any_draw(self, capsys, monkeypatch):
+        # n = 40 is valid, but its words are not drawn before n = 3000 is refused
+        def draw(*args):
+            raise AssertionError("digits were drawn before every length was read")
+
+        monkeypatch.setattr(weights.DigitSampler, "draw", draw)
+        code = cli.main(["cylsum", "--n", "40,3000", "--s", "0.75", "--theta", "0.5",
+                         "--trials", "10"])
+        assert code == 3
+        assert "error: Z(s)**n is not a normal float" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags, longest", [
         (["--trials", "10"], "1016"),
         (["--mode", "exact", "--cap", "1"], "1006"),
@@ -780,6 +791,15 @@ class TestCylsum:
         assert code == 0
         probs = [r["prob"] for r in json.loads(text)["records"]]
         assert 1.0 > probs[0] > probs[1] > probs[2] > 0.0
+
+    def test_mc_rows_as_if_run_alone(self, tmp_path):
+        # every length reads the same stream, so each row is its own run's row
+        argv = ["cylsum", "--s", "0.75", "--theta", "0.5", "--trials", "2000", "--n"]
+        code, text = run_cli(tmp_path, argv + ["40,80,160"])
+        assert code == 0
+        alone = [run_cli(tmp_path, argv + [n])[1].splitlines() for n in ("40", "80", "160")]
+        assert text.splitlines()[2:] == [lines[2] for lines in alone]
+        assert all(len(lines) == 3 for lines in alone)
 
     def test_mc_json_fields(self, tmp_path):
         code, text = run_cli(

@@ -88,6 +88,14 @@ def _random(rng):
     return rng.random(2).tolist()
 
 
+_BASE = weights.DigitSampler(LUROTH)
+_TILTED = weights.DigitSampler(LUROTH, s=0.75, table_size=16)  # some draws fall past the table
+
+
+def _draws(sampler):
+    return sampler.sample(substream(1, 2), 9).tolist()
+
+
 def _k1_base(k1):
     return linear.build_block_schedule(LUROTH, 0.5, 3, k1=k1).base
 
@@ -105,6 +113,12 @@ COUNT_ENTRY_POINTS = [
     pytest.param(lambda m: weights.tail_sum(LUROTH, m), 3, 1, id="tail_sum"),
     pytest.param(lambda m: weights.tilted_tail_sum(LUROTH, m, 0.75), 3, 1, id="tilted_tail_sum"),
     pytest.param(lambda k: weights.partial_sum_exponent(LUROTH, k), 3, 1, id="partial_sum_exponent"),
+    pytest.param(lambda size: _BASE.sample(substream(1, 2), size).tolist(), 3, 0,
+                 id="DigitSampler.sample"),
+    pytest.param(lambda size: _TILTED.draw(substream(1, 2), size)[0].tolist(), 3, 0,
+                 id="DigitSampler.draw"),
+    pytest.param(lambda t: _draws(weights.DigitSampler(LUROTH, 0.75, table_size=t)), 16, 1,
+                 id="DigitSampler-table_size"),
     pytest.param(lambda limit: weights.potter_scan(LUROTH, 1.0, limit), 8, 4, id="potter_scan"),
     pytest.param(lambda n: occupancy.expected_distinct(LUROTH, n), 5, 1, id="expected_distinct"),
     pytest.param(lambda n: occupancy.monte_carlo_law(LUROTH, n, 2, 1), 64, 1, id="monte_carlo_law-n"),
@@ -112,6 +126,8 @@ COUNT_ENTRY_POINTS = [
                  id="monte_carlo_law-trials"),
     pytest.param(lambda c: occupancy.monte_carlo_law(LUROTH, 64, 2, 1, checkpoints=(c, 64)), 8, 1,
                  id="monte_carlo_law-checkpoint"),
+    pytest.param(lambda threads: occupancy.monte_carlo_law(LUROTH, 64, 2, 1, threads=threads), 2, 1,
+                 id="monte_carlo_law-threads"),
     pytest.param(lambda n: tilt.distinct_forces_large_check(n, 2), 3, 1, id="lemma-n_max"),
     pytest.param(lambda v: tilt.distinct_forces_large_check(3, v), 2, 1, id="lemma-value_max"),
     pytest.param(lambda n: tilt.distinct_threshold(n, 0.5), 7, 1, id="distinct_threshold"),
@@ -123,12 +139,16 @@ COUNT_ENTRY_POINTS = [
                  id="cylinder_sum_mc-n"),
     pytest.param(lambda trials: tilt.cylinder_sum_mc(LUROTH, 4, 0.75, 0.5, trials, 1), 50, 1,
                  id="cylinder_sum_mc-trials"),
+    pytest.param(lambda n: tilt.cylinder_sums_mc(LUROTH, (3, n), 0.75, 0.5, 50, 1), 4, 1,
+                 id="cylinder_sums_mc-n"),
     pytest.param(lambda n: tilt.bound_chain(LUROTH, n, 0.75, 0.5), 40, 1, id="bound_chain"),
     pytest.param(lambda L: linear.distinctness_profile(0.5, L).r.tolist(), 6, 1,
                  id="distinctness_profile"),
     pytest.param(lambda N: linear.count_blocks(N, 4, 0.5), 5, 1, id="count_blocks-N"),
     pytest.param(lambda L: linear.count_blocks(5, L, 0.5), 4, 1, id="count_blocks-L"),
     pytest.param(lambda N: list(linear.enumerate_blocks(N, 3, 0.5)), 3, 1, id="enumerate_blocks"),
+    pytest.param(lambda limit: list(linear.enumerate_blocks(3, 3, 0.5, limit=limit)), 100, 1,
+                 id="enumerate_blocks-limit"),
     pytest.param(lambda d: linear.build_block_schedule(LUROTH, 0.5, d, k1=1).profile.r.tolist(), 3, 1,
                  id="build_block_schedule-depth"),
     pytest.param(_k1_base, 2, 1, id="build_block_schedule-k1"),
@@ -138,6 +158,8 @@ COUNT_ENTRY_POINTS = [
                  id="BlockSchedule.sample_block"),
     pytest.param(lambda d: _LINEAR.sample_word(d, substream(1, 2)).tolist(), 3, 1,
                  id="BlockSchedule.sample_word"),
+    pytest.param(lambda cap: sublinear.threshold_index(LUROTH, 0.5, cap), 1024, 2,
+                 id="threshold_index-cap"),
     pytest.param(lambda h: sublinear.profile_from_spec({"kind": "sqrt", "horizon": h}).values.tolist(),
                  1024, 10, id="profile_from_spec"),
     pytest.param(lambda n: _SUBLINEAR.sample_word(n, substream(1, 2)).tolist(), 20, 1,

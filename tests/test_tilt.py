@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from ifsdigits import tilt, weights
 from ifsdigits.errors import DivergenceError, DomainError, EnumerationSizeError
+from ifsdigits.rng import substream
 
 LUROTH = weights.luroth_model()
 KINDS = {
@@ -20,6 +21,11 @@ KINDS = {
     "power-log": weights.power_log_model(2.0, 1.5),
     "explicit-prefix": weights.explicit_prefix_model((0.4, 0.1, 0.2), rho=2.0),
 }
+
+# tracemalloc peak allowed to one Monte Carlo call on 2**20-digit words, which
+# are drawn one word a block: a draw holds its uniforms and digits, 16 bytes
+# each, and must not also hold the previous block (that takes 24 MB)
+BATCH_PEAK_BOUND = 1.25 * 16 * (1 << 20)
 
 # sum of p_k**0.75 over the quadratic-tail model, frozen from a
 # high-precision series evaluation with integral-remainder brackets
@@ -143,7 +149,6 @@ class TestThreshold:
 
         for name in ("weights_range", "tilted_tail_sum", "DigitSampler"):
             monkeypatch.setattr(tilt, name, build)
-        tilt._tilted_sampler.cache_clear()
         for run in (lambda: tilt.cylinder_sum_exact(LUROTH, 4, 0.75, theta, 4),
                     lambda: tilt.cylinder_sum_mc(LUROTH, 4, 0.75, theta, trials=10, seed=0),
                     lambda: tilt.bound_chain(LUROTH, 4, 0.75, theta)):
@@ -281,24 +286,36 @@ class TestCylinderSumMC:
         assert a.value == b.value and a.prob == b.prob
         assert a.value != c.value
 
-    def test_one_sampler_per_tilted_law(self):
-        tilt._tilted_sampler.cache_clear()
-        for n in (4, 8, 16):
-            tilt.cylinder_sum_mc(LUROTH, n, 0.75, 0.5, trials=100, seed=0)
-        info = tilt._tilted_sampler.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+    def test_one_sampler_per_tilted_law(self, monkeypatch):
+        builds = []
+
+        def build(*args, **kwargs):
+            builds.append(args)
+            return weights.DigitSampler(*args, **kwargs)
+
+        monkeypatch.setattr(tilt, "DigitSampler", build)
+        tilt.cylinder_sums_mc(LUROTH, (4, 8, 16), 0.75, 0.5, trials=100, seed=0)
+        assert len(builds) == 1
 
     def test_one_batch_of_words_held_at_a_time(self):
-        # two batches of 4 words of 2**20 digits; a draw holds its uniforms and
-        # digits, 16 bytes each, and must not also hold the previous batch
-        tilt._tilted_sampler.cache_clear()
         tracemalloc.start()
         try:
             tilt.cylinder_sum_mc(LUROTH, 1 << 20, 1.0, 0.5, trials=8, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * 8 * (4 << 20)
+        assert peak < BATCH_PEAK_BOUND
+
+    def test_three_lengths_hold_one_block(self):
+        # the shorter lengths copy their share of each block, and carry at
+        # most one incomplete word to the next
+        tracemalloc.start()
+        try:
+            tilt.cylinder_sums_mc(LUROTH, (1 << 20, 1 << 19, 3), 1.0, 0.5, trials=8, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < BATCH_PEAK_BOUND
 
     def test_guards(self):
         with pytest.raises(DivergenceError):
@@ -309,6 +326,95 @@ class TestCylinderSumMC:
             tilt.cylinder_sum_mc(LUROTH, 4, 0.75, 0.5, trials=0, seed=0)
         with pytest.raises(DomainError):
             tilt.cylinder_sum_mc(LUROTH, 4, 0.75, 0.0, trials=10, seed=0)
+        with pytest.raises(DomainError, match="at least one word length"):
+            tilt.cylinder_sums_mc(LUROTH, (), 0.75, 0.5, trials=10, seed=0)
+
+    def test_every_length_read_before_any_draw(self, monkeypatch):
+        def draw(*args):
+            raise AssertionError("digits were drawn before every length was read")
+
+        monkeypatch.setattr(weights.DigitSampler, "draw", draw)
+        for ns, error in (((40, 0), "positive integer"), ((40, 2.0), "not an integer"),
+                          ((40, weights._MAX_DRAWS + 1), "exceeds the limit"),
+                          ((40, 3000), "Z\\(s\\)\\*\\*n")):
+            with pytest.raises(DomainError, match=error):
+                tilt.cylinder_sums_mc(LUROTH, ns, 0.75, 0.5, trials=10, seed=0)
+
+
+def reference_hits(model, n, s, theta, trials, seed):
+    """Words of the ``n * trials`` first ``cylsum`` draws with enough distinct
+    digits, drawn by one ``sample`` call and so labelled in one scope."""
+    words = weights.DigitSampler(model, s=s).sample(substream(seed, 0x7117), n * trials)
+    words = np.sort(words.reshape(trials, n), axis=1)
+    distinct = 1 + np.count_nonzero(words[:, 1:] != words[:, :-1], axis=1)
+    return int(np.count_nonzero(distinct >= tilt.distinct_threshold(n, theta)))
+
+
+class TestCylinderSumsMC:
+    """One stream for every word length: each length reads a prefix of it."""
+
+    @pytest.mark.parametrize("block, ns, trials", [
+        (None, (40, 80, 160), 2000),
+        (None, (3, 7, 10), 20_000),  # 7 * 20,000 draws pass a block that 7 does not divide
+        (None, (160, 40), 2000),
+        (None, (40, 40), 2000),
+        (64, (40, 80, 160), 200),
+        (64, (3, 7, 10), 200),
+        (64, (160, 40), 200),
+        (64, (40, 40), 200),
+        (64, (100, 3), 50),  # the long words are longer than the block
+    ])
+    def test_each_length_as_if_drawn_alone(self, monkeypatch, block, ns, trials):
+        if block is not None:
+            monkeypatch.setattr(tilt, "_SAMPLE_BLOCK", block)
+        recs = tilt.cylinder_sums_mc(LUROTH, ns, 0.75, 0.5, trials=trials, seed=9)
+        assert recs == [tilt.cylinder_sum_mc(LUROTH, n, 0.75, 0.5, trials, 9) for n in ns]
+        for rec, n in zip(recs, ns):
+            assert rec.prob * trials == reference_hits(LUROTH, n, 0.75, 0.5, trials, 9)
+
+    def test_long_word_next_to_a_short_one(self):
+        # the longest word is longer than the default block, which then holds one word
+        ns = ((1 << 16) + 5, 3)
+        recs = tilt.cylinder_sums_mc(LUROTH, ns, 1.0, 1.0, trials=20, seed=4)
+        assert recs == [tilt.cylinder_sum_mc(LUROTH, n, 1.0, 1.0, 20, 4) for n in ns]
+        assert 0.0 < recs[1].prob < 1.0
+
+    @pytest.mark.parametrize("block", [None, 256], ids=["block-2**16", "block-256"])
+    def test_deep_draws_labelled_per_block(self, monkeypatch, block):
+        # power(1.5) at s = 0.8 puts about 5% of the draws past the sampler
+        # table; neither shorter length divides a block, so deep draws are carried
+        if block is not None:
+            monkeypatch.setattr(tilt, "_SAMPLE_BLOCK", block)
+        model, ns, trials = weights.power_model(1.5), (7, 290, 400), 600
+        deep = []
+        draw = weights.DigitSampler.draw
+
+        def counted(sampler, rng, size):
+            out = draw(sampler, rng, size)
+            deep.append(out[1].size)
+            return out
+
+        monkeypatch.setattr(weights.DigitSampler, "draw", counted)
+        recs = tilt.cylinder_sums_mc(model, ns, 0.8, 1.0, trials=trials, seed=4)
+        monkeypatch.setattr(weights.DigitSampler, "draw", draw)
+        assert sum(deep) > 0.01 * 400 * trials
+        assert all(0.0 < rec.prob < 1.0 for rec in recs)
+        for rec, n in zip(recs, ns):
+            assert rec == tilt.cylinder_sum_mc(model, n, 0.8, 1.0, trials, 4)
+            assert rec.prob * trials == reference_hits(model, n, 0.8, 1.0, trials, 4)
+
+    def test_draws_the_longest_words_once(self, monkeypatch):
+        sizes = []
+        draw = weights.DigitSampler.draw
+
+        def counted(sampler, rng, size):
+            sizes.append(size)
+            return draw(sampler, rng, size)
+
+        monkeypatch.setattr(weights.DigitSampler, "draw", counted)
+        tilt.cylinder_sums_mc(LUROTH, (40, 80, 160), 0.75, 0.5, trials=10_000, seed=0)
+        # blocks of 409 words of 160 digits, then the rest
+        assert sizes == [65_440] * 24 + [160 * 10_000 - 24 * 65_440]
 
 
 class TestBoundChain:
