@@ -199,7 +199,7 @@ def cmd_weights(args) -> int:
     model, _ = _resolve(args)
     rows = []
     cum = 0.0
-    for k in range(1, max(args.k_max, 0) + 1):
+    for k in range(1, codec.as_count(args.k_max, "--k-max", least=0) + 1):
         p = weights.weight(model, k)
         cum += p
         rows.append(("p", k, p))
@@ -235,7 +235,7 @@ def cmd_simulate(args) -> int:
         args.trials,
         seed,
         checkpoints=args.checkpoints,
-        threads=max(1, args.threads),
+        threads=args.threads,
     )
     if args.format == "json":
         _emit_json(args, {
@@ -372,7 +372,7 @@ def cmd_cylsum(args) -> int:
 
 def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else DEFAULT_SEED
-    report = verify.run_suite(args.tier, seed=seed, threads=max(1, args.threads))
+    report = verify.run_suite(args.tier, seed=seed, threads=args.threads)
     if args.format == "json":
         _emit_json(args, {
             "tier": report.tier,

@@ -51,7 +51,7 @@ class EnumerationSizeError(IfsDigitsError, RuntimeError):
 
 
 class PrecisionError(IfsDigitsError, RuntimeError):
-    """A float computation cannot resolve the quantity asked for (underflow, unsettled search)."""
+    """A float computation cannot resolve the quantity asked for (underflow, a late weight peak)."""
 
 
 class DepthError(IfsDigitsError, RuntimeError):

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .linear import _MAX_WORD_LENGTH
 from .occupancy import distinct_counts
-from .weights import WeightModel, exponent_root, weights_range
+from .weights import WeightModel, _falling_from, exponent_root, weights_range
 
 __all__ = [
     "AdmissibleProfile",
@@ -164,38 +164,34 @@ def profile_from_spec(spec: dict) -> AdmissibleProfile:
     return make_admissible(g, f"builtin-power({beta},{c})")
 
 
-def threshold_index(model: WeightModel, t: float, cap: int = 1 << 20) -> int:
+# The largest truncation threshold_index tries.
+_MAX_THRESHOLD = 1 << 20
+
+# The last digit at which the weights may still rise for a sorted table.
+_MAX_RISE = 1 << 25
+
+
+def threshold_index(model: WeightModel, t: float) -> int:
     """Smallest ``K`` with ``s(K) >= (1 + t) / 2`` on the ``K`` largest weights.
 
-    ``s(K)`` is :func:`exponent_root` on the first ``K`` entries of the
-    non-increasing weight table the schedule samples from, so ``K`` is the
-    smallest truncation that reaches the target in the schedule's own order.
+    ``s(K)`` solves ``sum_{k<=K} p_(k)**s = 1`` over the non-increasing weight
+    table the schedule samples from, and that sum falls as ``s`` grows.  So
+    ``s(K)`` reaches the target exactly when ``sum_{k<=K} p_(k)**target >= 1``:
+    ``K`` is where the cumulative sum of ``p**target`` first reaches 1.
     """
-    cap = as_count(cap, "cap", least=2)
     if not 0.0 < t < 1.0:
         raise DomainError("dimension target t must lie in (0, 1)")
     target = 0.5 * (1.0 + t)
-    hi = 2
-    while True:
-        p = _sorted_weight_table(model, hi)[0]
+    size = 2
+    while size <= _MAX_THRESHOLD:
+        p = _sorted_weight_table(model, size)[0]
         if float(p.sum()) >= 1.0 - 1e-15:
             raise DomainError("truncated weights already sum to 1; no root in [0, 1)")
-        logp = np.log(p)
-        if exponent_root(logp) >= target:
-            break
-        hi *= 2
-        if hi > cap:
-            raise TiltThresholdError(
-                f"no truncation below {cap} reaches exponent {target:g}"
-            )
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if exponent_root(logp[:mid]) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        cum = np.cumsum(p**target)
+        if cum[-1] >= 1.0:
+            return int(np.searchsorted(cum, 1.0)) + 1
+        size *= 2
+    raise TiltThresholdError(f"no truncation below {_MAX_THRESHOLD} reaches exponent {target:g}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,34 +329,18 @@ def build_sublinear_schedule(
     )
 
 
-def _non_increasing(p: np.ndarray) -> bool:
-    return bool(np.all(np.diff(p) <= 0.0))
-
-
 def _sorted_weight_table(model: WeightModel, kmax: int):
     """Weight table in non-increasing order plus the label permutation.
 
     Returns ``(table, None)`` when the model is already sorted, otherwise
     ``(table, perm)`` with ``perm[label - 1]`` the model digit the sorted
-    label refers to.  The search window grows until the settled tail can
-    no longer push a weight into the first ``kmax`` slots.
+    label refers to.  The weights never rise from digit ``m`` on, so the
+    stable sort, which sends ties to the smaller digit, finds the ``kmax``
+    largest among digits ``1 .. m + kmax - 1``.
     """
-    ext = max(4 * kmax + 64, 2 * len(model.prefix) + kmax)
-    while True:
-        p = weights_range(model, 1, ext + 1)
-        tail = p[ext // 2 :]
-        if _non_increasing(tail):
-            if _non_increasing(p):
-                return p[:kmax].copy(), None
-            order = np.argsort(-p, kind="stable")
-            sorted_p = p[order]
-            if sorted_p[kmax - 1] >= tail[0]:
-                if np.array_equal(order[:kmax], np.arange(kmax)):
-                    return sorted_p[:kmax].copy(), None
-                perm = (order[:kmax] + 1).astype(np.int64)
-                return sorted_p[:kmax].copy(), perm
-        if ext > 1 << 26:
-            raise PrecisionError(
-                "weight ordering did not settle within the search window"
-            )
-        ext *= 4
+    m = math.ceil(_falling_from(model))
+    if m > _MAX_RISE:
+        raise PrecisionError(f"the weights rise up to digit {m}, past the limit of {_MAX_RISE}")
+    p = weights_range(model, 1, m + kmax)
+    order = np.argsort(-p, kind="stable")[:kmax]
+    return p[order], None if np.array_equal(order, np.arange(kmax)) else order + 1

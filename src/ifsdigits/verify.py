@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linear, occupancy, sublinear, tilt, weights
+from .codec import as_count
 from .errors import NotAdmissibleError
 from .rng import DEFAULT_SEED, substream
 
@@ -123,6 +124,7 @@ def check_weights_sampler_law(seed: int) -> str:
     rng = substream(seed, 0x5A)
     n = 200_000
     draws = weights.DigitSampler(model).sample(rng, n)
+    within = "within 4 sd (false-alarm rate at most about 6.3e-4: 10 two-sided comparisons)"
     worst = 0.0
     for k in range(1, 11):
         p = weights.weight(model, k)
@@ -130,8 +132,8 @@ def check_weights_sampler_law(seed: int) -> str:
             n * p * (1 - p)
         )
         worst = max(worst, zscore)
-        _require(zscore < 4.0, f"digit {k} frequency off by {zscore:.1f} sd")
-    return f"digit frequencies within 4 sd for k<=10 (worst {worst:.2f})"
+        _require(zscore < 4.0, f"digit {k} frequency off by {zscore:.1f} sd, not {within}")
+    return f"digit frequencies for k<=10 {within} (worst {worst:.2f})"
 
 
 # -- occupancy ----------------------------------------------------------------------
@@ -656,6 +658,7 @@ def run_check(row: tuple, seed: int, threads: int) -> CheckResult:
 def run_suite(tier: str = "quick", seed: int = DEFAULT_SEED, threads: int = 1) -> VerifyReport:
     if tier not in ("quick", "full"):
         raise ValueError(f"unknown verification tier {tier!r}")
+    threads = as_count(threads, "threads")
     results = tuple(
         run_check(row, seed, threads) for row in CHECKS if tier == "full" or row[2] == "quick"
     )

@@ -75,7 +75,7 @@ _EM_CUT = 8192
 
 # Longest word a command may draw.  ``simulate`` streams each trial in blocks
 # of _SAMPLE_BLOCK draws, so its memory does not grow with the word; ``cylsum``
-# draws and sorts whole words, which peaked at 292 MB at this length (Luroth,
+# draws and sorts whole words, which peaked at 181 MB at this length (Luroth,
 # s = 1, on a 2-CPU virtual machine).
 _MAX_DRAWS = 1 << 24
 
@@ -606,9 +606,17 @@ def _weight_bound(model: WeightModel, m: int) -> float:
     real ``x >= m``, and any prefix weight past ``m``."""
     if model.kind == "luroth":
         return weight(model, m)
-    x = max(float(m), len(model.prefix) + 1.0, _log_factor_peak(model.rho, model.gamma))
+    x = max(float(m), _falling_from(model))
     tail = x ** -model.rho * math.log(x + 1.0) ** model.gamma / model._norm
     return max((tail, *model.prefix[m - 1 :]))
+
+
+def _falling_from(model: WeightModel) -> float:
+    """A real ``x`` such that the weights never rise from digit ``ceil(x)`` on:
+    past the prefix and past the peak of the tail formula."""
+    if model.kind == "luroth":
+        return 1.0
+    return max(len(model.prefix) + 1.0, _log_factor_peak(model.rho, model.gamma))
 
 
 def _log_factor_peak(rho: float, gamma: float) -> float:
@@ -746,15 +754,16 @@ class DigitSampler:
         positions ``at`` of ``labels`` where they read 0, have remaining
         masses ``mass``.  :meth:`label` labels them once the word ends."""
         u = rng.random(as_count(size, "size", least=0))
-        if self._fast_luroth:
-            # floor(1 / (1 - u)) in place: only the uniforms and the digits span the word
-            np.subtract(1.0, u, out=u)
-            np.divide(1.0, u, out=u)
-            return (np.floor(u, out=u).astype(np.int64), *_NO_DEEP)
         out = u.view(np.int64)  # each block's digits overwrite its uniforms
         deep_at, deep_mass = [], []
         for start in range(0, size, _SAMPLE_BLOCK):
             block = slice(start, start + _SAMPLE_BLOCK)
+            if self._fast_luroth:  # Lüroth digits floor(1 / (1 - u)), worked out in place
+                digits = u[block]
+                np.subtract(1.0, digits, out=digits)
+                np.divide(1.0, digits, out=digits)
+                out[block] = np.floor(digits, out=digits)
+                continue
             target = u[block] * self.total
             digits = self._locate(target)
             digits += 1

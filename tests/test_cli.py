@@ -91,6 +91,28 @@ class TestExitCodes:
         assert cli.main(argv) == 3
         assert "profile table entries must be integers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, what", [
+        (["simulate", "--n", "100", "--trials", "2", "--threads", "0"], "threads"),
+        (["simulate", "--n", "100", "--trials", "2", "--threads", "-7"], "threads"),
+        (["verify", "quick", "--threads", "-2"], "threads"),
+        (["weights", "--k-max", "-1"], "--k-max"),
+    ])
+    def test_non_positive_count_is_3(self, capsys, argv, what):
+        assert cli.main(argv) == 3
+        assert f"error: {what} must be" in capsys.readouterr().err
+
+    def test_late_weight_peak_is_3(self, capsys):
+        # power-log(2, 36) weights rise up to digit 65,659,951
+        argv = ["construct", "sublinear", "--t", "0.5", "--n", "100",
+                "--model", "power-log", "--rho", "2", "--gamma", "36"]
+        assert cli.main(argv) == 3
+        assert "the weights rise up to digit 65659951" in capsys.readouterr().err
+
+    def test_zero_k_max_prints_no_weights(self, tmp_path):
+        code, text = run_cli(tmp_path, ["weights", "--k-max", "0", "--tail", "10"])
+        assert code == 0
+        assert text.splitlines()[1:] == ["quantity,k,value", "tail,10,0.1"]
+
     def test_integral_float_profile_table_reads_as_integers(self, tmp_path):
         table = [math.isqrt(n) for n in range(1025)]
         texts = []

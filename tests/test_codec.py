@@ -158,8 +158,6 @@ COUNT_ENTRY_POINTS = [
                  id="BlockSchedule.sample_block"),
     pytest.param(lambda d: _LINEAR.sample_word(d, substream(1, 2)).tolist(), 3, 1,
                  id="BlockSchedule.sample_word"),
-    pytest.param(lambda cap: sublinear.threshold_index(LUROTH, 0.5, cap), 1024, 2,
-                 id="threshold_index-cap"),
     pytest.param(lambda h: sublinear.profile_from_spec({"kind": "sqrt", "horizon": h}).values.tolist(),
                  1024, 10, id="profile_from_spec"),
     pytest.param(lambda n: _SUBLINEAR.sample_word(n, substream(1, 2)).tolist(), 20, 1,

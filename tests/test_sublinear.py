@@ -16,6 +16,7 @@ from ifsdigits.errors import (
     DomainError,
     NotAdmissibleError,
     NotInSupportError,
+    PrecisionError,
     TiltThresholdError,
 )
 from ifsdigits.rng import substream
@@ -230,6 +231,54 @@ class TestProfiles:
             prof.values[3] = 7
 
 
+def reference_threshold_index(model, t):
+    """Smallest ``K`` with ``exponent_root`` of the ``K`` largest weights at least
+    ``(1 + t) / 2``: a doubling search over ``K`` with a root at every step, then
+    a bisection, the oracle for ``threshold_index``'s cumulative sum."""
+    target = 0.5 * (1.0 + t)
+    hi = 2
+    while True:
+        logp = np.log(sublinear._sorted_weight_table(model, hi)[0])
+        if weights.exponent_root(logp) >= target:
+            break
+        hi *= 2
+        if hi > 1 << 20:
+            raise TiltThresholdError(f"no truncation below 2**20 reaches exponent {target:g}")
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if weights.exponent_root(logp[:mid]) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+THRESHOLD_MODELS = [
+    LUROTH,
+    weights.power_model(1.2),
+    weights.power_model(1.5),
+    weights.power_model(2.0),
+    weights.power_model(3.0),
+    weights.power_log_model(2.0, 1.0),
+    weights.power_log_model(2.0, -0.5),
+    weights.power_log_model(2.0, 10.0),
+    weights.power_log_model(2.0, 20.0),
+    weights.power_log_model(3.0, 10.0),
+    weights.explicit_prefix_model((0.05, 0.4), 2.5),
+    weights.explicit_prefix_model((0.1, 0.2, 0.3), 2.0),
+]
+
+# models whose weights rise before they fall, or whose prefix is out of order
+UNSORTED_MODELS = [
+    weights.power_log_model(2.0, 10.0),
+    weights.power_log_model(2.0, 20.0),
+    weights.power_log_model(3.0, 10.0),
+    weights.power_log_model(4.0, 30.0),
+    weights.explicit_prefix_model((0.05, 0.4), 2.5),
+]
+
+
 class TestThresholdIndex:
     def test_frozen_values(self):
         assert sublinear.threshold_index(LUROTH, 0.5) == 3
@@ -242,6 +291,17 @@ class TestThresholdIndex:
             while weights.partial_sum_exponent(LUROTH, K) < target:
                 K += 1
             assert sublinear.threshold_index(LUROTH, t) == K
+
+    @pytest.mark.parametrize("model", THRESHOLD_MODELS, ids=lambda m: m.describe())
+    def test_matches_nested_root_search(self, model):
+        for t in (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99):
+            try:
+                expected = reference_threshold_index(model, t)
+            except TiltThresholdError:
+                with pytest.raises(TiltThresholdError):
+                    sublinear.threshold_index(model, t)
+            else:
+                assert sublinear.threshold_index(model, t) == expected
 
     def test_unsorted_model_searches_sorted_weights(self):
         # weights 0.05, 0.4, 0.214, 0.104, ...: the three largest reach s = 0.827 at t = 0.5,
@@ -257,9 +317,22 @@ class TestThresholdIndex:
         assert sublinear.threshold_index(model, 0.5) == 3
         assert weights.partial_sum_exponent(model, 3) < 0.75
 
-    def test_rising_weights_grow_the_sorted_window(self, monkeypatch):
-        # power-log(2, 10) weights rise up to k = 142, past the first window
-        # (4 * 50 + 64 entries, tail from entry 132), which must grow to settle
+    @pytest.mark.parametrize("model", UNSORTED_MODELS, ids=lambda m: m.describe())
+    def test_sorted_table_matches_a_wide_window(self, model):
+        p = weights.weights_range(model, 1, (1 << 16) + 1)
+        window = np.argsort(-p, kind="stable")
+        for kmax in (1, 3, 50, 1000):
+            table, perm = sublinear._sorted_weight_table(model, kmax)
+            order = window[:kmax]
+            np.testing.assert_array_equal(table, p[order])
+            if perm is None:
+                np.testing.assert_array_equal(order, np.arange(kmax))
+            else:
+                np.testing.assert_array_equal(perm, order + 1)
+
+    def test_rising_weights_end_the_sorted_window(self, monkeypatch):
+        # power-log(2, 10) weights rise up to x = 142.3, so the 50 largest lie
+        # among the digits 1 .. ceil(142.3) + 50 - 1
         model = weights.power_log_model(2.0, 10.0)
         assert sublinear.threshold_index(model, 0.5) == 1067
         windows = []
@@ -269,12 +342,19 @@ class TestThresholdIndex:
             return weights.weights_range(model, lo, hi)
 
         monkeypatch.setattr(sublinear, "weights_range", spy)
-        table, perm = sublinear._sorted_weight_table(model, 50)
-        assert windows == [264, 1056]
-        p = weights.weights_range(model, 1, (1 << 16) + 1)
-        order = np.argsort(-p, kind="stable")[:50]
-        np.testing.assert_array_equal(perm, order + 1)
-        np.testing.assert_array_equal(table, p[order])
+        sublinear._sorted_weight_table(model, 50)
+        assert windows == [192]
+
+    def test_late_peak_is_refused_before_any_table(self, monkeypatch):
+        # power-log(2, 36) weights rise up to digit 65,659,951, past 2**25
+        calls = []
+        monkeypatch.setattr(sublinear, "weights_range", lambda *a: calls.append(a))
+        model = weights.power_log_model(2.0, 36.0)
+        with pytest.raises(PrecisionError, match="rise up to digit 65659951"):
+            sublinear._sorted_weight_table(model, 1)
+        with pytest.raises(PrecisionError):
+            sublinear.threshold_index(model, 0.5)
+        assert calls == []
 
     def test_domain(self):
         for bad in (0.0, 1.0, -0.2):
@@ -282,8 +362,9 @@ class TestThresholdIndex:
                 sublinear.threshold_index(LUROTH, bad)
 
     def test_cap_guard(self):
-        with pytest.raises(TiltThresholdError):
-            sublinear.threshold_index(LUROTH, 0.5, cap=2)
+        # power(1.2) needs more than 2**20 of its weights to reach s = 0.995
+        with pytest.raises(TiltThresholdError, match="no truncation below 1048576"):
+            sublinear.threshold_index(weights.power_model(1.2), 0.99)
 
 
 class TestScheduleStructure:

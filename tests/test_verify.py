@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ifsdigits import cli, codec, linear, sublinear, verify
+from ifsdigits.errors import DomainError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -157,6 +158,21 @@ def test_quick_rows_hold_at_seeds_0_to_19(name):
     row = next(row for row in verify.CHECKS if row[0] == name)
     results = [verify.run_check(row, seed, 1) for seed in range(20)]
     assert [r.detail for r in results if not r.passed] == []
+
+
+def test_sampler_law_states_its_false_alarm_rate():
+    # ten two-sided 4-sd comparisons: at most 10 * 6.3e-5 by the union bound
+    detail = verify.check_weights_sampler_law(5)
+    assert "false-alarm rate at most about 6.3e-4: 10 two-sided comparisons" in detail
+
+
+@pytest.mark.parametrize("threads", [0, -2, 1.0, True])
+def test_run_suite_reads_threads_before_any_row(monkeypatch, threads):
+    ran = []
+    monkeypatch.setattr(verify, "CHECKS", (("spy", lambda: ran.append(1) or "", "quick", None),))
+    with pytest.raises(DomainError, match="threads"):
+        verify.run_suite("quick", threads=threads)
+    assert ran == []
 
 
 def test_quick_sandwich_words_are_the_cli_words(tmp_path, monkeypatch):
