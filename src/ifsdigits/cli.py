@@ -20,7 +20,6 @@ import os
 import sys
 from contextlib import nullcontext
 from itertools import chain, islice
-from pathlib import Path
 
 import numpy as np
 
@@ -270,7 +269,7 @@ def cmd_construct_linear(args) -> int:
     word = sched.sample_word(args.depth, substream(seed, 0x11EA, args.depth))
     trace = linear.point_trace(sched, word)
     if args.word_out:
-        Path(args.word_out).write_text(codec.word_to_line(word) + "\n", encoding="utf-8")
+        codec.write_word(args.word_out, word)
     if args.format == "json":
         _emit_json(args, {
             "seed": seed,
@@ -314,7 +313,7 @@ def cmd_construct_sublinear(args) -> int:
     counts = occupancy.distinct_counts(word)
     word = sched.to_model_digits(word)
     if args.word_out:
-        Path(args.word_out).write_text(codec.word_to_line(word) + "\n", encoding="utf-8")
+        codec.write_word(args.word_out, word)
     columns = {
         "log_ratio": trace.log_ratio,
         "free_part": trace.free_part,
@@ -336,7 +335,7 @@ def cmd_construct_sublinear(args) -> int:
         csv_names = ("log_ratio", "free_part", "forced_part", "f_n", "K_n", "D_n")
         _emit_csv(args, f"seed={seed} t={sched.t!r} profile={profile.provenance} "
                         f"k_star={sched.k_star} model={model.describe()}",
-                  {"n": np.arange(1, args.n + 1), **dict(zip(csv_names, columns.values()))})
+                  {"n": range(1, args.n + 1), **dict(zip(csv_names, columns.values()))})
     return 0
 
 

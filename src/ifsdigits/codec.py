@@ -5,8 +5,9 @@
 one reads it there.  The word's integral check, :func:`as_integers`, also
 reads profile tables.  A word is written as one line of
 comma-separated positive integers (``3,1,4``); the empty word is the empty
-line.  Tables are written column by column through :func:`csv_chunks`, a
-chunk of rows at a time.
+line.  :func:`write_word` writes that line a chunk of digits at a time, and
+tables are written column by column through :func:`csv_chunks`, a chunk of
+rows at a time.
 """
 
 from __future__ import annotations
@@ -17,10 +18,14 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["as_count", "as_integers", "as_word", "word_to_line", "word_from_line", "csv_chunks"]
+__all__ = [
+    "as_count", "as_integers", "as_word", "word_to_line", "write_word", "word_from_line",
+    "csv_chunks",
+]
 
-# Rows per chunk of CSV text, so a million-row table never sits in memory as text.
-CSV_CHUNK_ROWS = 8192
+# Rows per chunk of CSV text, and digits per chunk of a word line, so that a
+# million-row table or word never sits in memory as text or Python objects.
+CSV_CHUNK_ROWS = 2048
 
 
 def as_count(value, what: str, least: int = 1) -> int:
@@ -64,7 +69,22 @@ def as_word(word) -> np.ndarray:
 
 
 def word_to_line(word) -> str:
-    return ",".join(map(str, as_word(word).tolist()))
+    """``word`` as one line of comma-separated digits, without the newline.
+
+    The line is joined from the text of ``CSV_CHUNK_ROWS`` digits at a time.
+    """
+    digits = as_word(word)
+    return ",".join(",".join(map(str, digits[start : start + CSV_CHUNK_ROWS].tolist()))
+                    for start in range(0, digits.size, CSV_CHUNK_ROWS))
+
+
+def write_word(path, word) -> None:
+    """Write ``word_to_line(word)`` and a newline to ``path``, a chunk of digits at a time."""
+    digits = as_word(word)
+    with open(path, "w", encoding="utf-8") as fh:
+        for start in range(0, digits.size, CSV_CHUNK_ROWS):
+            fh.write(("," if start else "") + word_to_line(digits[start : start + CSV_CHUNK_ROWS]))
+        fh.write("\n")
 
 
 def word_from_line(line: str) -> tuple[int, ...]:

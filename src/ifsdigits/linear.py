@@ -13,7 +13,7 @@ at every position ``n`` of level ``j``.
 The number of admissible blocks at a level factorizes as a falling
 factorial (for the new times) times the product of ``r(t-1)`` over repeat
 times; the uniform measure on infinite concatenations is the product of
-the per-level uniform block choices.  One vectorized walk,
+the per-level uniform block choices.  One walk over the levels,
 ``BlockSchedule._walk``, validates a word and sums the log choice counts
 (``N - r(t-1)`` at a new time, ``r(t-1)`` at a repeat time) into the log
 mass that ``log_mass``, ``local_dimension`` and :func:`point_trace` read.
@@ -31,7 +31,7 @@ from itertools import chain
 
 import numpy as np
 
-from .codec import as_count, as_word
+from .codec import CSV_CHUNK_ROWS, as_count, as_word
 from .errors import (
     DepthError,
     DomainError,
@@ -177,8 +177,10 @@ def enumerate_blocks(N: int, L: int, theta, alphabet=None, limit: int = 2_000_00
 
 
 def _levels(n: int) -> np.ndarray:
-    """Level ``bit_length(m + 1) - 1`` of each position ``m = 1..n`` (exact below 2**53)."""
-    return np.frexp(np.arange(2, n + 2))[1].astype(np.int64) - 1
+    """Level ``bit_length(m + 1) - 1`` of each position ``m = 1..n``: level ``j`` holds ``2**j``."""
+    top = (n + 1).bit_length() - 1  # the level of position n
+    ends = np.minimum((2 << np.arange(top + 1)) - 2, n)  # word length after each level
+    return np.repeat(np.arange(1, top + 1), np.diff(ends))
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,7 +228,10 @@ class BlockSchedule:
         """Concatenation of one sampled block per level ``1..depth``."""
         if as_count(depth, "depth") > self.depth:
             raise DomainError("depth outside schedule")
-        return np.concatenate([self.sample_block(j, rng) for j in range(1, depth + 1)])
+        word = np.empty(self.boundary(depth), dtype=np.int64)
+        for j in range(1, depth + 1):
+            word[self.boundary(j - 1) : self.boundary(j)] = self.sample_block(j, rng)
+        return word
 
     # -- measure --------------------------------------------------------------
 
@@ -237,7 +242,7 @@ class BlockSchedule:
         current block count toward the mass.  Inadmissible words raise
         :class:`NotInSupportError`.
         """
-        log_mass = self._walk(as_word(word))[2]
+        log_mass = self._walk(as_word(word))[1]
         return float(log_mass[-1]) if log_mass.size else 0.0
 
     def local_dimension(self, word) -> float:
@@ -252,45 +257,49 @@ class BlockSchedule:
         log_diam = float(np.sum(log_weights_of(self.model, digits)))
         return self.log_mass(digits) / log_diam
 
-    def _walk(self, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Validate ``as_word`` digits; return each position's level, distinct count and log mass.
+    def _walk(self, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Validate ``as_word`` digits; return each position's distinct count and log mass.
 
-        The first level with an inadmissible position raises
-        :class:`NotInSupportError`, its window checked before its new/reuse
-        times; a word past the schedule depth raises :class:`DepthError`.
+        Levels are walked in order.  The first with an inadmissible position
+        raises :class:`NotInSupportError`, its window checked before its
+        new/reuse times; a word past the schedule depth raises :class:`DepthError`.
         """
         distinct = distinct_counts(digits)
         n = min(digits.size, self.boundary(self.depth))
-        digits = digits[:n]
-        level = _levels(n)
-        block_start = (1 << level) - 2  # digits before this level's block
-        t = np.arange(1, n + 1) - block_start  # time inside the block, 1..2**j
-        size = self.base << (level - 1)  # window(j) = [size, 2 size)
-        outside = (digits < size) | (digits >= 2 * size)
-        # Windows are disjoint, so up to the first level with a digit outside
-        # its window, a block's own running distinct count follows r(t)
-        # exactly when every new and repeat time is respected.
-        own = distinct[:n] - np.concatenate(([0], distinct))[block_start]
         r, is_new = self.profile.r, self.profile.is_new
-        wrong = own != r[t]
-        if outside.any() or wrong.any():
-            w, u = int(np.argmax(outside)), int(np.argmax(wrong))
-            if outside[w] and (not wrong[u] or level[w] <= level[u]):
-                j = int(level[w])
+        logs = np.empty(n)
+        for j in range(1, self.depth + 1):
+            lo, hi = self.boundary(j - 1), min(self.boundary(j), n)
+            if lo >= hi:
+                break
+            size = self.base << (j - 1)  # window(j) = [size, 2 size)
+            block = digits[lo:hi]
+            if ((block < size) | (block >= 2 * size)).any():
                 window = self.window(j)
                 raise NotInSupportError(
                     f"level {j} digits must lie in [{window.start}, {window.stop})"
                 )
-            rule = "introduce a new digit" if is_new[t[u]] else "reuse a seen digit"
-            raise NotInSupportError(f"level {level[u]} position {t[u]} must {rule}")
+            # Windows are disjoint, so up to the first level with a digit outside
+            # its window, a block's own running distinct count follows r(t)
+            # exactly when every new and repeat time is respected.
+            own = distinct[lo:hi] - (distinct[lo - 1] if lo else 0)
+            wrong = own != r[1 : hi - lo + 1]
+            if wrong.any():
+                t = int(np.argmax(wrong)) + 1
+                rule = "introduce a new digit" if is_new[t] else "reuse a seen digit"
+                raise NotInSupportError(f"level {j} position {t} must {rule}")
+            # math.log of the choice counts, a chunk of times at once; prev
+            # holds r(t - 1) for the times t = a + 1, a + 2, ...
+            for a in range(0, hi - lo, CSV_CHUNK_ROWS):
+                prev = r[a : min(a + CSV_CHUNK_ROWS, hi - lo)]
+                choices = np.where(is_new[a + 1 : a + 1 + prev.size], size - prev, prev)
+                logs[lo + a : lo + a + prev.size] = np.fromiter(
+                    map(math.log, choices.tolist()), dtype=np.float64, count=prev.size)
         if n < distinct.size:
             raise DepthError("word runs past the schedule depth")
-        prev = r[t - 1]
-        choices = np.where(is_new[t], size - prev, prev)
-        logs = np.fromiter(map(math.log, choices.tolist()), dtype=np.float64, count=n)
         np.cumsum(logs, out=logs)
         # 0.0 - x keeps +0.0 while every choice so far was forced (-x gives -0.0).
-        return level, distinct, np.subtract(0.0, logs, out=logs)
+        return distinct, np.subtract(0.0, logs, out=logs)
 
 
 def build_block_schedule(
@@ -341,15 +350,16 @@ def point_trace(schedule: BlockSchedule, word) -> dict[str, np.ndarray]:
     digits = as_word(word)
     if digits.size == 0:
         raise DomainError("trace needs a nonempty word")
-    log_diam = np.cumsum(log_weights_of(schedule.model, digits))
-    level, counts, log_mass = schedule._walk(digits)
+    counts, log_mass = schedule._walk(digits)
+    log_diam = log_weights_of(schedule.model, digits)
+    np.cumsum(log_diam, out=log_diam)
     n = np.arange(1, digits.size + 1)
     target = float(schedule.theta) * n
     return {
         "n": n,
         "distinct": counts,
         "target": target,
-        "upper": target + level,
+        "upper": target + _levels(digits.size),
         "log_mass": log_mass,
         "log_diam": log_diam,
         "local_dim": log_mass / log_diam,

@@ -43,11 +43,13 @@ def distinct_counts(word) -> np.ndarray:
     """Vector ``D_1..D_n`` of running distinct counts for a digit word."""
     w = as_word(word)
     n = w.size
-    new = np.zeros(n, dtype=bool)
+    counts = np.zeros(n, dtype=np.int64)
     if n:
-        # a table of at most n slots stays within the word's own size
-        new[_first_positions([(w, *_NO_DEEP)], max(_DENSE, min(int(w.max()), n)))] = True
-    return np.cumsum(new, dtype=np.int64)
+        # A table of at most n slots stays within the word's own size.  The word
+        # is read a block at a time, so its per-digit temporaries stay block sized.
+        blocks = ((w[i : i + _SAMPLE_BLOCK], *_NO_DEEP) for i in range(0, n, _SAMPLE_BLOCK))
+        counts[_first_positions(blocks, max(_DENSE, min(int(w.max()), n)))] = 1
+    return np.cumsum(counts, out=counts)
 
 
 def _first_positions(blocks, slots: int, label=None) -> np.ndarray:

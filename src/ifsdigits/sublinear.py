@@ -81,10 +81,14 @@ def make_admissible(g, provenance: str = "user") -> AdmissibleProfile:
     bad = np.flatnonzero(gs[1:] < gs[:-1] - 1e-9)
     if bad.size:
         raise DomainError(f"profile generator decreases at n={bad[0] + 2}")
-    n = np.arange(1, horizon + 1)
-    slack = np.minimum.accumulate(np.maximum(np.floor(gs), 0.0) - n)
-    values = np.zeros(horizon + 1, dtype=np.int64)
-    values[1:] = n + np.minimum(slack, 0.0)
+    values = np.arange(horizon + 1, dtype=np.int64)  # n, until the slack is added
+    slack = np.floor(gs)
+    np.maximum(slack, 0.0, out=slack)
+    slack -= values[1:]
+    np.minimum.accumulate(slack, out=slack)
+    np.minimum(slack, 0.0, out=slack)
+    np.add(values[1:], slack, out=values[1:], casting="unsafe")
+    del slack  # freed before the validation's own temporaries
     return _validate_profile(values, provenance)
 
 
@@ -97,6 +101,7 @@ def profile_from_table(table, provenance: str = "user-table") -> AdmissibleProfi
 
 
 def _validate_profile(values: np.ndarray, provenance: str) -> AdmissibleProfile:
+    """Check the admissibility clauses on ``values``, an array the caller made, and freeze it."""
     horizon = values.size - 1
     if horizon < 10:
         raise DomainError("profile table must cover n = 0..10 at least")
@@ -125,7 +130,6 @@ def _validate_profile(values: np.ndarray, provenance: str) -> AdmissibleProfile:
             "decay clause violated: f(n) log f(n) / n must decrease "
             "toward 0 over the last decade of the horizon"
         )
-    values = values.copy()
     values.flags.writeable = False
     return AdmissibleProfile(values=values, provenance=provenance)
 
@@ -152,16 +156,17 @@ def profile_from_spec(spec: dict) -> AdmissibleProfile:
         raise DomainError(f"unknown profile kind {kind!r}")
     if horizon > _MAX_WORD_LENGTH:  # refused before any array of horizon length exists
         raise DomainError(f"profile horizon {horizon} exceeds the limit of {_MAX_WORD_LENGTH}")
-    n = np.arange(1, horizon + 1, dtype=np.float64)
+    if kind == "power":
+        # Python's float power: numpy's array power can differ in the last bit (27 ** (1/3) < 3)
+        g = np.fromiter((float(c) * k ** float(beta) for k in range(1, horizon + 1)), float, horizon)
+        return make_admissible(g, f"builtin-power({beta},{c})")
+    g = np.arange(1, horizon + 1, dtype=np.float64)
     if kind == "sqrt":
         # equals math.isqrt exactly below 2**52
-        return make_admissible(np.floor(np.sqrt(n)), "builtin-sqrt")
-    if kind == "log":
-        # floors equal math.log's at every n <= 2**22
-        return make_admissible(np.log(n + 1.0), "builtin-log")
-    # Python's float power: numpy's array power can differ in the last bit (27 ** (1/3) < 3)
-    g = np.fromiter((float(c) * k ** float(beta) for k in range(1, horizon + 1)), float, horizon)
-    return make_admissible(g, f"builtin-power({beta},{c})")
+        return make_admissible(np.floor(np.sqrt(g, out=g), out=g), "builtin-sqrt")
+    # floors equal math.log's at every n <= 2**22
+    g += 1.0
+    return make_admissible(np.log(g, out=g), "builtin-log")
 
 
 # The largest truncation threshold_index tries.
@@ -169,6 +174,9 @@ _MAX_THRESHOLD = 1 << 20
 
 # The last digit at which the weights may still rise for a sorted table.
 _MAX_RISE = 1 << 25
+
+# Weights computed at a time while the largest of the rising head are picked.
+_HEAD_CHUNK = 1 << 20
 
 
 def threshold_index(model: WeightModel, t: float) -> int:
@@ -178,13 +186,21 @@ def threshold_index(model: WeightModel, t: float) -> int:
     table the schedule samples from, and that sum falls as ``s`` grows.  So
     ``s(K)`` reaches the target exactly when ``sum_{k<=K} p_(k)**target >= 1``:
     ``K`` is where the cumulative sum of ``p**target`` first reaches 1.
+
+    The tables double in size.  The weights may rise below digit ``m`` (see
+    :func:`_sorted_weight_table`); the largest of those are sorted once and
+    merged at each size with the falling weights of the digits ``m, m + 1, ...``.
     """
     if not 0.0 < t < 1.0:
         raise DomainError("dimension target t must lie in (0, 1)")
     target = 0.5 * (1.0 + t)
+    m = _rise_end(model)
+    head = _largest_weights(model, m, _MAX_THRESHOLD)
     size = 2
     while size <= _MAX_THRESHOLD:
-        p = _sorted_weight_table(model, size)[0]
+        p = weights_range(model, m, m + size)
+        if head.size:  # the size largest of the head and of these falling weights
+            p = -np.sort(-np.concatenate((head[:size], p)))[:size]
         if float(p.sum()) >= 1.0 - 1e-15:
             raise DomainError("truncated weights already sum to 1; no root in [0, 1)")
         cum = np.cumsum(p**target)
@@ -234,20 +250,25 @@ class SublinearSchedule:
         """Draw the first ``n_max`` digits under the product law."""
         if as_count(n_max, "n_max") > self.horizon:
             raise DomainError("n_max outside the profile horizon")
-        word = np.zeros(n_max, dtype=np.int64)
         forced = self.forced_time[:n_max]
-        word[forced] = self.forced_digit[:n_max][forced]
-        free_idx = np.nonzero(~forced)[0]
-        u = rng.random(free_idx.size)
+        word = np.where(forced, self.forced_digit[:n_max], 0)
+        free = ~forced
+        u = rng.random(np.count_nonzero(free))
         # K_n is nondecreasing, so each value of K_n holds on one run of positions
-        starts = np.flatnonzero(np.diff(self.K[:n_max], prepend=0))
-        bounds = np.searchsorted(free_idx, np.append(starts, n_max))
-        for start, lo, hi in zip(starts, bounds[:-1], bounds[1:]):
-            kv = self.K[start]
+        K = self.K[:n_max]
+        starts = np.append(0, np.flatnonzero(K[1:] != K[:-1]) + 1)
+        drawn = 0
+        for start, stop in zip(starts, np.append(starts[1:], n_max)):
+            kv = K[start]
             cum = np.cumsum(self.sorted_weights[:kv] ** self.s_of_n[start])
+            run = free[start:stop]
+            count = np.count_nonzero(run)
             # rounding can end cum a hair below 1, under the largest draws: clamp to label K
-            label = np.searchsorted(cum, u[lo:hi], side="right")
-            word[free_idx[lo:hi]] = np.minimum(label, kv - 1) + 1
+            label = np.searchsorted(cum, u[drawn : drawn + count], side="right")
+            np.minimum(label, kv - 1, out=label)
+            label += 1
+            word[start:stop][run] = label
+            drawn += count
         return word
 
     # -- measure ----------------------------------------------------------------
@@ -256,11 +277,17 @@ class SublinearSchedule:
         digits = self._validate(word)
         n = digits.size
         forced = self.forced_time[:n]
-        logp = np.log(self.sorted_weights[digits - 1])
-        free_steps = np.where(forced, 0.0, (self.s_of_n[:n] - self.t) * logp)
-        forced_steps = np.where(forced, -self.t * logp, 0.0)
-        free_part = np.cumsum(free_steps)
-        forced_part = np.cumsum(forced_steps)
+        logp = self.sorted_weights[digits - 1]
+        np.log(logp, out=logp)
+        # cumulative (s_i - t) log p over the free times and -t log p over the forced ones
+        free_part = self.s_of_n[:n] - self.t
+        free_part *= logp
+        np.copyto(free_part, 0.0, where=forced)
+        np.cumsum(free_part, out=free_part)
+        forced_part = logp
+        forced_part *= -self.t
+        np.copyto(forced_part, 0.0, where=~forced)
+        np.cumsum(forced_part, out=forced_part)
         return RatioTrace(
             log_ratio=free_part + forced_part,
             free_part=free_part,
@@ -282,8 +309,7 @@ class SublinearSchedule:
         forced = self.forced_time[:n]
         if not np.array_equal(digits[forced], self.forced_digit[:n][forced]):
             raise NotInSupportError("a forced position carries the wrong digit")
-        free_digits = digits[~forced]
-        if free_digits.size and (free_digits > self.K[:n][~forced]).any():
+        if np.any((digits > self.K[:n]) & ~forced):
             raise NotInSupportError("a free digit exceeds its truncation bound")
         return digits
 
@@ -296,14 +322,15 @@ def build_sublinear_schedule(
     f = profile.values
     k_star = threshold_index(model, t)
     # floor(sqrt(f)) is exact in float64 below 2**52; f stays below 2**22
-    root_f = np.sqrt(f[1:]).astype(np.int64)
-    K = np.maximum(k_star, root_f)
+    K = np.sqrt(f[1:]).astype(np.int64)
+    np.maximum(K, k_star, out=K)
     forced_time = np.zeros(horizon, dtype=bool)
     forced_time[profile.step_times() - 1] = True
-    forced_digit = np.where(forced_time, K + f[1:], 0).astype(np.int64)
+    forced_digit = K + f[1:]
+    forced_digit[~forced_time] = 0
     forced_vals = forced_digit[forced_time]
     # A profile built without make_admissible can break these; python -O strips asserts.
-    if np.any(np.diff(K) < 0):
+    if np.any(K[1:] < K[:-1]):
         raise NotAdmissibleError("truncation bounds must be nondecreasing")
     if np.any(np.diff(forced_vals) <= 0):
         raise NotAdmissibleError(
@@ -311,7 +338,7 @@ def build_sublinear_schedule(
         )
     kmax = int(max(K.max(), forced_digit.max()))
     sorted_weights, perm = _sorted_weight_table(model, kmax)
-    starts = np.flatnonzero(np.diff(K, prepend=0))  # one root per run of equal K_n
+    starts = np.append(0, np.flatnonzero(K[1:] != K[:-1]) + 1)  # one root per run of equal K_n
     roots = [exponent_root(np.log(sorted_weights[:kv])) for kv in K[starts]]
     s_arr = np.repeat(roots, np.diff(starts, append=horizon))
     for arr in (K, forced_time, forced_digit, s_arr, sorted_weights):
@@ -334,13 +361,33 @@ def _sorted_weight_table(model: WeightModel, kmax: int):
 
     Returns ``(table, None)`` when the model is already sorted, otherwise
     ``(table, perm)`` with ``perm[label - 1]`` the model digit the sorted
-    label refers to.  The weights never rise from digit ``m`` on, so the
-    stable sort, which sends ties to the smaller digit, finds the ``kmax``
-    largest among digits ``1 .. m + kmax - 1``.
+    label refers to.  The weights never rise from digit ``m = _rise_end(model)``
+    on, so the stable sort, which sends ties to the smaller digit, finds the
+    ``kmax`` largest among digits ``1 .. m + kmax - 1``.
     """
-    m = math.ceil(_falling_from(model))
-    if m > _MAX_RISE:
-        raise PrecisionError(f"the weights rise up to digit {m}, past the limit of {_MAX_RISE}")
+    m = _rise_end(model)
     p = weights_range(model, 1, m + kmax)
     order = np.argsort(-p, kind="stable")[:kmax]
     return p[order], None if np.array_equal(order, np.arange(kmax)) else order + 1
+
+
+def _rise_end(model: WeightModel) -> int:
+    """The digit from which the weights never rise; :class:`PrecisionError` past ``_MAX_RISE``."""
+    m = math.ceil(_falling_from(model))
+    if m > _MAX_RISE:
+        raise PrecisionError(f"the weights rise up to digit {m}, past the limit of {_MAX_RISE}")
+    return m
+
+
+def _largest_weights(model: WeightModel, m: int, count: int) -> np.ndarray:
+    """The ``count`` largest weights of the digits ``1 .. m - 1``, in non-increasing order.
+
+    The weights are computed ``_HEAD_CHUNK`` digits at a time, and only the
+    ``count`` largest so far are kept between chunks.
+    """
+    best = np.empty(0)
+    for lo in range(1, m, _HEAD_CHUNK):
+        best = np.concatenate((best, weights_range(model, lo, min(lo + _HEAD_CHUNK, m))))
+        if best.size > count:
+            best = np.partition(best, best.size - count)[best.size - count :]
+    return -np.sort(-best)

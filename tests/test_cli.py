@@ -8,13 +8,14 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ifsdigits import cli, codec, occupancy, sublinear, tilt, verify, weights
-from ifsdigits.rng import DEFAULT_SEED
+from ifsdigits import cli, codec, linear, occupancy, sublinear, tilt, verify, weights
+from ifsdigits.rng import DEFAULT_SEED, substream
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -24,6 +25,14 @@ TILTED_TAIL_100_075 = 0.2000001249977
 SUBLINEAR_EXPLICIT_PREFIX_WORD = (
     "5,2,4,1,3,2,2,4,6,2,4,2,2,2,3,7,3,4,3,2,2,2,3,3,8,2,2,3,2,3,2,2,2,3,3,9,2,2,2,2"
 )
+
+
+# tracemalloc peak allowed to the construct path's per-digit stages on 2**20-digit
+# words, as a multiple of the bytes of the arrays they return: point_trace's 7 and
+# ratio_trace's 3, 80 MB in all.  Measured: 80.2 MB, a ratio of 1.002.  One more
+# whole-word array (8 MB), or one Python object per digit while the word file is
+# written (about 72 MB), goes past it.
+CONSTRUCT_PEAK_RATIO = 1.1
 
 
 def run_cli(tmp_path, argv, name="out.txt"):
@@ -712,6 +721,19 @@ class TestConstructOutputs:
         assert sched.sandwich_violations(word) == []
         sched.ratio_trace(word)  # raises NotInSupportError off the support
 
+    @pytest.mark.parametrize("argv", [
+        ["construct", "linear", "--theta", "0.5", "--depth", "12"],
+        ["construct", "sublinear", "--t", "0.5", "--n", "20000"],
+    ], ids=["linear", "sublinear"])
+    def test_word_file_is_the_json_word(self, tmp_path, argv):
+        # both words are longer than one chunk of the streamed word file
+        word_path = tmp_path / "word.txt"
+        code, text = run_cli(tmp_path, argv + ["--format", "json", "--word-out", str(word_path)])
+        assert code == 0
+        word = json.loads(text)["word"]
+        assert len(word) > 2 * codec.CSV_CHUNK_ROWS
+        assert word_path.read_text(encoding="utf-8") == ",".join(map(str, word)) + "\n"
+
     def test_sublinear_word_in_model_digits(self, tmp_path):
         # The weights 0.05, 0.4, then the tail sort as digits 2, 3, 4, 5, 1, 6, ...:
         # the word file and the JSON word hold model digits, not sorted labels.
@@ -782,6 +804,27 @@ class TestConstructOutputs:
         rows = [line.split(",") for line in lines[2:]]
         assert [int(r[4]) for r in rows] == [math.floor(math.log(n + 1.0)) for n in range(1, 10001)]
         assert all(int(r[4]) <= int(r[6]) <= int(r[4]) + int(r[5]) for r in rows)
+
+
+class TestConstructMemory:
+    def test_each_per_digit_array_held_once(self, tmp_path):
+        # the word file is written last, on top of every array the traces return
+        lin = linear.build_block_schedule(weights.luroth_model(), 0.5, depth=19, k1=1)
+        lin_word = lin.sample_word(19, substream(0, 0x11EA, 19))
+        profile = sublinear.profile_from_spec({"kind": "sqrt", "horizon": 1 << 20})
+        sub = sublinear.build_sublinear_schedule(weights.luroth_model(), profile, 0.5)
+        sub_word = sub.sample_word(1 << 20, substream(0, 0x5B11, 1 << 20))
+        tracemalloc.start()
+        try:
+            trace = linear.point_trace(lin, lin_word)
+            ratios = vars(sub.ratio_trace(sub_word))
+            codec.write_word(tmp_path / "word.txt", sub_word)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(col.nbytes for col in (*trace.values(), *ratios.values()))
+        assert returned == 8 * (7 * lin_word.size + 3 * sub_word.size)
+        assert peak < CONSTRUCT_PEAK_RATIO * returned
 
 
 class TestCylsum:

@@ -34,6 +34,28 @@ class TestWireFormats:
             codec.word_from_line(line)
 
 
+_WORD_CHUNK = codec.CSV_CHUNK_ROWS
+
+
+@pytest.mark.parametrize("size", [0, 1, _WORD_CHUNK - 1, _WORD_CHUNK, _WORD_CHUNK + 1,
+                                  2 * _WORD_CHUNK + 1])
+class TestChunkedWordLine:
+    @staticmethod
+    def word(size):
+        return substream(size, 0xC0DEC).integers(1, 10**15, size=size)
+
+    def test_line_joins_the_chunks(self, size):
+        word = self.word(size)
+        # the whole-word expression the chunked line replaced
+        assert codec.word_to_line(word) == ",".join(map(str, word.tolist()))
+
+    def test_written_file_is_the_line(self, size, tmp_path):
+        word = self.word(size)
+        path = tmp_path / "word.txt"
+        codec.write_word(path, word)
+        assert path.read_bytes() == (",".join(map(str, word.tolist())) + "\n").encode()
+
+
 # Every public function that takes a digit word: (word -> result, a sampled word it accepts).
 _LINEAR = linear.build_block_schedule(LUROTH, 0.5, depth=4, k1=1)
 _SUBLINEAR = sublinear.build_sublinear_schedule(

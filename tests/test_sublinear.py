@@ -345,6 +345,35 @@ class TestThresholdIndex:
         sublinear._sorted_weight_table(model, 50)
         assert windows == [192]
 
+    @pytest.mark.parametrize("model", [LUROTH, *UNSORTED_MODELS], ids=lambda m: m.describe())
+    def test_rising_head_computed_once(self, monkeypatch, model):
+        # the digits below m once, then only the falling weights from m at each size;
+        # a model whose weights never rise (m = 1) computes no head at all
+        m = sublinear._rise_end(model)
+        windows = []
+
+        def spy(model, lo, hi):
+            windows.append((lo, hi))
+            return weights.weights_range(model, lo, hi)
+
+        monkeypatch.setattr(sublinear, "weights_range", spy)
+        sublinear.threshold_index(model, 0.5)
+        head = [(1, m)] if m > 1 else []
+        assert windows == head + [(m, m + (2 << i)) for i in range(len(windows) - len(head))]
+
+    def test_head_kept_chunk_by_chunk(self, monkeypatch):
+        # power-log(2, 20) weights rise up to digit 22,016: 23 chunks of 1000
+        model = weights.power_log_model(2.0, 20.0)
+        m = sublinear._rise_end(model)
+        assert m == 22016
+        expected = {t: sublinear.threshold_index(model, t) for t in (0.05, 0.2)}
+        largest = np.sort(weights.weights_range(model, 1, m))[::-1]
+        monkeypatch.setattr(sublinear, "_HEAD_CHUNK", 1000)
+        for count in (1, 999, 1000, 5000, m - 1, m):
+            np.testing.assert_array_equal(sublinear._largest_weights(model, m, count),
+                                          largest[:count])
+        assert {t: sublinear.threshold_index(model, t) for t in expected} == expected
+
     def test_late_peak_is_refused_before_any_table(self, monkeypatch):
         # power-log(2, 36) weights rise up to digit 65,659,951, past 2**25
         calls = []
