@@ -185,28 +185,25 @@ def threshold_index(model: WeightModel, t: float) -> int:
     ``s(K)`` solves ``sum_{k<=K} p_(k)**s = 1`` over the non-increasing weight
     table the schedule samples from, and that sum falls as ``s`` grows.  So
     ``s(K)`` reaches the target exactly when ``sum_{k<=K} p_(k)**target >= 1``:
-    ``K`` is where the cumulative sum of ``p**target`` first reaches 1.
-
-    The tables double in size.  The weights may rise below digit ``m`` (see
-    :func:`_sorted_weight_table`); the largest of those are sorted once and
-    merged at each size with the falling weights of the digits ``m, m + 1, ...``.
+    ``K`` is where the cumulative sum of ``p**target`` first reaches 1, over
+    tables of :func:`_largest_weights` that double in size.
     """
+    return _threshold_and_head(model, t, _MAX_THRESHOLD)[0]
+
+
+def _threshold_and_head(model: WeightModel, t: float, count: int):
+    """:func:`threshold_index`, and the :func:`_rising_head` of ``count >= _MAX_THRESHOLD`` read."""
     if not 0.0 < t < 1.0:
         raise DomainError("dimension target t must lie in (0, 1)")
     target = 0.5 * (1.0 + t)
-    m = _rise_end(model)
-    head = _largest_weights(model, m, _MAX_THRESHOLD)
-    size = 2
-    while size <= _MAX_THRESHOLD:
-        p = weights_range(model, m, m + size)
-        if head.size:  # the size largest of the head and of these falling weights
-            p = -np.sort(-np.concatenate((head[:size], p)))[:size]
+    head = _rising_head(model, count)
+    for size in (1 << i for i in range(1, _MAX_THRESHOLD.bit_length())):  # 2, 4, .., _MAX_THRESHOLD
+        p = _largest_weights(model, head, size)[0]
         if float(p.sum()) >= 1.0 - 1e-15:
             raise DomainError("truncated weights already sum to 1; no root in [0, 1)")
         cum = np.cumsum(p**target)
         if cum[-1] >= 1.0:
-            return int(np.searchsorted(cum, 1.0)) + 1
-        size *= 2
+            return int(np.searchsorted(cum, 1.0)) + 1, head
     raise TiltThresholdError(f"no truncation below {_MAX_THRESHOLD} reaches exponent {target:g}")
 
 
@@ -320,7 +317,8 @@ def build_sublinear_schedule(
     """Assemble the forced/free plan for dimension target ``t`` in (0, 1)."""
     horizon = profile.horizon
     f = profile.values
-    k_star = threshold_index(model, t)
+    # K_n and the forced digits K_n + f(n) stay within K* + f(horizon)
+    k_star, head = _threshold_and_head(model, t, _MAX_THRESHOLD + int(f[-1]))
     # floor(sqrt(f)) is exact in float64 below 2**52; f stays below 2**22
     K = np.sqrt(f[1:]).astype(np.int64)
     np.maximum(K, k_star, out=K)
@@ -328,16 +326,13 @@ def build_sublinear_schedule(
     forced_time[profile.step_times() - 1] = True
     forced_digit = K + f[1:]
     forced_digit[~forced_time] = 0
-    forced_vals = forced_digit[forced_time]
     # A profile built without make_admissible can break these; python -O strips asserts.
     if np.any(K[1:] < K[:-1]):
         raise NotAdmissibleError("truncation bounds must be nondecreasing")
-    if np.any(np.diff(forced_vals) <= 0):
-        raise NotAdmissibleError(
-            "forced digits must strictly increase along the new-digit times"
-        )
+    if np.any(np.diff(forced_digit[forced_time]) <= 0):
+        raise NotAdmissibleError("forced digits must strictly increase along the new-digit times")
     kmax = int(max(K.max(), forced_digit.max()))
-    sorted_weights, perm = _sorted_weight_table(model, kmax)
+    sorted_weights, perm = _largest_weights(model, head, kmax)
     starts = np.append(0, np.flatnonzero(K[1:] != K[:-1]) + 1)  # one root per run of equal K_n
     roots = [exponent_root(np.log(sorted_weights[:kv])) for kv in K[starts]]
     s_arr = np.repeat(roots, np.diff(starts, append=horizon))
@@ -356,38 +351,43 @@ def build_sublinear_schedule(
     )
 
 
-def _sorted_weight_table(model: WeightModel, kmax: int):
-    """Weight table in non-increasing order plus the label permutation.
-
-    Returns ``(table, None)`` when the model is already sorted, otherwise
-    ``(table, perm)`` with ``perm[label - 1]`` the model digit the sorted
-    label refers to.  The weights never rise from digit ``m = _rise_end(model)``
-    on, so the stable sort, which sends ties to the smaller digit, finds the
-    ``kmax`` largest among digits ``1 .. m + kmax - 1``.
+def _rising_head(model: WeightModel, count: int):
+    """``(m, weights, digits)``: the weights never rise from digit ``m`` on, and these
+    are the ``count`` largest below it, largest first and ties to the smaller digit.
+    They are computed ``_HEAD_CHUNK`` digits at a time from ``m`` down, where rising
+    weights are largest.  :class:`PrecisionError` past ``_MAX_RISE``, before any weight.
     """
-    m = _rise_end(model)
-    p = weights_range(model, 1, m + kmax)
-    order = np.argsort(-p, kind="stable")[:kmax]
-    return p[order], None if np.array_equal(order, np.arange(kmax)) else order + 1
-
-
-def _rise_end(model: WeightModel) -> int:
-    """The digit from which the weights never rise; :class:`PrecisionError` past ``_MAX_RISE``."""
     m = math.ceil(_falling_from(model))
     if m > _MAX_RISE:
         raise PrecisionError(f"the weights rise up to digit {m}, past the limit of {_MAX_RISE}")
-    return m
+    q, digits = np.empty(0), np.empty(0, dtype=np.int64)  # the largest so far, negated: ascending
+    for hi in range(m, 1, -_HEAD_CHUNK):
+        lo = max(hi - _HEAD_CHUNK, 1)
+        chunk = -weights_range(model, lo, hi)
+        # once count are kept, a weight enters only if not below the least (a tie by its digit)
+        pick = np.flatnonzero(chunk <= (q[-1] if q.size >= count else 0.0))
+        if pick.size:
+            q, digits = np.concatenate((chunk[pick], q)), np.concatenate((pick + lo, digits))
+            pick = np.argsort(q, kind="stable")[:count]  # new digits first: ties keep digit order
+            q, digits = q[pick], digits[pick]
+    return m, -q, digits
 
 
-def _largest_weights(model: WeightModel, m: int, count: int) -> np.ndarray:
-    """The ``count`` largest weights of the digits ``1 .. m - 1``, in non-increasing order.
-
-    The weights are computed ``_HEAD_CHUNK`` digits at a time, and only the
-    ``count`` largest so far are kept between chunks.
+def _largest_weights(model: WeightModel, head, size: int):
+    """The ``size`` largest weights, largest first and ties to the smaller digit, and
+    their digits, or None for the digits ``1 .. size``: the largest of a
+    :func:`_rising_head` of at least ``size`` and of the falling weights of the
+    digits ``m .. m + size - 1``, or those alone where ``m = 1``.
     """
-    best = np.empty(0)
-    for lo in range(1, m, _HEAD_CHUNK):
-        best = np.concatenate((best, weights_range(model, lo, min(lo + _HEAD_CHUNK, m))))
-        if best.size > count:
-            best = np.partition(best, best.size - count)[best.size - count :]
-    return -np.sort(-best)
+    m, head_p, head_digits = head
+    p = weights_range(model, m, m + size)
+    if m == 1:
+        return p, None
+    h = min(size, head_p.size)
+    p = -np.concatenate((head_p[:h], p))  # negated: a stable ascending sort keeps ties' digit order
+    digits = np.argsort(p, kind="stable")[:size]  # positions, made digits in place below
+    p = -p[digits]
+    in_head = digits < h
+    np.add(digits, m - h, out=digits, where=~in_head)  # past the head, position i: digit m + i - h
+    digits[in_head] = head_digits[digits[in_head]]
+    return p, None if np.array_equal(digits, np.arange(1, size + 1)) else digits

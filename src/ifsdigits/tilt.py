@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import as_count
-from .errors import DomainError, EnumerationSizeError
+from .errors import DomainError, EnumerationSizeError, PrecisionError
 from .linear import as_rate
 from .rng import substream
 from .weights import (
@@ -330,12 +330,14 @@ def bound_chain(model: WeightModel, n: int, s: float, theta: float) -> BoundChai
 
     With ``r = ceil(theta n / 4)`` and ``Q`` the tilted mass of digits
     ``>= r``, the probability of the distinct-count event is at most
-    ``(e n Q / r) ** r``.
+    ``(e n Q / r) ** r``; :class:`PrecisionError` where ``Q`` underflows to 0.
     """
     n = as_count(n, "word length")
     r = max(math.ceil(n * as_rate(theta) / 4), 1)
     zeta = tilted_tail_sum(model, 1, s)
     q_tail = tilted_tail_sum(model, r, s) / zeta
+    if q_tail == 0.0:
+        raise PrecisionError(f"the tilted tail from digit r = {r} underflows to 0: no bound")
     log_bound = r * (1.0 + math.log(n) + math.log(q_tail) - math.log(r))
     return BoundChainRecord(
         n=n,

@@ -117,6 +117,18 @@ class TestExitCodes:
         assert cli.main(argv) == 3
         assert "the weights rise up to digit 65659951" in capsys.readouterr().err
 
+    def test_underflowed_tilted_tail_is_3(self, capsys, monkeypatch):
+        # past r = 10,000 the tilted tail of power(100) underflows to 0: no binomial
+        # bound, and the error comes before any Monte Carlo draw
+        def draw(*args):
+            raise AssertionError("drew before the bound chain was checked")
+
+        monkeypatch.setattr(tilt, "cylinder_sums_mc", draw)
+        argv = ["cylsum", "--model", "power", "--rho", "100", "--s", "1", "--n", "40000",
+                "--theta", "1", "--trials", "2"]
+        assert cli.main(argv) == 3
+        assert "the tilted tail from digit r = 10000 underflows to 0" in capsys.readouterr().err
+
     def test_zero_k_max_prints_no_weights(self, tmp_path):
         code, text = run_cli(tmp_path, ["weights", "--k-max", "0", "--tail", "10"])
         assert code == 0

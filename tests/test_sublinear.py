@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +232,20 @@ class TestProfiles:
             prof.values[3] = 7
 
 
+def rise_end(model):
+    """The digit from which the weights never rise."""
+    return math.ceil(weights._falling_from(model))
+
+
+def reference_sorted_table(model, kmax):
+    """The ``kmax`` largest weights and the label permutation (None when it is the
+    identity) from one stable sort of every digit ``1 .. m + kmax - 1``, ties to the
+    smaller digit: the oracle for ``_largest_weights``' head-and-merge."""
+    p = weights.weights_range(model, 1, rise_end(model) + kmax)
+    order = np.argsort(-p, kind="stable")[:kmax]
+    return p[order], None if np.array_equal(order, np.arange(kmax)) else order + 1
+
+
 def reference_threshold_index(model, t):
     """Smallest ``K`` with ``exponent_root`` of the ``K`` largest weights at least
     ``(1 + t) / 2``: a doubling search over ``K`` with a root at every step, then
@@ -238,7 +253,7 @@ def reference_threshold_index(model, t):
     target = 0.5 * (1.0 + t)
     hi = 2
     while True:
-        logp = np.log(sublinear._sorted_weight_table(model, hi)[0])
+        logp = np.log(reference_sorted_table(model, hi)[0])
         if weights.exponent_root(logp) >= target:
             break
         hi *= 2
@@ -252,6 +267,11 @@ def reference_threshold_index(model, t):
         else:
             lo = mid
     return hi
+
+
+def sorted_table(model, kmax):
+    """``_largest_weights`` of ``kmax`` on a head of ``kmax``, as a schedule reads it."""
+    return sublinear._largest_weights(model, sublinear._rising_head(model, kmax), kmax)
 
 
 THRESHOLD_MODELS = [
@@ -277,6 +297,12 @@ UNSORTED_MODELS = [
     weights.power_log_model(4.0, 30.0),
     weights.explicit_prefix_model((0.05, 0.4), 2.5),
 ]
+
+# weights 0.1, 0.1, 0.1, 0.05, 0.1, then the tail 0.084, 0.062, 0.047, ...: four
+# equal largest weights, which the stable sort sends to the smaller digit
+TIED_PREFIX = weights.explicit_prefix_model((0.1, 0.1, 0.1, 0.05, 0.1), 2.0)
+# forty weights of 0.01, enough for numpy's unstable sorts to reorder them
+LONG_TIE = weights.explicit_prefix_model((0.01,) * 40, 2.0)
 
 
 class TestThresholdIndex:
@@ -307,7 +333,7 @@ class TestThresholdIndex:
         # weights 0.05, 0.4, 0.214, 0.104, ...: the three largest reach s = 0.827 at t = 0.5,
         # the first three in model order (s = 0.692) do not
         model = weights.explicit_prefix_model((0.05, 0.4), 2.5)
-        table = sublinear._sorted_weight_table(model, 64)[0]
+        table = reference_sorted_table(model, 64)[0]
         for t in (0.1, 0.5, 0.7, 0.9):
             target = 0.5 * (1.0 + t)
             K = 2
@@ -317,39 +343,65 @@ class TestThresholdIndex:
         assert sublinear.threshold_index(model, 0.5) == 3
         assert weights.partial_sum_exponent(model, 3) < 0.75
 
-    @pytest.mark.parametrize("model", UNSORTED_MODELS, ids=lambda m: m.describe())
+    @pytest.mark.parametrize("model", [*UNSORTED_MODELS, TIED_PREFIX, LONG_TIE],
+                             ids=lambda m: m.describe())
     def test_sorted_table_matches_a_wide_window(self, model):
         p = weights.weights_range(model, 1, (1 << 16) + 1)
         window = np.argsort(-p, kind="stable")
-        for kmax in (1, 3, 50, 1000):
-            table, perm = sublinear._sorted_weight_table(model, kmax)
-            order = window[:kmax]
-            np.testing.assert_array_equal(table, p[order])
-            if perm is None:
-                np.testing.assert_array_equal(order, np.arange(kmax))
+        for kmax in (1, 3, 50, 1000, 20000):
+            table, perm = sorted_table(model, kmax)
+            expected_table, expected_perm = reference_sorted_table(model, kmax)
+            np.testing.assert_array_equal(table, expected_table)
+            np.testing.assert_array_equal(table, p[window[:kmax]])
+            if expected_perm is None:
+                assert perm is None
+                np.testing.assert_array_equal(window[:kmax], np.arange(kmax))
             else:
-                np.testing.assert_array_equal(perm, order + 1)
+                np.testing.assert_array_equal(perm, expected_perm)
+                np.testing.assert_array_equal(perm, window[:kmax] + 1)
+
+    def test_tied_prefix(self):
+        # 0.1 on digits 1, 2, 3 and 5, in that order; digit 4 (0.05) falls behind the tail's 6 and 7
+        table, perm = sorted_table(TIED_PREFIX, 8)
+        np.testing.assert_array_equal(perm, [1, 2, 3, 5, 6, 7, 4, 8])
+        np.testing.assert_array_equal(table[:4], 0.1)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @pytest.mark.parametrize("model", [TIED_PREFIX, LONG_TIE, weights.power_log_model(2.0, 10.0)],
+                             ids=lambda m: m.describe())
+    def test_ties_across_head_chunks(self, monkeypatch, chunk, model):
+        # chunks of 1-3 digits split the tied prefix, and the head keeps fewer
+        # weights than it reads: each tie still goes to the smaller digit
+        expected = {kmax: reference_sorted_table(model, kmax) for kmax in (1, 2, 3, 4, 7, 50)}
+        monkeypatch.setattr(sublinear, "_HEAD_CHUNK", chunk)
+        for kmax, (table, perm) in expected.items():
+            got_table, got_perm = sorted_table(model, kmax)
+            np.testing.assert_array_equal(got_table, table)
+            if perm is None:
+                assert got_perm is None
+            else:
+                np.testing.assert_array_equal(got_perm, perm)
 
     def test_rising_weights_end_the_sorted_window(self, monkeypatch):
-        # power-log(2, 10) weights rise up to x = 142.3, so the 50 largest lie
-        # among the digits 1 .. ceil(142.3) + 50 - 1
+        # power-log(2, 10) weights rise up to x = 142.3, so the 50 largest lie among
+        # the head, digits 1 .. 142, and the falling digits 143 .. 192, each read once
         model = weights.power_log_model(2.0, 10.0)
         assert sublinear.threshold_index(model, 0.5) == 1067
         windows = []
 
         def spy(model, lo, hi):
-            windows.append(hi - 1)
+            windows.append((lo, hi))
             return weights.weights_range(model, lo, hi)
 
         monkeypatch.setattr(sublinear, "weights_range", spy)
-        sublinear._sorted_weight_table(model, 50)
-        assert windows == [192]
+        sorted_table(model, 50)
+        assert windows == [(1, 143), (143, 193)]
 
     @pytest.mark.parametrize("model", [LUROTH, *UNSORTED_MODELS], ids=lambda m: m.describe())
     def test_rising_head_computed_once(self, monkeypatch, model):
         # the digits below m once, then only the falling weights from m at each size;
         # a model whose weights never rise (m = 1) computes no head at all
-        m = sublinear._rise_end(model)
+        m = rise_end(model)
         windows = []
 
         def spy(model, lo, hi):
@@ -364,14 +416,17 @@ class TestThresholdIndex:
     def test_head_kept_chunk_by_chunk(self, monkeypatch):
         # power-log(2, 20) weights rise up to digit 22,016: 23 chunks of 1000
         model = weights.power_log_model(2.0, 20.0)
-        m = sublinear._rise_end(model)
+        m = rise_end(model)
         assert m == 22016
         expected = {t: sublinear.threshold_index(model, t) for t in (0.05, 0.2)}
-        largest = np.sort(weights.weights_range(model, 1, m))[::-1]
+        p = weights.weights_range(model, 1, m)
+        order = np.argsort(-p, kind="stable")
         monkeypatch.setattr(sublinear, "_HEAD_CHUNK", 1000)
         for count in (1, 999, 1000, 5000, m - 1, m):
-            np.testing.assert_array_equal(sublinear._largest_weights(model, m, count),
-                                          largest[:count])
+            head_m, head_p, head_digits = sublinear._rising_head(model, count)
+            assert head_m == m
+            np.testing.assert_array_equal(head_p, p[order[:count]])
+            np.testing.assert_array_equal(head_digits, order[:count] + 1)
         assert {t: sublinear.threshold_index(model, t) for t in expected} == expected
 
     def test_late_peak_is_refused_before_any_table(self, monkeypatch):
@@ -380,7 +435,7 @@ class TestThresholdIndex:
         monkeypatch.setattr(sublinear, "weights_range", lambda *a: calls.append(a))
         model = weights.power_log_model(2.0, 36.0)
         with pytest.raises(PrecisionError, match="rise up to digit 65659951"):
-            sublinear._sorted_weight_table(model, 1)
+            sublinear._rising_head(model, 1)
         with pytest.raises(PrecisionError):
             sublinear.threshold_index(model, 0.5)
         assert calls == []
@@ -474,6 +529,50 @@ class TestScheduleStructure:
         assert np.array_equal(
             sched.to_model_digits(word), perm[word - 1]
         )
+
+
+# tracemalloc peak allowed to build_sublinear_schedule on power-log(4, 64), whose
+# weights rise up to digit 8,886,094: a head of 2**20 + f(horizon) weights and
+# digits (16 MB), a chunk of 2**20 and their sort.  Measured: 72 MiB.  One stable
+# sort of every digit up to m + kmax, as the table was once built, takes 272 MiB.
+RISING_SCHEDULE_PEAK = 128 << 20
+
+
+class TestRisingSchedule:
+    def test_peak_stays_below_a_full_window_sort(self):
+        model = weights.power_log_model(4.0, 64.0)
+        assert rise_end(model) == 8886094
+        prof = sublinear.profile_from_spec({"kind": "sqrt", "horizon": 1000})
+        tracemalloc.start()
+        try:
+            sched = sublinear.build_sublinear_schedule(model, prof, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sched.k_star == 42796
+        assert sched.label_permutation is not None
+        assert peak < RISING_SCHEDULE_PEAK
+
+    def test_digits_below_m_read_once(self, monkeypatch):
+        # power-log(2, 20) rises up to digit 22,016: with chunks of 1000 the head is
+        # 23 windows tiling 1 .. 22,015, and every other window starts at m
+        model = weights.power_log_model(2.0, 20.0)
+        m = rise_end(model)
+        windows = []
+
+        def spy(model, lo, hi):
+            windows.append((lo, hi))
+            return weights.weights_range(model, lo, hi)
+
+        monkeypatch.setattr(sublinear, "weights_range", spy)
+        monkeypatch.setattr(sublinear, "_HEAD_CHUNK", 1000)
+        prof = sublinear.profile_from_spec({"kind": "sqrt", "horizon": 1000})
+        sublinear.build_sublinear_schedule(model, prof, 0.05)
+        head = sorted(w for w in windows if w[0] < m)
+        assert len(head) == 23
+        assert [lo for lo, _ in head] == [1] + [hi for _, hi in head[:-1]]
+        assert head[-1][1] == m
+        assert all(lo == m for lo, _ in windows if lo >= m)
 
 
 # Hand-built profiles that bypass make_admissible, each breaking one schedule invariant.
