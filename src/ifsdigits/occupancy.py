@@ -119,7 +119,11 @@ def _expected_distinct_at(model: WeightModel, ns: tuple[int, ...]) -> list[float
 
     The chunk bounds do not depend on ``n``, so each chunk is built once for
     every ``n`` still summing; each value is the one a pass of its own gives.
-    A chunk is worked on in place and dropped before the next is built.
+    A chunk is built ``_SAMPLE_BLOCK`` weights at a time, so that its
+    temporaries stay in cache.  Its sum is the pairwise tree of its block
+    sums: numpy sums a contiguous array pairwise, halving it down to leaves of
+    128 entries, so for a chunk of a power of two this tree is the chunk's own
+    ``np.sum``, bit for bit.
     """
     totals = [1.0 if n == 1 else 0.0 for n in ns]
     ends = [1 if n == 1 else 0 for n in ns]  # first digit left to the remainder; 0 while summing
@@ -127,18 +131,24 @@ def _expected_distinct_at(model: WeightModel, ns: tuple[int, ...]) -> list[float
     chunk = 1 << 14
     while not all(ends):
         hi = lo + chunk
-        log_q = weights_range(model, lo, hi)
-        p_last = float(log_q[-1])
-        np.log1p(np.negative(log_q, out=log_q), out=log_q)
-        terms = np.empty_like(log_q)
-        for i, n in enumerate(ns):
-            if not ends[i]:
-                np.expm1(np.multiply(log_q, n, out=terms), out=terms)
+        sums = {i: [] for i, end in enumerate(ends) if not end}  # block sums of each n summing
+        last = {}  # each n's last term of the latest block
+        terms = np.empty(min(chunk, _SAMPLE_BLOCK))
+        for start in range(lo, hi, _SAMPLE_BLOCK):
+            log_q = weights_range(model, start, min(start + _SAMPLE_BLOCK, hi))
+            p_last = float(log_q[-1])
+            np.log1p(np.negative(log_q, out=log_q), out=log_q)
+            for i, block_sums in sums.items():
+                np.expm1(np.multiply(log_q, ns[i], out=terms), out=terms)
                 np.negative(terms, out=terms)
-                totals[i] += float(terms.sum())
-                if terms[-1] < 1e-12 * totals[i] or n * p_last < 1e-6:
-                    ends[i] = hi
-        del log_q, terms
+                block_sums.append(float(terms.sum()))
+                last[i] = float(terms[-1])
+        for i, block_sums in sums.items():
+            while len(block_sums) > 1:
+                block_sums = [a + b for a, b in zip(block_sums[::2], block_sums[1::2])]
+            totals[i] += block_sums[0]
+            if last[i] < 1e-12 * totals[i] or ns[i] * p_last < 1e-6:
+                ends[i] = hi
         lo = hi
         chunk = min(chunk * 2, 1 << 22)
     for i, (n, end) in enumerate(zip(ns, ends)):

@@ -354,15 +354,19 @@ def build_sublinear_schedule(
 def _rising_head(model: WeightModel, count: int):
     """``(m, weights, digits)``: the weights never rise from digit ``m`` on, and these
     are the ``count`` largest below it, largest first and ties to the smaller digit.
-    They are computed ``_HEAD_CHUNK`` digits at a time from ``m`` down, where rising
-    weights are largest.  :class:`PrecisionError` past ``_MAX_RISE``, before any weight.
+    They are computed from ``m`` down, where rising weights are largest: the first
+    ``max(count, _HEAD_CHUNK)`` digits at once, so that ``count`` are kept from then
+    on, and ``_HEAD_CHUNK`` at a time after that.  So no sort holds more than
+    ``count + _HEAD_CHUNK`` weights.  :class:`PrecisionError` past ``_MAX_RISE``,
+    before any weight.
     """
     m = math.ceil(_falling_from(model))
     if m > _MAX_RISE:
         raise PrecisionError(f"the weights rise up to digit {m}, past the limit of {_MAX_RISE}")
     q, digits = np.empty(0), np.empty(0, dtype=np.int64)  # the largest so far, negated: ascending
-    for hi in range(m, 1, -_HEAD_CHUNK):
-        lo = max(hi - _HEAD_CHUNK, 1)
+    hi, width = m, max(count, _HEAD_CHUNK)
+    while hi > 1:
+        lo = max(hi - width, 1)
         chunk = -weights_range(model, lo, hi)
         # once count are kept, a weight enters only if not below the least (a tie by its digit)
         pick = np.flatnonzero(chunk <= (q[-1] if q.size >= count else 0.0))
@@ -370,6 +374,7 @@ def _rising_head(model: WeightModel, count: int):
             q, digits = np.concatenate((chunk[pick], q)), np.concatenate((pick + lo, digits))
             pick = np.argsort(q, kind="stable")[:count]  # new digits first: ties keep digit order
             q, digits = q[pick], digits[pick]
+        hi, width = lo, _HEAD_CHUNK
     return m, -q, digits
 
 

@@ -245,10 +245,14 @@ def weights_range(model: WeightModel, lo: int, hi: int) -> np.ndarray:
     """Vector of ``p_k`` for ``k`` in ``[lo, hi)``."""
     lo = as_count(lo, "lo")
     hi = as_count(hi, "hi", least=lo)
+    # two arrays of the range's size, each worked on in place
     k = np.arange(lo, hi, dtype=np.float64)
     if model.kind == "luroth":
-        return 1.0 / (k * (k + 1.0))
-    out = _powerlog_terms(k, model.rho, model.gamma) / model._norm
+        out = k + 1.0
+        out *= k
+        return np.divide(1.0, out, out=out)
+    out = _powerlog_terms(k, model.rho, model.gamma)
+    out /= model._norm
     head = np.asarray(model.prefix[lo - 1 : hi - 1], dtype=np.float64)
     out[: head.size] = head
     return out
@@ -354,8 +358,15 @@ def _powerlog_raw_tail(M: int, q: float, g: float) -> float:
 
 
 def _powerlog_terms(k: np.ndarray, q: float, g: float) -> np.ndarray:
-    """``k**-q * log(k+1)**g``; at ``g = 0`` the log factor is exactly 1 and skipped."""
-    return k ** -q * np.log(k + 1.0) ** g if g else k ** -q
+    """``k**-q * log(k+1)**g``, in a new array; ``k`` is overwritten.  At ``g = 0``
+    the log factor is exactly 1 and skipped."""
+    out = np.power(k, -q)
+    if g:
+        k += 1.0
+        np.log(k, out=k)
+        k **= g
+        out *= k
+    return out
 
 
 def _powerlog_tail_integral(a: float, q: float, g: float) -> float:

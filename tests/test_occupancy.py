@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,36 @@ def reference_expected_distinct(model, n):
     t1 = weights.tail_sum(model, lo)
     t2 = weights.tilted_tail_sum(model, lo, 2.0)
     return total + max(n * t1 - 0.5 * n * (n - 1) * t2, 0.0)
+
+
+def reference_expected_distinct_at(model, ns):
+    """The whole-chunk loop that ``_expected_distinct_at`` ran before it summed each
+    chunk a block at a time: one ``weights_range`` and one ``np.sum`` per chunk."""
+    totals = [1.0 if n == 1 else 0.0 for n in ns]
+    ends = [1 if n == 1 else 0 for n in ns]
+    lo = 1
+    chunk = 1 << 14
+    while not all(ends):
+        hi = lo + chunk
+        log_q = weights.weights_range(model, lo, hi)
+        p_last = float(log_q[-1])
+        np.log1p(np.negative(log_q, out=log_q), out=log_q)
+        terms = np.empty_like(log_q)
+        for i, n in enumerate(ns):
+            if not ends[i]:
+                np.expm1(np.multiply(log_q, n, out=terms), out=terms)
+                np.negative(terms, out=terms)
+                totals[i] += float(terms.sum())
+                if terms[-1] < 1e-12 * totals[i] or n * p_last < 1e-6:
+                    ends[i] = hi
+        lo = hi
+        chunk = min(chunk * 2, 1 << 22)
+    for i, (n, end) in enumerate(zip(ns, ends)):
+        if n > 1:
+            t1 = weights.tail_sum(model, end)
+            t2 = weights.tilted_tail_sum(model, end, 2.0)
+            totals[i] += max(n * t1 - 0.5 * n * (n - 1) * t2, 0.0)
+    return totals
 
 
 # Digits on both sides of the dense table's edge (2**16) and far past it.
@@ -268,6 +299,45 @@ class TestExpectedDistinct:
         cps = (1, 2, 100, 4096, 20_000)
         rep = occupancy.monte_carlo_law(model, 20_000, 2, 0, checkpoints=cps)
         assert rep.exact_expectations == tuple(reference_expected_distinct(model, c) for c in cps)
+
+    @pytest.mark.parametrize("model, cps", [
+        (LUROTH, (1, 2, 100, 4096, 20_000, 10**6)),
+        (LUROTH, occupancy._default_checkpoints(10**6)),
+        (weights.power_model(1.3), (2, 100, 1900, 3900, 5500, 10**4)),
+        (weights.power_model(1.5), (*occupancy._default_checkpoints(10**4), 6700)),
+        (weights.power_model(3.0), occupancy._default_checkpoints(10**6)),
+        (weights.power_log_model(2.0, 1.5), (1, 3, 1000, 10**6)),
+        (weights.explicit_prefix_model((0.4, 0.2), rho=2.5), (2, 4096, 10**6)),
+    ], ids=["luroth", "luroth-doubling", "power-1.3", "power-1.5", "power-3", "power-log",
+            "explicit-prefix"])
+    def test_blocks_sum_as_whole_chunks(self, model, cps):
+        # a chunk summed _SAMPLE_BLOCK weights at a time gives the whole chunk's bits.
+        # A chunk's rounding mostly vanishes into the total, but at n = 1900, 3900 and
+        # 5500 on power(1.3) and 6700 on power(1.5) adding the block sums in sequence,
+        # not as a pairwise tree, gives other bits
+        assert occupancy._expected_distinct_at(model, cps) == reference_expected_distinct_at(model, cps)
+
+    @pytest.mark.parametrize("size", [1 << e for e in range(17, 23)])
+    def test_numpy_sums_pairwise_over_blocks(self, size):
+        # _expected_distinct_at relies on np.sum of a contiguous float64 array being
+        # the pairwise tree of its 2**16-entry block sums; a numpy that sums in
+        # another order fails here instead of moving the simulate digest
+        block = weights._SAMPLE_BLOCK
+        x = np.random.default_rng(size).random(size) ** 30
+        sums = [float(x[i : i + block].sum()) for i in range(0, size, block)]
+        while len(sums) > 1:  # ((s0 + s1) + (s2 + s3)) + ...
+            sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
+        assert float(x.sum()) == sums[0]
+
+    def test_peak_is_block_sized(self):
+        # blocks of 2**16 weights: about 2 MiB; whole chunks of 2**22 took 64 MiB
+        tracemalloc.start()
+        try:
+            occupancy._expected_distinct_at(weights.power_model(1.3), (10**5,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
 
 class TestKarlinConstant:

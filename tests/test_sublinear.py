@@ -370,9 +370,11 @@ class TestThresholdIndex:
     @pytest.mark.parametrize("model", [TIED_PREFIX, LONG_TIE, weights.power_log_model(2.0, 10.0)],
                              ids=lambda m: m.describe())
     def test_ties_across_head_chunks(self, monkeypatch, chunk, model):
-        # chunks of 1-3 digits split the tied prefix, and the head keeps fewer
-        # weights than it reads: each tie still goes to the smaller digit
-        expected = {kmax: reference_sorted_table(model, kmax) for kmax in (1, 2, 3, 4, 7, 50)}
+        # the head's first read holds max(kmax, chunk) digits, then chunks of 1-3;
+        # where kmax is below the head's length (5, 40 and 142 digits here), later
+        # chunks meet the kmax kept weights, and their ties cross chunk edges:
+        # each tie still goes to the smaller digit
+        expected = {kmax: reference_sorted_table(model, kmax) for kmax in (1, 2, 3, 4, 7, 20, 50)}
         monkeypatch.setattr(sublinear, "_HEAD_CHUNK", chunk)
         for kmax, (table, perm) in expected.items():
             got_table, got_perm = sorted_table(model, kmax)
@@ -414,7 +416,8 @@ class TestThresholdIndex:
         assert windows == head + [(m, m + (2 << i)) for i in range(len(windows) - len(head))]
 
     def test_head_kept_chunk_by_chunk(self, monkeypatch):
-        # power-log(2, 20) weights rise up to digit 22,016: 23 chunks of 1000
+        # power-log(2, 20) weights rise up to digit 22,016: a first read of
+        # max(count, 1000) digits, then chunks of 1000 (none at counts m - 1 and m)
         model = weights.power_log_model(2.0, 20.0)
         m = rise_end(model)
         assert m == 22016
@@ -533,9 +536,10 @@ class TestScheduleStructure:
 
 # tracemalloc peak allowed to build_sublinear_schedule on power-log(4, 64), whose
 # weights rise up to digit 8,886,094: a head of 2**20 + f(horizon) weights and
-# digits (16 MB), a chunk of 2**20 and their sort.  Measured: 72 MiB.  One stable
-# sort of every digit up to m + kmax, as the table was once built, takes 272 MiB.
-RISING_SCHEDULE_PEAK = 128 << 20
+# digits (16 MB), a chunk of 2**20 and their sort.  Measured: 48 MiB.  A first
+# read of 2**20 digits, which let the second chunk in whole, took 72 MiB; one
+# stable sort of every digit up to m + kmax, as the table was once built, 272 MiB.
+RISING_SCHEDULE_PEAK = 64 << 20
 
 
 class TestRisingSchedule:
@@ -554,8 +558,10 @@ class TestRisingSchedule:
         assert peak < RISING_SCHEDULE_PEAK
 
     def test_digits_below_m_read_once(self, monkeypatch):
-        # power-log(2, 20) rises up to digit 22,016: with chunks of 1000 the head is
-        # 23 windows tiling 1 .. 22,015, and every other window starts at m
+        # power-log(2, 20) rises up to digit 22,016.  With searches up to 2**13 the
+        # head keeps 2**13 + f(horizon) = 8223 weights: its first window holds that
+        # many digits below m, the next ones 1000 each, tiling 1 .. 22,015 in 15
+        # windows, and every other window starts at m
         model = weights.power_log_model(2.0, 20.0)
         m = rise_end(model)
         windows = []
@@ -566,12 +572,14 @@ class TestRisingSchedule:
 
         monkeypatch.setattr(sublinear, "weights_range", spy)
         monkeypatch.setattr(sublinear, "_HEAD_CHUNK", 1000)
+        monkeypatch.setattr(sublinear, "_MAX_THRESHOLD", 1 << 13)
         prof = sublinear.profile_from_spec({"kind": "sqrt", "horizon": 1000})
         sublinear.build_sublinear_schedule(model, prof, 0.05)
         head = sorted(w for w in windows if w[0] < m)
-        assert len(head) == 23
+        assert len(head) == 15
         assert [lo for lo, _ in head] == [1] + [hi for _, hi in head[:-1]]
-        assert head[-1][1] == m
+        assert head[-1] == (m - 8223, m)
+        assert all(hi - lo == 1000 for lo, hi in head[1:-1])
         assert all(lo == m for lo, _ in windows if lo >= m)
 
 
