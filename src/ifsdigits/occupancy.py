@@ -21,7 +21,7 @@ import numpy as np
 from .codec import as_count, as_word
 from .errors import DomainError
 from .rng import substream
-from .weights import (_MAX_DRAWS, _NO_DEEP, _SAMPLE_BLOCK, DigitSampler, WeightModel,
+from .weights import (_MAX_DRAWS, _SAMPLE_BLOCK, DigitSampler, WeightModel,
                       tail_sum, tilted_tail_sum, weights_range)
 
 __all__ = [
@@ -47,7 +47,7 @@ def distinct_counts(word) -> np.ndarray:
     if n:
         # A table of at most n slots stays within the word's own size.  The word
         # is read a block at a time, so its per-digit temporaries stay block sized.
-        blocks = ((w[i : i + _SAMPLE_BLOCK], *_NO_DEEP) for i in range(0, n, _SAMPLE_BLOCK))
+        blocks = (w[i : i + _SAMPLE_BLOCK] for i in range(0, n, _SAMPLE_BLOCK))
         counts[_first_positions(blocks, max(_DENSE, min(int(w.max()), n)))] = 1
     return np.cumsum(counts, out=counts)
 
@@ -55,39 +55,33 @@ def distinct_counts(word) -> np.ndarray:
 def _first_positions(blocks, slots: int, label=None) -> np.ndarray:
     """Position of each distinct digit's first occurrence, unsorted and 0-based.
 
-    ``blocks`` are consecutive pieces of one word, each a triple as
-    :meth:`DigitSampler.draw` returns it: labels, and the positions in the
-    piece (where the labels read 0) and remaining masses of its deep draws.
-    Labels up to ``slots`` keep their first position in a dense table that
-    every block folds into; larger ones keep (label, position) records.  Once
-    the word ends, ``label`` labels its deep draws into more records, and
+    ``blocks`` are consecutive pieces of one word, as :meth:`DigitSampler.draw`
+    returns them: labels, with the deep draws negative.  Labels up to
+    ``slots`` keep their first position in a dense table that every block
+    folds into.  Larger ones, and the deep draws, which exceed ``slots`` when
+    read as unsigned, keep (label, position) records in position order.  Once
+    the word ends, ``label(digits, at)`` labels the deep records in place, and
     ``np.unique`` resolves them all.
     """
-    # slot 0 takes the unlabelled deep draws, slot slots + 1 every larger label
+    # slot slots + 1 takes every larger label and every deep draw; no digit is 0
     first = np.full(slots + 2, _UNSEEN, dtype=np.int64)
-    big_digits, big_at, deep_at, deep_mass = [], [], [], []
+    big_digits, big_at = [], []
     start = 0
-    for block, at_deep, mass in blocks:
+    for block in blocks:
         at = np.arange(start, start + block.size)
-        np.minimum.at(first, np.minimum(block, slots + 1), at)
-        big = np.flatnonzero(block > slots)
+        # the slots read back as int64, which minimum.at indexes by faster than uint64
+        np.minimum.at(first, np.minimum(block.view(np.uint64), slots + 1).view(np.int64), at)
+        big = np.flatnonzero(block.view(np.uint64) > slots)
         if big.size:
             big_digits.append(block[big])
             big_at.append(at[big])
-        if at_deep.size:
-            deep_at.append(at_deep + start)
-            deep_mass.append(mass)
         start += block.size
     dense = first[1 : slots + 1]
     found = dense[dense != _UNSEEN]
-    if deep_at:
-        big_at.append(np.concatenate(deep_at))
-        big_digits.append(label(big_at[-1], np.concatenate(deep_mass)))
     if big_digits:
         digits, at = np.concatenate(big_digits), np.concatenate(big_at)
-        if deep_at:  # the deep records follow the others: put them all in position order
-            order = np.argsort(at)
-            digits, at = digits[order], at[order]
+        if label is not None:
+            label(digits, at)
         # records in position order: the first index of a digit is its first position
         found = np.concatenate((found, at[np.unique(digits, return_index=True)[1]]))
     return found
@@ -137,7 +131,8 @@ def _expected_distinct_at(model: WeightModel, ns: tuple[int, ...]) -> list[float
         for start in range(lo, hi, _SAMPLE_BLOCK):
             log_q = weights_range(model, start, min(start + _SAMPLE_BLOCK, hi))
             p_last = float(log_q[-1])
-            np.log1p(np.negative(log_q, out=log_q), out=log_q)
+            with np.errstate(divide="ignore"):  # p = 1 takes log1p(-1) = -inf: its term is 1
+                np.log1p(np.negative(log_q, out=log_q), out=log_q)
             for i, block_sums in sums.items():
                 np.expm1(np.multiply(log_q, ns[i], out=terms), out=terms)
                 np.negative(terms, out=terms)

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .linear import _MAX_WORD_LENGTH
 from .occupancy import distinct_counts
-from .weights import WeightModel, _falling_from, exponent_root, weights_range
+from .weights import _MAX_THRESHOLD, WeightModel, _falling_from, exponent_root, weights_range
 
 __all__ = [
     "AdmissibleProfile",
@@ -168,9 +168,6 @@ def profile_from_spec(spec: dict) -> AdmissibleProfile:
     g += 1.0
     return make_admissible(np.log(g, out=g), "builtin-log")
 
-
-# The largest truncation threshold_index tries.
-_MAX_THRESHOLD = 1 << 20
 
 # The last digit at which the weights may still rise for a sorted table.
 _MAX_RISE = 1 << 25

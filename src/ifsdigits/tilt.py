@@ -33,7 +33,6 @@ from .linear import as_rate
 from .rng import substream
 from .weights import (
     _MAX_DRAWS,
-    _NO_DEEP,
     _SAMPLE_BLOCK,
     DigitSampler,
     WeightModel,
@@ -248,28 +247,22 @@ def cylinder_sums_mc(
     rng = substream(seed, 0x7117)
     longest = max(ns)
     block = max(1, _SAMPLE_BLOCK // longest) * longest
-    # the last of the longest lengths sorts each block in place, so it reads
-    # the block after every other length has copied its share
+    # the last of the longest lengths labels and sorts each block in place, so
+    # it reads the block after every other length has copied its share
     order = sorted(range(len(ns)), key=ns.__getitem__)
     hits = [0] * len(ns)
-    carry = [(np.empty(0, dtype=np.int64), *_NO_DEEP)] * len(ns)
+    carry = [np.empty(0, dtype=np.int64)] * len(ns)
     for start in range(0, longest * trials, block):
-        labels, at, mass = sampler.draw(rng, min(block, longest * trials - start))
+        labels = sampler.draw(rng, min(block, longest * trials - start))
         for i in order:
             take = min(labels.size, ns[i] * trials - start)
             if take <= 0:
                 continue
-            if i == order[-1]:  # a whole number of its words, and no carry
-                scope = labels, at, mass
-            else:
-                cut = np.searchsorted(at, take)
-                held = carry[i][0].size
-                scope = (np.concatenate((carry[i][0], labels[:take])),
-                         np.concatenate((carry[i][1], at[:cut] + held)),
-                         np.concatenate((carry[i][2], mass[:cut])))
-            found, carry[i] = _count_rich_words(sampler, ns[i], thresholds[i], *scope)
+            # the last of the longest reads a whole number of its words, and no carry
+            scope = labels if i == order[-1] else np.concatenate((carry[i], labels[:take]))
+            found, carry[i] = _count_rich_words(sampler, ns[i], thresholds[i], scope)
             hits[i] += found
-        del labels, at, mass, scope  # free this block before the next one is drawn
+        del labels, scope  # free this block before the next one is drawn
     records = []
     for n, scale, found in zip(ns, scales, hits):
         phat = found / trials
@@ -289,21 +282,17 @@ def cylinder_sums_mc(
     return records
 
 
-def _count_rich_words(sampler, n, threshold, labels, at, mass):
+def _count_rich_words(sampler, n, threshold, labels):
     """Words of ``labels`` with at least ``threshold`` distinct digits, and the draws past them.
 
-    ``labels`` holds draws from :meth:`DigitSampler.draw`, whose deep draws
-    at ``at`` have masses ``mass``.  Its whole words of length ``n`` are
-    labelled in one scope and sorted in place; the incomplete last word is
-    returned unlabelled, as ``(labels, at, mass)``, to lead the next block.
+    ``labels`` holds draws from :meth:`DigitSampler.draw`, deep draws
+    negative.  Its whole words of length ``n`` are labelled in one scope and
+    sorted in place; the incomplete last word is returned unlabelled, to lead
+    the next block.
     """
     whole = labels.size - labels.size % n
-    cut = np.searchsorted(at, whole)
-    rest = (labels[whole:].copy(), at[cut:] - whole, mass[cut:])
-    words = labels[:whole]
-    if cut:
-        words[at[:cut]] = sampler.label(at[:cut], mass[:cut])
-    words = words.reshape(-1, n)
+    rest = labels[whole:].copy()
+    words = sampler.label(labels[:whole]).reshape(-1, n)
     words.sort(axis=1)
     distinct = 1 + np.count_nonzero(words[:, 1:] != words[:, :-1], axis=1)
     return int(np.count_nonzero(distinct >= threshold)), rest

@@ -291,7 +291,8 @@ def tail_sum(model: WeightModel, M: int) -> float:
 
 
 def tilted_tail_sum(model: WeightModel, M: int, s: float) -> float:
-    """``sum_{k>=M} p_k**s`` for ``rho*s > 1``, relative error below 1e-10."""
+    """``sum_{k>=M} p_k**s`` for ``rho*s > 1``, relative error below 1e-10;
+    :class:`PrecisionError` where a step of the sum or the sum leaves the float range."""
     M = as_count(M, "tail start")
     s = float(s)
     if not (s > 0.0 and math.isfinite(s)):
@@ -300,12 +301,20 @@ def tilted_tail_sum(model: WeightModel, M: int, s: float) -> float:
         raise DivergenceError(
             f"sum of p_k**s diverges: rho*s = {model.rho * s:g} <= 1"
         )
-    if model.kind == "luroth":
-        if s == 1.0:
-            return 1.0 / M  # telescoping: sum 1/(k(k+1)) = 1/M
-        return _luroth_pow_tail(M, s)
-    tail = _powerlog_raw_tail(max(M, len(model.prefix) + 1), model.rho * s, model.gamma * s)
-    return tail / model._norm ** s + sum(q ** s for q in model.prefix[M - 1 :])
+    if model.kind == "luroth" and s == 1.0:
+        return 1.0 / M  # telescoping: sum 1/(k(k+1)) = 1/M
+    where = f"tilted tail sum at M = {M}, s = {s!r}"
+    try:
+        if model.kind == "luroth":
+            total = _luroth_pow_tail(M, s)
+        else:
+            tail = _powerlog_raw_tail(max(M, len(model.prefix) + 1), model.rho * s, model.gamma * s)
+            total = tail / model._norm ** s + sum(q ** s for q in model.prefix[M - 1 :])
+    except (OverflowError, ZeroDivisionError) as exc:  # the divisor's power over- or underflows
+        raise PrecisionError(f"{where} leaves the float range") from exc
+    if not math.isfinite(total):
+        raise PrecisionError(f"{where} is not finite: {total!r}")
+    return total
 
 
 def _luroth_pow_tail(M: int, s: float) -> float:
@@ -431,14 +440,22 @@ def _upper_gamma(a: float, x: float) -> float:
 # -- truncated s-power exponent ----------------------------------------------
 
 
+# The largest truncation K whose weights a solve for the exponent reads:
+# partial_sum_exponent's K, and the tables of sublinear.threshold_index.
+_MAX_THRESHOLD = 1 << 20
+
+
 def partial_sum_exponent(model: WeightModel, K: int) -> float:
     """The exponent ``s`` in ``[0, 1)`` with ``sum_{k<=K} p_k**s = 1``.
 
     ``K = 1`` returns 0 exactly.  Other roots come from
     :func:`exponent_root`; the residual stays below 1e-12 for every ``K``
-    up to 1e4.
+    up to 1e4.  ``K`` above ``_MAX_THRESHOLD`` raises :class:`DomainError`
+    before any weight is computed.
     """
     K = as_count(K, "K")
+    if K > _MAX_THRESHOLD:
+        raise DomainError(f"truncation K = {K} exceeds the limit of {_MAX_THRESHOLD}")
     if K == 1:
         return 0.0
     p = weights_range(model, 1, K + 1)
@@ -678,10 +695,6 @@ _GRID_SLACK = 1e-9
 _BOUND_SLACK = 1e-6
 _MASS_NOISE = 4e-10
 
-# The positions and remaining masses of a word with no deep draws.
-_NO_DEEP = (np.empty(0, dtype=np.int64), np.empty(0))
-
-
 class DigitSampler:
     """Vectorized inverse-CDF sampler for ``p_k**s / Z_s`` that labels its deep draws.
 
@@ -691,8 +704,10 @@ class DigitSampler:
     number past ``2**62`` that no other draw of the word carries.  Two draws
     of one word have equal labels exactly when their inverse-CDF digits are
     equal, which is all a distinct count reads.  :meth:`sample` labels the
-    draws of its own call; :meth:`draw` leaves the deep draws for
-    :meth:`label` to take over a whole word drawn in pieces.
+    draws of its own call.  :meth:`draw` returns one int64 array in which a
+    deep draw holds its remaining mass as negated float64 bits, so a word
+    drawn in pieces is labelled once it ends, by :meth:`label`, which reads
+    the masses back from the negative entries.
 
     A target ``t`` is located in the table through a guide over the bits of
     the remaining mass ``total - t``, which the float bit pattern turns into
@@ -755,18 +770,14 @@ class DigitSampler:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Labels of ``size`` draws: digits inside the table, deep labels over this call."""
-        out, at, mass = self.draw(rng, size)
-        if at.size:
-            out[at] = self.label(at, mass)
-        return out
+        return self.label(self.draw(rng, size))
 
-    def draw(self, rng: np.random.Generator, size: int):
-        """``size`` draws as ``(labels, at, mass)``: the deep draws, at
-        positions ``at`` of ``labels`` where they read 0, have remaining
-        masses ``mass``.  :meth:`label` labels them once the word ends."""
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` draws as int64: digits inside the table, and each deep draw's
+        remaining mass ``total - t > 0`` as negated float64 bits, so exactly the
+        deep draws are negative.  :meth:`label` labels them once the word ends."""
         u = rng.random(as_count(size, "size", least=0))
         out = u.view(np.int64)  # each block's digits overwrite its uniforms
-        deep_at, deep_mass = [], []
         for start in range(0, size, _SAMPLE_BLOCK):
             block = slice(start, start + _SAMPLE_BLOCK)
             if self._fast_luroth:  # Lüroth digits floor(1 / (1 - u)), worked out in place
@@ -780,18 +791,18 @@ class DigitSampler:
             digits += 1
             deep = np.flatnonzero(digits > self._table_size)
             if deep.size:
-                deep_at.append(deep + start)
-                deep_mass.append(self.total - target[deep])
-                digits[deep] = 0
+                digits[deep] = np.negative(np.subtract(self.total, target[deep]).view(np.int64))
             out[block] = digits
-        if not deep_at:
-            return (out, *_NO_DEEP)
-        return out, np.concatenate(deep_at), np.concatenate(deep_mass)
+        return out
 
-    def label(self, at: np.ndarray, mass: np.ndarray) -> np.ndarray:
-        """Labels of every deep draw of one word, at positions ``at`` with
-        remaining masses ``mass``: see the class docstring."""
-        labels = at + _LABEL_BASE
+    def label(self, labels: np.ndarray, at: np.ndarray | None = None) -> np.ndarray:
+        """``labels`` of one word, its negative entries (deep draws) labelled in place
+        by their positions ``at`` in the word (default: their index): see the class."""
+        deep = np.flatnonzero(labels < 0)
+        if not deep.size:
+            return labels
+        mass = np.negative(labels[deep]).view(np.float64)
+        found = (deep if at is None else at[deep]) + _LABEL_BASE
         order = np.argsort(mass)
         r = mass[order]
         j = np.searchsorted(self._grid_tails, -r * (1.0 + _GRID_SLACK), side="right") - 1
@@ -799,7 +810,8 @@ class DigitSampler:
         gap = np.diff(r)
         alone = (np.append(gap, np.inf) > margin) & (np.insert(gap, 0, np.inf) > margin)
         for i in order[~alone]:
-            labels[i] = _invert_tail(self.model, self.s, float(mass[i]), self._table_size)
+            found[i] = _invert_tail(self.model, self.s, float(mass[i]), self._table_size)
+        labels[deep] = found
         return labels
 
     def _locate(self, target: np.ndarray) -> np.ndarray:

@@ -208,6 +208,22 @@ class TestExitCodes:
         assert code == 3
         assert "overflows a float" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, where", [
+        (["weights", "--model", "power", "--rho", "1.01", "--tilted-tail", "1", "200",
+          "--k-max", "0"], "M = 1, s = 200.0"),
+        (["cylsum", "--model", "power", "--rho", "1.5", "--s", "800", "--n", "4",
+          "--theta", "0.5", "--trials", "10"], "M = 1, s = 800.0"),
+        (["weights", "--model", "explicit-prefix", "--prefix", "0.1", "--rho", "3",
+          "--tilted-tail", "2", "700", "--k-max", "0"], "M = 2, s = 700.0"),
+        (["weights", "--tilted-tail", "1", "2e304", "--k-max", "0"], "M = 1, s = 2e+304"),
+        (["weights", "--model", "power", "--rho", "1e308", "--tilted-tail", "2", "2",
+          "--k-max", "0"], "M = 2, s = 2.0"),
+    ], ids=["overflow", "cylsum-overflow", "zero-divisor", "luroth-nan", "power-nan"])
+    def test_tilted_tail_out_of_float_range_is_3(self, capsys, argv, where):
+        # these once ended in an OverflowError or ZeroDivisionError traceback, or wrote nan
+        assert cli.main(argv) == 3
+        assert f"error: tilted tail sum at {where} " in capsys.readouterr().err
+
     def test_non_numeric_prefix_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["weights", "--model", "explicit-prefix", "--rho", "2.5", "--prefix", "a,b"])
@@ -253,7 +269,8 @@ class TestExitCodes:
         ["cylsum", "--n", "10000000000000", "--s", "0.75", "--theta", "0.5"],
         ["construct", "sublinear", "--t", "0.5", "--n", "10000000000"],
         ["construct", "sublinear", "--t", "0.5", "--n", str((1 << 22) + 1)],
-    ], ids=["simulate", "simulate-cap", "cylsum", "sublinear", "sublinear-cap"])
+        ["weights", "--solve-s", str((1 << 20) + 1), "--k-max", "0"],
+    ], ids=["simulate", "simulate-cap", "cylsum", "sublinear", "sublinear-cap", "solve-s-cap"])
     def test_oversized_word_is_3(self, capsys, argv):
         # refused before any digit is drawn, so no memory is committed first
         start = time.perf_counter()

@@ -137,7 +137,7 @@ COUNT_ENTRY_POINTS = [
     pytest.param(lambda k: weights.partial_sum_exponent(LUROTH, k), 3, 1, id="partial_sum_exponent"),
     pytest.param(lambda size: _BASE.sample(substream(1, 2), size).tolist(), 3, 0,
                  id="DigitSampler.sample"),
-    pytest.param(lambda size: _TILTED.draw(substream(1, 2), size)[0].tolist(), 3, 0,
+    pytest.param(lambda size: _TILTED.draw(substream(1, 2), size).tolist(), 3, 0,
                  id="DigitSampler.draw"),
     pytest.param(lambda t: _draws(weights.DigitSampler(LUROTH, 0.75, table_size=t)), 16, 1,
                  id="DigitSampler-table_size"),

@@ -264,6 +264,13 @@ class TestExpectedDistinct:
             ref = math.fsum(-np.expm1(n * np.log1p(-p))) + n * weights.tail_sum(m, 2_000_001)
             assert occupancy.expected_distinct(m, n) == pytest.approx(ref, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_unit_first_weight(self):
+        # p_1 of power(60) rounds to 1, so log1p(-p_1) = -inf and the first term is
+        # exactly 1; that log1p once warned of a divide by zero
+        assert weights.weight(weights.power_model(60.0), 1) == 1.0
+        assert occupancy.expected_distinct(weights.power_model(60.0), 10) == 1.0
+
     def test_luroth_n100_oracle(self):
         got = occupancy.expected_distinct(LUROTH, 100)
         assert got == pytest.approx(E_D_100_LUROTH, abs=1e-6)
@@ -428,8 +435,10 @@ class TestMonteCarloLaw:
         # Labels taken per block would count it twice.
         model, n, seed = weights.power_model(1.5), 1 << 20, 14
         sampler = weights.DigitSampler(model)
-        word, at, mass = sampler.draw(substream(seed, 0), n)
-        word[at] = [weights._invert_tail(model, 1.0, float(r), sampler._table_size) for r in mass]
+        word = sampler.draw(substream(seed, 0), n)
+        deep = np.flatnonzero(word < 0)
+        word[deep] = [weights._invert_tail(model, 1.0, float(r), sampler._table_size)
+                      for r in np.negative(word[deep]).view(np.float64)]
         shared = np.flatnonzero(word == 3353291)
         assert shared.tolist() == [931079, 1026172]
         assert (shared // weights._SAMPLE_BLOCK).tolist() == [14, 15]

@@ -391,7 +391,7 @@ class TestCylinderSumsMC:
 
         def counted(sampler, rng, size):
             out = draw(sampler, rng, size)
-            deep.append(out[1].size)
+            deep.append(np.count_nonzero(out < 0))
             return out
 
         monkeypatch.setattr(weights.DigitSampler, "draw", counted)

@@ -1,6 +1,7 @@
 """Weight models: tail sums, tilted sums, exponent roots, ratio scans, sampling."""
 
 import math
+import re
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -201,6 +202,18 @@ class TestTailSums:
         vals = [weights.tilted_tail_sum(LUROTH, 1, s) for s in grid]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("model, M, s", [
+        (weights.power_model(1.01), 1, 200.0),  # zeta(1.01)**200 overflows
+        (weights.power_model(1.5), 1, 800.0),
+        (weights.explicit_prefix_model([0.1], 3.0), 2, 700.0),  # the divisor's power underflows
+        (LUROTH, 1, 2e304),  # s * (2a + 1) overflows to inf, times 0
+        (weights.power_model(1e308), 2, 2.0),  # rho * s overflows to inf
+    ], ids=["overflow", "overflow-s800", "zero-divisor", "luroth-nan", "power-nan"])
+    def test_out_of_float_range_is_precision_error(self, model, M, s):
+        # these once raised OverflowError or ZeroDivisionError, or returned nan
+        with pytest.raises(PrecisionError, match=re.escape(f"at M = {M}, s = {s!r} ")):
+            weights.tilted_tail_sum(model, M, s)
+
 
 def reference_tail_integral(a: float, q: float, g: float) -> float:
     """The earlier scipy-based tail integral: regularized ``gammaincc`` times ``Gamma``."""
@@ -330,6 +343,15 @@ class TestExponentSolver:
     def test_s1000_above_09(self):
         assert weights.partial_sum_exponent(LUROTH, 1000) > 0.9
 
+    def test_truncation_past_limit_refused_before_any_table(self, monkeypatch):
+        # --solve-s 10000000 once built a 335 MB table; 10**9 would need about 33 GB
+        def table(*args):
+            raise AssertionError("built a weight table")
+
+        monkeypatch.setattr(weights, "weights_range", table)
+        with pytest.raises(DomainError, match=f"K = {(1 << 20) + 1} exceeds the limit"):
+            weights.partial_sum_exponent(LUROTH, weights._MAX_THRESHOLD + 1)
+
     @given(st.integers(min_value=1, max_value=200))
     def test_residual_property(self, K):
         s = weights.partial_sum_exponent(LUROTH, K)
@@ -423,9 +445,10 @@ GUIDE_CASES = [
 
 def exact_draws(sampler, rng, size):
     """The draws of ``sampler.sample`` with every deep draw inverted to its digit."""
-    digits, at, mass = sampler.draw(rng, size)
-    digits[at] = [weights._invert_tail(sampler.model, sampler.s, float(r), sampler._table_size)
-                  for r in mass]
+    digits = sampler.draw(rng, size)
+    deep = np.flatnonzero(digits < 0)
+    digits[deep] = [weights._invert_tail(sampler.model, sampler.s, float(r), sampler._table_size)
+                    for r in np.negative(digits[deep]).view(np.float64)]
     return digits
 
 
@@ -441,6 +464,31 @@ def assert_labels_match(got, want, table_size):
 
 
 class TestSampling:
+    @pytest.mark.parametrize("model, s", [
+        (LUROTH, 0.75),
+        (weights.power_model(1.5), 1.0),
+        (weights.explicit_prefix_model([0.3, 0.2], 2.5), 0.6),
+    ], ids=["luroth", "power", "explicit-prefix"])
+    def test_draw_format(self, model, s, table_size=1 << 13):
+        # one int64 per draw: the digit inside the table, and past it the
+        # remaining mass total - u * total as negated float64 bits
+        sampler = weights.DigitSampler(model, s, table_size=table_size)
+        size = 3 * weights._SAMPLE_BLOCK + 5
+        got = sampler.draw(substream(5, 0xA18), size)
+        target = substream(5, 0xA18).random(size) * sampler.total
+        digits = np.searchsorted(sampler._cum, target, side="right") + 1
+        deep = digits > table_size
+        assert deep.any()
+        assert np.array_equal(got < 0, deep)
+        assert np.array_equal(got[~deep], digits[~deep])
+        mass = np.negative(got[deep]).view(np.float64)
+        assert np.array_equal(mass, sampler.total - target[deep])
+        inside = got[~deep]
+        before = inside.copy()
+        assert sampler.label(inside) is inside
+        assert sampler.label(inside, np.arange(inside.size) + 7) is inside
+        assert np.array_equal(inside, before)
+
     def test_luroth_frequencies(self):
         rng = substream(17, 0xA11)
         sampler = weights.DigitSampler(LUROTH)
@@ -552,11 +600,8 @@ class TestSampling:
             for a, b in ends:
                 assert_labels_match(sampler.sample(rng, b - a), whole[a:b], table_size)
             rng = substream(41, 0xA16)
-            drawn = [sampler.draw(rng, b - a) for a, b in ends]
-            word = np.concatenate([d[0] for d in drawn])
-            at = np.concatenate([d[1] + a for d, (a, _) in zip(drawn, ends)])
-            if at.size:
-                word[at] = sampler.label(at, np.concatenate([d[2] for d in drawn]))
+            word = np.concatenate([sampler.draw(rng, b - a) for a, b in ends])
+            assert sampler.label(word) is word
             assert np.array_equal(word, whole)
         if table_size == 1 << 13:
             assert (whole > table_size).any()
