@@ -24,7 +24,7 @@ from itertools import chain, islice
 import numpy as np
 
 from . import codec, linear, occupancy, sublinear, tilt, verify, weights
-from .errors import IfsDigitsError
+from .errors import DomainError, IfsDigitsError
 from .rng import DEFAULT_SEED, substream
 
 __all__ = ["main", "build_parser"]
@@ -196,13 +196,13 @@ def _emit_csv(args, comment: str, columns: dict) -> None:
 
 def cmd_weights(args) -> int:
     model, _ = _resolve(args)
+    k_max = codec.as_count(args.k_max, "--k-max", least=0)
+    if k_max > weights._MAX_THRESHOLD:
+        raise DomainError(f"--k-max {k_max} exceeds the limit of {weights._MAX_THRESHOLD}")
+    p = weights.weights_range(model, 1, k_max + 1)
+    table = {"quantity": ["p", "cum"] * k_max, "k": np.arange(1, k_max + 1).repeat(2),
+             "value": np.stack([p, np.cumsum(p)], axis=1).ravel()}  # each digit's p, then cum
     rows = []
-    cum = 0.0
-    for k in range(1, codec.as_count(args.k_max, "--k-max", least=0) + 1):
-        p = weights.weight(model, k)
-        cum += p
-        rows.append(("p", k, p))
-        rows.append(("cum", k, cum))
     for K in args.solve_s:
         rows.append(("s", K, weights.partial_sum_exponent(model, K)))
     for M in args.tail:
@@ -215,14 +215,16 @@ def cmd_weights(args) -> int:
         rows.append((f"potter_k_eps(eps={args.potter!r})", rep.scan_limit, float(rep.k_eps)))
         rows.append((f"potter_C_eps(eps={args.potter!r})", rep.scan_limit, rep.C_eps))
     if args.format == "json":
+        cells = chain(zip(table["quantity"], table["k"].tolist(), table["value"].tolist()), rows)
         _emit_json(args, {
             "model": model.describe(),
-            "rows": [{"quantity": q, "k": k, "value": v} for q, k, v in rows],
+            "rows": [{"quantity": q, "k": k, "value": v} for q, k, v in cells],
         })
     else:
         columns = {"quantity": [q for q, _, _ in rows], "k": [k for _, k, _ in rows],
                    "value": [float(v) for _, _, v in rows]}
-        _emit_csv(args, f"model={model.describe()}", columns)
+        _emit(args, chain([f"# model={model.describe()}\n"], codec.csv_chunks(table),
+                          islice(codec.csv_chunks(columns), 1, None)))  # one header
     return 0
 
 

@@ -143,12 +143,14 @@ class WeightModel:
         return 1.0 / self._norm if self.gamma == 0.0 else None
 
     def describe(self) -> str:
+        # :g unless it reads back as another float, so that a header names its run's model
+        rho, gamma = (f"{x:g}" if float(f"{x:g}") == x else repr(x) for x in (self.rho, self.gamma))
         if self.kind == "power":
-            return f"power(rho={self.rho:g})"
+            return f"power(rho={rho})"
         if self.kind == "power-log":
-            return f"power-log(rho={self.rho:g}, gamma={self.gamma:g})"
+            return f"power-log(rho={rho}, gamma={gamma})"
         if self.kind == "explicit-prefix":
-            return f"explicit-prefix({len(self.prefix)} entries, rho={self.rho:g})"
+            return f"explicit-prefix({len(self.prefix)} entries, rho={rho})"
         return "luroth"
 
 
@@ -234,27 +236,32 @@ def _number(value, what: str) -> float:
 def weight(model: WeightModel, k: int) -> float:
     """``p_k``.  Digits are indexed from 1."""
     k = as_count(k, "digit index")
-    if model.kind == "luroth":
-        return 1.0 / (k * (k + 1.0))
-    if k <= len(model.prefix):
-        return model.prefix[k - 1]
-    return k ** -model.rho * math.log(k + 1.0) ** model.gamma / model._norm
+    return float(weights_range(model, k, k + 1)[0])
 
 
 def weights_range(model: WeightModel, lo: int, hi: int) -> np.ndarray:
     """Vector of ``p_k`` for ``k`` in ``[lo, hi)``."""
     lo = as_count(lo, "lo")
     hi = as_count(hi, "hi", least=lo)
-    # two arrays of the range's size, each worked on in place
-    k = np.arange(lo, hi, dtype=np.float64)
-    if model.kind == "luroth":
-        out = k + 1.0
-        out *= k
-        return np.divide(1.0, out, out=out)
-    out = _powerlog_terms(k, model.rho, model.gamma)
-    out /= model._norm
+    # float64 steps of 1 are exact up to 2**53; past it each k is rounded as weight() rounds it
+    x = np.arange(lo, hi, dtype=np.float64) if hi <= 1 << 53 else np.array(range(lo, hi), np.float64)
+    out = _closed_form(model, x)
     head = np.asarray(model.prefix[lo - 1 : hi - 1], dtype=np.float64)
     out[: head.size] = head
+    return out
+
+
+def _closed_form(model: WeightModel, x: np.ndarray) -> np.ndarray:
+    """``x**-rho * L(x)`` at the float64 array ``x``, which it may overwrite: the
+    weight formula past any prefix, and the one place it is evaluated."""
+    if model.kind == "luroth":
+        np.multiply(x, x + 1.0, out=x)
+        return np.divide(1.0, x, out=x)
+    try:
+        out = _powerlog_terms(x, model.rho, model.gamma)
+    except FloatingPointError as exc:
+        raise PrecisionError(f"weights of {model.describe()} leave the float range") from exc
+    out /= model._norm
     return out
 
 
@@ -360,7 +367,7 @@ def _powerlog_raw_tail(M: int, q: float, g: float) -> float:
         # f'(a) for the first Euler-Maclaurin correction
         fpa = fa * (-q / a + g / ((a + 1.0) * math.log(a + 1.0)))
         return head + _powerlog_tail_integral(float(a), q, g) + 0.5 * fa - fpa / 12.0
-    except OverflowError as exc:
+    except (OverflowError, FloatingPointError) as exc:
         raise PrecisionError(
             f"sum of k**-{q:g} * log(k+1)**{g:g} over k >= {M} overflows a float"
         ) from exc
@@ -368,13 +375,15 @@ def _powerlog_raw_tail(M: int, q: float, g: float) -> float:
 
 def _powerlog_terms(k: np.ndarray, q: float, g: float) -> np.ndarray:
     """``k**-q * log(k+1)**g``, in a new array; ``k`` is overwritten.  At ``g = 0``
-    the log factor is exactly 1 and skipped."""
-    out = np.power(k, -q)
-    if g:
-        k += 1.0
-        np.log(k, out=k)
-        k **= g
-        out *= k
+    the log factor is exactly 1 and skipped.  A log factor that overflows raises
+    :class:`FloatingPointError`, with no warning first."""
+    with np.errstate(over="raise", invalid="raise"):
+        out = np.power(k, -q)
+        if g:
+            k += 1.0
+            np.log(k, out=k)
+            k **= g
+            out *= k
     return out
 
 
@@ -525,10 +534,10 @@ def potter_scan(
     if epsilon <= 0.0:
         raise DomainError("epsilon must be positive")
     scan_limit = as_count(scan_limit, "scan_limit", least=4)
+    if scan_limit > _MAX_THRESHOLD:
+        raise DomainError(f"scan limit {scan_limit} exceeds the limit of {_MAX_THRESHOLD}")
     p = weights_range(model, 1, scan_limit + 1)
-    k = np.arange(1, scan_limit + 1, dtype=np.float64)
-    L = _slowly_varying_vec(model, scan_limit)
-    half_ok = p >= 0.5 * k ** -model.rho * L
+    half_ok = p >= 0.5 * _closed_form(model, np.arange(1.0, scan_limit + 1.0))
     bad = np.nonzero(~half_ok)[0]
     k_eps = int(bad[-1]) + 2 if bad.size else 1
     if k_eps > scan_limit // 2:
@@ -552,13 +561,6 @@ def potter_scan(
         C_eps=c_eps,
         scan_limit=scan_limit,
     )
-
-
-def _slowly_varying_vec(model: WeightModel, n: int) -> np.ndarray:
-    k = np.arange(1, n + 1, dtype=np.float64)
-    if model.kind == "luroth":
-        return k / (k + 1.0)
-    return np.log(k + 1.0) ** model.gamma / model._norm
 
 
 def _dyadic_window_min(logp: np.ndarray) -> np.ndarray:
@@ -632,18 +634,13 @@ def _invert_tail(model: WeightModel, s: float, target: float, lo: int) -> int:
 def _weight_bound(model: WeightModel, m: int) -> float:
     """A bound on ``p_k`` for every ``k >= m``: the tail formula's supremum over
     real ``x >= m``, and any prefix weight past ``m``."""
-    if model.kind == "luroth":
-        return weight(model, m)
-    x = max(float(m), _falling_from(model))
-    tail = x ** -model.rho * math.log(x + 1.0) ** model.gamma / model._norm
-    return max((tail, *model.prefix[m - 1 :]))
+    tail = _closed_form(model, np.array([max(float(m), _falling_from(model))]))
+    return max((float(tail[0]), *model.prefix[m - 1 :]))
 
 
 def _falling_from(model: WeightModel) -> float:
     """A real ``x`` such that the weights never rise from digit ``ceil(x)`` on:
     past the prefix and past the peak of the tail formula."""
-    if model.kind == "luroth":
-        return 1.0
     return max(len(model.prefix) + 1.0, _log_factor_peak(model.rho, model.gamma))
 
 

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, reproducibility, wire formats."""
 
 import csv
+import hashlib
 import importlib
 import json
 import math
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,10 @@ from ifsdigits.rng import DEFAULT_SEED, substream
 ROOT = Path(__file__).resolve().parents[1]
 
 TILTED_TAIL_100_075 = 0.2000001249977
+
+# numpy's float64 pow at -1.5, -2 and -2.5 and log(x + 1)**1.5, x = 1..8193, on the
+# build that recorded the weight-table digests of TestWeightsCommand
+NUMPY_POW_LOG_DIGEST = "bfe2a945d0f4a6684a15292debd5da5de8423c5a5aca6428850e98ee85ba752e"
 
 # construct sublinear --t 0.5 --n 40 --seed 9 on explicit-prefix(0.05, 0.4; rho 2.5)
 SUBLINEAR_EXPLICIT_PREFIX_WORD = (
@@ -208,6 +214,31 @@ class TestExitCodes:
         assert code == 3
         assert "overflows a float" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--model", "power-log", "--rho", "3", "--gamma", "1e10", "--n", "1000",
+          "--trials", "2"], "sum of k**-3 * log(k+1)**1e+10 over k >= 1 overflows a float"),
+        (["weights", "--model", "power-log", "--rho", "1.01", "--gamma", "34", "--tilted-tail",
+          "8191", "50"], "sum of k**-50.5 * log(k+1)**1700 over k >= 8191 overflows a float"),
+        (["weights", "--model", "power-log", "--rho", "1.5", "--gamma", "50", "--tilted-tail",
+          "2", "30"], "sum of k**-45 * log(k+1)**1500 over k >= 2 overflows a float"),
+        (["weights", "--model", "power-log", "--rho", "200", "--gamma", "300", "--k-max",
+          "50000"], "weights of power-log(rho=200, gamma=300) leave the float range"),
+        (["simulate", "--model", "power-log", "--rho", "200", "--gamma", "300", "--n", "100",
+          "--trials", "2"], "weights of power-log(rho=200, gamma=300) leave the float range"),
+        (["weights", "--model", "power-log", "--rho", "200", "--gamma", "300", "--potter", "0.1"],
+         "weight p_42 underflows to 0 in the Potter scan range 1..10000"),
+    ], ids=["simulate", "tilted-tail", "tilted-tail-head", "k-max", "sampler-table", "potter"])
+    def test_log_factor_overflow_is_3_without_warning(self, capsys, argv, message):
+        # log(k+1)**gamma leaves the float range: numpy warned on stderr before the
+        # error line, the first three with this very line; the k-max run ended in
+        # an OverflowError traceback, and the Potter scan read its NaNs as a failed
+        # half-bound
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(argv) == 3
+        assert caught == []
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("argv, where", [
         (["weights", "--model", "power", "--rho", "1.01", "--tilted-tail", "1", "200",
           "--k-max", "0"], "M = 1, s = 200.0"),
@@ -270,7 +301,10 @@ class TestExitCodes:
         ["construct", "sublinear", "--t", "0.5", "--n", "10000000000"],
         ["construct", "sublinear", "--t", "0.5", "--n", str((1 << 22) + 1)],
         ["weights", "--solve-s", str((1 << 20) + 1), "--k-max", "0"],
-    ], ids=["simulate", "simulate-cap", "cylsum", "sublinear", "sublinear-cap", "solve-s-cap"])
+        ["weights", "--k-max", str((1 << 20) + 1)],
+        ["weights", "--potter", "0.1", "--scan-limit", str((1 << 20) + 1)],
+    ], ids=["simulate", "simulate-cap", "cylsum", "sublinear", "sublinear-cap", "solve-s-cap",
+            "k-max-cap", "scan-limit-cap"])
     def test_oversized_word_is_3(self, capsys, argv):
         # refused before any digit is drawn, so no memory is committed first
         start = time.perf_counter()
@@ -279,11 +313,19 @@ class TestExitCodes:
         assert code == 3
         assert "exceeds the limit" in capsys.readouterr().err
 
+    def test_linear_scan_past_limit_is_3(self, capsys, monkeypatch):
+        # construct linear's default k1 comes from a ratio scan over 10,000 weights
+        monkeypatch.setattr(weights, "_MAX_THRESHOLD", 9999)
+        assert cli.main(["construct", "linear", "--theta", "0.5", "--depth", "3"]) == 3
+        assert capsys.readouterr().err == "error: scan limit 10000 exceeds the limit of 9999\n"
+
     @pytest.mark.parametrize("module, name, argv", [
         (occupancy, "_MAX_DRAWS", ["simulate", "--trials", "2", "--n"]),
         (tilt, "_MAX_DRAWS", ["cylsum", "--s", "1", "--theta", "0.5", "--trials", "20", "--n"]),
         (sublinear, "_MAX_WORD_LENGTH", ["construct", "sublinear", "--t", "0.5", "--n"]),
-    ], ids=["simulate", "cylsum", "sublinear"])
+        (weights, "_MAX_THRESHOLD", ["weights", "--k-max"]),
+        (weights, "_MAX_THRESHOLD", ["weights", "--potter", "0.1", "--scan-limit"]),
+    ], ids=["simulate", "cylsum", "sublinear", "k-max", "scan-limit"])
     def test_word_limit_is_inclusive(self, tmp_path, capsys, monkeypatch, module, name, argv):
         # the sublinear horizon is max(--n, 1024), so the limit sits above that
         monkeypatch.setattr(module, name, 2000)
@@ -649,6 +691,46 @@ class TestWeightsCommand:
         zeta3 = 1.2020569031595943
         first_p = float(text.strip().split("\n")[2].rsplit(",", 1)[1])
         assert first_p == pytest.approx(1.0 / zeta3, rel=1e-12)
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["--model", "power", "--rho", "1.5"],
+         "3916daabf509d94c60868b339fed65f8a6df22d78e94f8c9aae5fce8f36564be"),
+        (["--model", "power-log", "--rho", "2", "--gamma", "1.5"],
+         "235ee2e62c471e8693b407f88fe90fabed4a2ea73d5f949b2655d89d0361335d"),
+        (["--model", "explicit-prefix", "--rho", "2.5", "--prefix", "0.05,0.4"],
+         "28756899cd1835e0a1998ab13b868da274d99eeb732c9ba7bdf73f951bcbab16"),
+    ], ids=["power", "power-log", "explicit-prefix"])
+    def test_table_golden(self, tmp_path, argv, digest):
+        # p and cum are the weights the samplers read, from numpy's pow and log;
+        # Python's scalar pow and log once wrote them up to 5 ulp apart.  The
+        # digests were recorded with numpy 2.4.6 dispatching AVX-512, whose float64
+        # pow and log differ in the last bit from other builds' on some inputs.
+        x = np.arange(1.0, 8194.0)
+        build = hashlib.sha256(b"".join(np.power(x, -q).tobytes() for q in (1.5, 2.0, 2.5)))
+        build.update(np.power(np.log(x + 1.0), 1.5).tobytes())
+        if build.hexdigest() != NUMPY_POW_LOG_DIGEST:
+            pytest.skip("numpy's float64 pow and log differ from the recording build")
+        code, text = run_cli(tmp_path, ["weights", "--k-max", "1000"] + argv)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_table_is_the_sampled_weights(self, tmp_path):
+        m = weights.power_log_model(2.0, 1.5)
+        code, text = run_cli(tmp_path, ["weights", "--k-max", "3000", "--model", "power-log",
+                                        "--rho", "2", "--gamma", "1.5", "--format", "json"])
+        assert code == 0
+        rows = json.loads(text)["rows"]
+        p = weights.weights_range(m, 1, 3001)
+        assert [r["value"] for r in rows[0::2]] == p.tolist()
+        assert [r["value"] for r in rows[1::2]] == np.cumsum(p).tolist()
+        assert [r["quantity"] for r in rows[:4]] == ["p", "cum", "p", "cum"]
+        assert [r["k"] for r in rows[:4]] == [1, 1, 2, 2]
+
+    def test_header_replays_its_model(self, tmp_path):
+        # :g wrote model=power(rho=1), a header that no longer named the run's rho
+        code, text = run_cli(tmp_path, ["weights", "--model", "power", "--rho", "1.0000001"])
+        assert code == 0
+        assert text.startswith("# model=power(rho=1.0000001)\n")
 
 
 class TestConfig:

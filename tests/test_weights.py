@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -77,6 +78,19 @@ class TestModelConstruction:
             m = weights.model_from_spec(spec)
             again = weights.model_from_spec(weights.model_to_spec(m))
             assert weights.weight(m, 7) == weights.weight(again, 7)
+
+    def test_describe_round_trips_rho_and_gamma(self):
+        # :g where it reads back as the same float, so every header written so far keeps its bytes
+        assert weights.power_model(1.5).describe() == "power(rho=1.5)"
+        assert weights.power_log_model(2.0, -0.3).describe() == "power-log(rho=2, gamma=-0.3)"
+        assert weights.explicit_prefix_model((0.4, 0.2), 2.5).describe() == (
+            "explicit-prefix(2 entries, rho=2.5)")
+        # and repr where :g rounds: 1.0000001 once read "power(rho=1)"
+        assert weights.power_model(1.0000001).describe() == "power(rho=1.0000001)"
+        m = weights.power_log_model(1 + 2**-40, 0.1 + 1e-12)
+        assert m.describe() == f"power-log(rho={1 + 2**-40!r}, gamma={0.1 + 1e-12!r})"
+        rho, gamma = re.findall(r"=([^,)]+)", m.describe())
+        assert (float(rho), float(gamma)) == (m.rho, m.gamma)
 
     def test_power_spec_gamma(self):
         # a given gamma is read, not dropped: 0 is power, anything else is rejected
@@ -305,6 +319,100 @@ class TestNumpyOnlyTails:
         assert weights.WeightModel(kind="power", rho=3.0).gamma == 0.0
 
 
+KERNEL_MODELS = [
+    pytest.param(model, id=model.describe())
+    for model in (
+        LUROTH,
+        weights.power_model(1.5),
+        weights.power_log_model(2.0, 1.5),
+        weights.power_log_model(1.4, -0.3),
+        weights.explicit_prefix_model((0.05, 0.4, 0.01), 2.5),
+    )
+]
+
+
+def scalar_weight(model, k):
+    """``p_k`` by the scalar formula ``weight`` used before the one kernel: an oracle
+    within a few ulp, from Python's ``pow`` and ``math.log`` instead of numpy's."""
+    if model.kind == "luroth":
+        return 1.0 / (k * (k + 1.0))
+    if k <= len(model.prefix):
+        return model.prefix[k - 1]
+    return k ** -model.rho * math.log(k + 1.0) ** model.gamma / model._norm
+
+
+class TestWeightKernel:
+    @pytest.mark.parametrize("model", KERNEL_MODELS)
+    @pytest.mark.parametrize("lo, hi", [
+        (1, (1 << 11) + 1), (2, 5), (3, 4), (777, 2049), (4097, 4100),
+        ((1 << 62) - 1500, (1 << 62) + 1500),
+    ])
+    def test_weight_is_its_range_element(self, model, lo, hi):
+        # bit for bit, across the prefix edge, at odd chunk offsets and near 2**62
+        table = weights.weights_range(model, lo, hi)
+        one = np.array([weights.weight(model, k) for k in range(lo, hi)])
+        assert np.array_equal(one.view(np.int64), table.view(np.int64))
+
+    @pytest.mark.parametrize("model", KERNEL_MODELS)
+    def test_range_rounds_each_digit_past_2_53(self, model):
+        # float64 steps of 1 vanish near 2**62, where np.arange repeats its start:
+        # each k is rounded on its own instead, to one of 5 floats here
+        p = weights.weights_range(model, (1 << 62) - 1500, (1 << 62) + 1500)
+        assert np.unique(p).size >= 3
+
+    @pytest.mark.parametrize("model", KERNEL_MODELS)
+    def test_within_8_ulp_of_the_scalar_formula(self, model):
+        # the measured worst is 5 ulp; Lüroth runs the same three operations
+        k_max = 10**5
+        p = weights.weights_range(model, 1, k_max + 1)
+        want = np.array([scalar_weight(model, k) for k in range(1, k_max + 1)])
+        ulps = np.abs(p - want) / np.spacing(want)
+        assert ulps.max() <= (0 if model.kind == "luroth" else 8)
+
+    @pytest.mark.parametrize("model", KERNEL_MODELS)
+    def test_against_mpmath(self, model):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for k in (4, 5, 10, 1000, 12345, 10**9, 1 << 62):
+                x = mp.mpf(float(k))
+                if model.kind == "luroth":
+                    want = 1 / (x * (x + 1))
+                else:
+                    want = x ** -model.rho * mp.log(x + 1) ** model.gamma / model._norm
+                want = float(want)
+                assert abs(weights.weight(model, k) - want) <= 8 * math.ulp(want), k
+
+    @pytest.mark.parametrize("model", KERNEL_MODELS)
+    def test_weight_bound_is_the_kernel(self, model):
+        # these tails fall from digit _falling_from on, so the bound is a weight there
+        start = int(weights._falling_from(model))
+        for m in (1, 2, 3, 4, 5, (1 << 20) + 1, ((1 << 20) + 1) << 41):
+            want = max((weights.weight(model, max(m, start)), *model.prefix[m - 1 :]))
+            assert weights._weight_bound(model, m) == want
+
+    def test_weight_bound_of_a_rising_head(self):
+        # power-log(4, 68) rises up to digit 24,154,935: the bound is the formula at
+        # its real peak, up to the rounding that the sampler's 1e-6 slack covers
+        m = weights.power_log_model(4.0, 68.0)
+        bound = weights._weight_bound(m, 1)
+        assert weights.weights_range(m, 24_000_000, 24_300_000).max() <= bound * (1 + 1e-12)
+        assert bound == pytest.approx(weights.weight(m, 24_154_935), rel=1e-12)
+
+    def test_log_factor_overflow_raises_without_warning(self):
+        # power-log(200, 300): log(k+1)**300 overflows from about k = 40,000 on
+        m = weights.power_log_model(200.0, 300.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert weights.weights_range(m, 1, 30_000).min() >= 0.0
+            for call in (lambda: weights.weights_range(m, 1, 50_000),
+                         lambda: weights.weight(m, 50_000)):
+                with pytest.raises(PrecisionError, match=r"weights of power-log\(rho=200, gamma=300\) "
+                                                         "leave the float range"):
+                    call()
+            with pytest.raises(PrecisionError, match="over k >= 8191 overflows a float"):
+                weights._powerlog_raw_tail(8191, 50.5, 1700.0)
+
+
 def _bisect_s2() -> float:
     # independent root oracle for p_1**s + p_2**s = 1
     def f(s):
@@ -392,6 +500,38 @@ class TestPotterScan:
             weights.potter_scan(m, 0.1, scan_limit=7)
         with pytest.raises(PrecisionError, match="p_7 underflows to 0"):
             weights.potter_scan(m, 0.1)
+
+    def test_scan_limit_guard_before_any_table(self, monkeypatch):
+        # scan limits of 2**20 took 254 MB and 4,194,304 took 984 MB
+        def table(*args):
+            raise AssertionError("built a weight table")
+
+        monkeypatch.setattr(weights, "weights_range", table)
+        with pytest.raises(DomainError, match=f"scan limit {(1 << 20) + 1} exceeds the limit"):
+            weights.potter_scan(LUROTH, 0.1, weights._MAX_THRESHOLD + 1)
+
+    @pytest.mark.parametrize("model, epsilon, scan_limit, want", [
+        *[(m, eps, limit, (1, 1.0)) for m in (
+            LUROTH, weights.power_model(3.0), weights.power_log_model(2.0, 1.0),
+            weights.power_model(1.5), weights.power_log_model(2.0, 1.5),
+            weights.power_log_model(1.4, -0.3), weights.power_log_model(2.0, 2.0),
+            weights.power_log_model(4.0, 68.0), weights.power_log_model(2.0, 34.0),
+        ) for eps in (1.0, 0.1) for limit in (10_000, 64)],
+        *[(weights.explicit_prefix_model(prefix, 2.5), eps, limit, (3, 1.0))
+          for prefix in ((0.4, 0.2), (0.1, 0.3), (0.001, 0.3))
+          for eps in (1.0, 0.1) for limit in (10_000, 64)],
+        (weights.explicit_prefix_model((0.4,) + (1e-12,) * 39, 2.0), 1.0, 10_000, (41, 1.0)),
+        (weights.explicit_prefix_model((0.4,) + (1e-12,) * 39, 2.0), 0.1, 10_000, (41, 1.0)),
+        (weights.power_model(400.0), 0.1, 6, (1, 1.0)),
+        # p_2 / p_3 = 3.92 is past 2**1.6: the one constant above 1
+        (weights.explicit_prefix_model((0.6, 0.15), 1.5), 0.1, 10_000, (1, 1.295)),
+        (weights.explicit_prefix_model((0.6, 0.15), 1.5), 1.0, 64, (1, 1.0)),
+        (weights.explicit_prefix_model((0.5, 0.3, 0.02), 2.0), 0.1, 10_000, (4, 1.0)),
+    ])
+    def test_reports_kept_by_the_one_kernel(self, model, epsilon, scan_limit, want):
+        # the reports of the scan that evaluated its half-bound by a formula of its own
+        rep = weights.potter_scan(model, epsilon, scan_limit)
+        assert (rep.k_eps, rep.C_eps) == want
 
 
 def reference_dyadic_window_min(logp):
