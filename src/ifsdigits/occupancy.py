@@ -21,7 +21,7 @@ import numpy as np
 from .codec import as_count, as_word
 from .errors import DomainError
 from .rng import substream
-from .weights import (_MAX_DRAWS, _SAMPLE_BLOCK, DigitSampler, WeightModel,
+from .weights import (_MAX_DRAWS, _SAMPLE_BLOCK, DigitSampler, WeightModel, _float_bits,
                       tail_sum, tilted_tail_sum, weights_range)
 
 __all__ = [
@@ -47,35 +47,43 @@ def distinct_counts(word) -> np.ndarray:
     if n:
         # A table of at most n slots stays within the word's own size.  The word
         # is read a block at a time, so its per-digit temporaries stay block sized.
-        blocks = (w[i : i + _SAMPLE_BLOCK] for i in range(0, n, _SAMPLE_BLOCK))
-        counts[_first_positions(blocks, max(_DENSE, min(int(w.max()), n)))] = 1
+        first = _unseen_table(max(_DENSE, min(int(w.max()), n)))
+        blocks = ((w[i : i + _SAMPLE_BLOCK], np.arange(i, min(i + _SAMPLE_BLOCK, n)))
+                  for i in range(0, n, _SAMPLE_BLOCK))
+        counts[_first_positions(blocks, first)] = 1
     return np.cumsum(counts, out=counts)
 
 
-def _first_positions(blocks, slots: int, label=None) -> np.ndarray:
+def _unseen_table(slots: int) -> np.ndarray:
+    """A first-position table for labels up to ``slots``, with nothing seen: slot
+    ``slots + 1`` takes every larger label and every deep draw; no digit is 0."""
+    return np.full(slots + 2, _UNSEEN, dtype=np.int64)
+
+
+def _first_positions(blocks, first: np.ndarray, label=None) -> np.ndarray:
     """Position of each distinct digit's first occurrence, unsorted and 0-based.
 
-    ``blocks`` are consecutive pieces of one word, as :meth:`DigitSampler.draw`
-    returns them: labels, with the deep draws negative.  Labels up to
-    ``slots`` keep their first position in a dense table that every block
-    folds into.  Larger ones, and the deep draws, which exceed ``slots`` when
-    read as unsigned, keep (label, position) records in position order.  Once
-    the word ends, ``label(digits, at)`` labels the deep records in place, and
-    ``np.unique`` resolves them all.
+    ``blocks`` are ``(labels, positions)`` pairs: labels as
+    :meth:`DigitSampler.draw` returns them, with the deep draws negative, and
+    their increasing 0-based positions in one word; a block may leave out draws
+    whose digit already has its first position.  Labels up to
+    ``slots = first.size - 2`` keep their first position in the dense table
+    ``first``, which the caller owns and every block folds into, so the caller
+    may read it between blocks.  Larger ones, and the deep draws, which exceed
+    ``slots`` when read as unsigned, keep (label, position) records in position
+    order.  Once the word ends, ``label(digits, at)`` labels the deep records in
+    place, and ``np.unique`` resolves them all.
     """
-    # slot slots + 1 takes every larger label and every deep draw; no digit is 0
-    first = np.full(slots + 2, _UNSEEN, dtype=np.int64)
+    slots = first.size - 2
     big_digits, big_at = [], []
-    start = 0
-    for block in blocks:
-        at = np.arange(start, start + block.size)
+    for block, at in blocks:
         # the slots read back as int64, which minimum.at indexes by faster than uint64
         np.minimum.at(first, np.minimum(block.view(np.uint64), slots + 1).view(np.int64), at)
         big = np.flatnonzero(block.view(np.uint64) > slots)
         if big.size:
             big_digits.append(block[big])
             big_at.append(at[big])
-        start += block.size
+        del block, at  # before the next block is drawn
     dense = first[1 : slots + 1]
     found = dense[dense != _UNSEEN]
     if big_digits:
@@ -182,6 +190,46 @@ def _default_checkpoints(n: int) -> tuple[int, ...]:
     return tuple(cps)
 
 
+def _new_digit_blocks(sampler: DigitSampler, rng: np.random.Generator, n: int,
+                      first: np.ndarray):
+    """The ``(labels, positions)`` blocks of one ``n``-draw word for
+    :func:`_first_positions`, drawn ``_SAMPLE_BLOCK`` uniforms at a time, that
+    leave out the draws which cannot show a new digit.
+
+    Before each block, ``seen`` is the longest run of digits ``1..seen`` that
+    all have a first position in ``first``.  Since the draws rise with their
+    uniforms, a uniform below ``sampler.threshold(seen)`` draws one of those
+    digits and moves no first position, so only the uniforms at or above it are
+    labelled and folded.  ``seen`` stays within the dense table, and so within
+    the sampler's, so every record past it, deep or not, is still folded.
+    """
+    seen = 0
+    # every block's uniforms, and their comparison with the threshold, reuse one
+    # buffer each: a block is folded before the next is drawn
+    uniforms = np.empty(min(_SAMPLE_BLOCK, n))
+    above = np.empty(uniforms.size, dtype=bool)
+    for start in range(0, n, _SAMPLE_BLOCK):
+        seen = _seen_run(first, seen)
+        c = sampler.threshold(seen)
+        u = rng.random(out=uniforms[: min(_SAMPLE_BLOCK, n - start)])
+        if c > 0.0:
+            # uniforms are nonnegative, so their bits order them as their values do;
+            # an int64 comparison is a loop the fold already runs, so the skip
+            # maps fewer pages of numpy's code into the peak RSS
+            at = np.flatnonzero(np.greater_equal(u.view(np.int64), _float_bits(c), out=above[: u.size]))
+            yield sampler.invert(u[at]), np.add(at, start, out=at)
+        else:
+            yield sampler.invert(u), np.arange(start, start + u.size)
+
+
+def _seen_run(first: np.ndarray, seen: int) -> int:
+    """The largest ``K >= seen`` such that digits ``1..K`` all have a first position
+    in the table ``first``, given that digits ``1..seen`` do."""
+    rest = first[seen + 1 : -1] == _UNSEEN  # the slots past seen, up to the table's last
+    k = int(rest.argmax()) if rest.size else 0  # the first unseen slot, if any
+    return seen + k if rest.size and rest[k] else first.size - 2
+
+
 def monte_carlo_law(
     model: WeightModel,
     n: int,
@@ -207,12 +255,11 @@ def monte_carlo_law(
     sampler = DigitSampler(model)
 
     def one_trial(trial: int) -> np.ndarray:
-        # one block of draws at a time: no array of the word's length is built
         rng = substream(seed, trial)
-        blocks = (sampler.draw(rng, min(_SAMPLE_BLOCK, n - start))
-                  for start in range(0, n, _SAMPLE_BLOCK))
-        first = np.sort(_first_positions(blocks, _DENSE, sampler.label))
-        return np.searchsorted(first, cps_arr, side="left")  # D_c: first positions below c
+        first = _unseen_table(_DENSE)
+        first_positions = np.sort(_first_positions(_new_digit_blocks(sampler, rng, n, first),
+                                                   first, sampler.label))
+        return np.searchsorted(first_positions, cps_arr, side="left")  # D_c: first positions below c
 
     # More workers than trials or cores buys nothing; pool.map submits every
     # trial at once, so an unclamped count could start that many threads.

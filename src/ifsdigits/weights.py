@@ -564,21 +564,22 @@ def potter_scan(
 
 
 def _dyadic_window_min(logp: np.ndarray) -> np.ndarray:
-    """``out[i] = min(logp[i : min(2(i+1)-1, n)])`` via a sparse table."""
+    """``out[i] = min(logp[i : min(2(i+1)-1, n)])`` via a sparse table, one level at
+    a time: level ``j`` holds the minima of windows of ``2**j``, is built from
+    level ``j - 1``, and fills the windows whose length it spans before the next
+    level replaces it."""
     n = logp.size
-    table = [logp]
-    width = 1
-    while width * 2 <= n:
-        prev = table[-1]
-        table.append(np.minimum(prev[: prev.size - width], prev[width:]))
-        width *= 2
     i = np.arange(n)
     hi = np.minimum(2 * i + 1, n)  # digits i+1 .. hi, zero-based i .. hi-1
     lev = np.frexp(hi - i)[1] - 1  # floor(log2(window length)), exact
     out = np.empty(n)
-    for j, level in enumerate(table):
+    level, width = logp, 1
+    for j in range(int(lev.max(initial=-1)) + 1):
+        if j:
+            level = np.minimum(level[: level.size - width], level[width:])
+            width *= 2
         at = np.flatnonzero(lev == j)
-        out[at] = np.minimum(level[at], level[hi[at] - (1 << j)])
+        out[at] = np.minimum(level[at], level[hi[at] - width])
     return out
 
 
@@ -632,8 +633,14 @@ def _invert_tail(model: WeightModel, s: float, target: float, lo: int) -> int:
 
 
 def _weight_bound(model: WeightModel, m: int) -> float:
-    """A bound on ``p_k`` for every ``k >= m``: the tail formula's supremum over
-    real ``x >= m``, and any prefix weight past ``m``."""
+    """The supremum of ``p_k`` over ``k >= m``, up to rounding: the tail formula
+    at its peak over real ``x >= m``, or any prefix weight past ``m``.
+
+    In float it is not a bound on every ``p_k``: where the tail rises to a peak,
+    the rounding of the formula at the peak and at the digits near it differ,
+    and for power-log(4, 68) a weight near digit 24,154,935 lies 61 ulp (7e-15
+    relative) above it.  The sampler's margin ``1 + _BOUND_SLACK`` covers that.
+    """
     tail = _closed_form(model, np.array([max(float(m), _falling_from(model))]))
     return max((float(tail[0]), *model.prefix[m - 1 :]))
 
@@ -721,8 +728,9 @@ class DigitSampler:
     draws of digit ``k`` lie within ``q_k`` of each other, plus ``2e-10 R`` of
     float noise.  The grid start ``m = (table_size + 1) * 2**j`` taken for a
     draw is the largest with ``T(m) >= R (1 + 1e-9)``, if any, which forces
-    ``k >= m``: so ``k`` lies past the table, and ``q_k`` is at most the
-    bound :func:`_weight_bound` puts on the weights past ``m``.  A draw whose
+    ``k >= m``: so ``k`` lies past the table, and ``q_k`` is at most
+    ``bound**s``, where :func:`_weight_bound` gives the supremum of the weights
+    past ``m``, up to a rounding that ``1 + 1e-6`` covers.  A draw whose
     neighbours in the sorted masses both lie farther away than
     ``bound**s (1 + 1e-6) + 4e-10 R`` therefore shares its digit with no
     other draw, and its label is ``2**62 + 1 + position``.  Every other deep
@@ -770,12 +778,16 @@ class DigitSampler:
         return self.label(self.draw(rng, size))
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` draws as int64: digits inside the table, and each deep draw's
+        """``size`` draws as int64, by :meth:`invert` of ``rng.random(size)``."""
+        return self.invert(rng.random(as_count(size, "size", least=0)))
+
+    def invert(self, u: np.ndarray) -> np.ndarray:
+        """The draws of the float64 uniforms ``u``, worked out in place in their
+        buffer, viewed as int64: digits inside the table, and each deep draw's
         remaining mass ``total - t > 0`` as negated float64 bits, so exactly the
         deep draws are negative.  :meth:`label` labels them once the word ends."""
-        u = rng.random(as_count(size, "size", least=0))
         out = u.view(np.int64)  # each block's digits overwrite its uniforms
-        for start in range(0, size, _SAMPLE_BLOCK):
+        for start in range(0, u.size, _SAMPLE_BLOCK):
             block = slice(start, start + _SAMPLE_BLOCK)
             if self._fast_luroth:  # Lüroth digits floor(1 / (1 - u)), worked out in place
                 digits = u[block]
@@ -791,6 +803,39 @@ class DigitSampler:
                 digits[deep] = np.negative(np.subtract(self.total, target[deep]).view(np.int64))
             out[block] = digits
         return out
+
+    def threshold(self, K: int) -> float:
+        """The least uniform whose draw exceeds digit ``K``, for ``K`` up to the table
+        size; 0.0 at ``K = 0``, and 1.0 where no uniform below 1 gets past ``K``.
+
+        Every step of :meth:`invert` is monotone in ``u``, so a draw exceeds ``K``
+        exactly when its uniform is at least this.  Inside the table that is
+        ``u * total >= cum_K``, by ``searchsorted``'s right side; on the Lüroth
+        path, ``1 / (1 - u) >= K + 1``.  The closed form ``cum_K / total``, or
+        ``1 - 1 / (K + 1)``, is moved ulp by ulp to the edge of that same float
+        arithmetic.
+        """
+        K = as_count(K, "K", least=0)
+        if not K:
+            return 0.0
+        if self._fast_luroth:
+            c = 1.0 - 1.0 / (K + 1)
+
+            def exceeds(u: float) -> bool:
+                return 1.0 / (1.0 - u) >= K + 1
+        else:
+            if K > self._table_size:
+                raise DomainError(f"digit {K} lies past the sampler table of {self._table_size}")
+            edge = float(self._cum[K - 1])
+            c = min(edge / self.total, 1.0)
+
+            def exceeds(u: float) -> bool:
+                return u * self.total >= edge
+        while c > 0.0 and exceeds(math.nextafter(c, 0.0)):
+            c = math.nextafter(c, 0.0)
+        while c < 1.0 and not exceeds(c):
+            c = math.nextafter(c, 1.0)
+        return c
 
     def label(self, labels: np.ndarray, at: np.ndarray | None = None) -> np.ndarray:
         """``labels`` of one word, its negative entries (deep draws) labelled in place

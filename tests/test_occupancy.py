@@ -413,6 +413,85 @@ class TestMonteCarloLaw:
         assert rep.sds == tuple(float(v) for v in ratios.std(axis=0, ddof=1))
         assert rep.mean_final_distinct == float(ref[:, -1].mean())
 
+    @pytest.mark.parametrize("model", [
+        LUROTH,
+        weights.power_model(1.1),  # many draws past the dense and the sampler table
+        weights.power_log_model(2.0, 1.5),
+        weights.explicit_prefix_model([1e-9, 0.5], 2.0),  # digit 1 unseen: nothing is skipped
+    ], ids=["luroth", "power-1.1", "power-log", "rare-first-digit"])
+    @pytest.mark.parametrize("n", [weights._SAMPLE_BLOCK - 1, weights._SAMPLE_BLOCK + 1,
+                                   3 * weights._SAMPLE_BLOCK + 5])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_skipped_draws_keep_the_counts(self, monkeypatch, model, n, threads):
+        # the exact expectations of power(1.1) take seconds, and only the counts are compared
+        monkeypatch.setattr(occupancy, "_expected_distinct_at", lambda model, ns: [0.0] * len(ns))
+        block = weights._SAMPLE_BLOCK
+        cps = tuple(sorted(c for c in {1, 2, 1000, block - 1, block + 1, 2 * block, n} if c <= n))
+        ref = reference_trial_counts(model, n, 2, 17, cps)
+        rep = occupancy.monte_carlo_law(model, n, 2, 17, checkpoints=cps, threads=threads)
+        ratios = ref / np.asarray(cps) ** (1.0 / model.rho)
+        assert rep.means == tuple(float(v) for v in ratios.mean(axis=0))
+        assert rep.sds == tuple(float(v) for v in ratios.std(axis=0, ddof=1))
+        assert rep.mean_final_distinct == float(ref[:, -1].mean())
+
+    def test_labels_few_draws(self, monkeypatch):
+        # a Lüroth word of 2^20 draws shows all digits up to about 140 within its
+        # first block, and later draws rarely pass them: only those are labelled
+        n = 1 << 20
+        sizes, labelled = [], []
+
+        class Stream:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def random(self, size=None, out=None):
+                sizes.append(size if out is None else out.size)
+                return self.rng.random(size, out=out)
+
+        invert = weights.DigitSampler.invert
+
+        def counted(self, u):
+            labelled.append(u.size)
+            return invert(self, u)
+
+        monkeypatch.setattr(occupancy, "substream", lambda *path: Stream(substream(*path)))
+        monkeypatch.setattr(weights.DigitSampler, "invert", counted)
+        rep = occupancy.monte_carlo_law(LUROTH, n, 1, 3, checkpoints=(n,))
+        assert sizes == [weights._SAMPLE_BLOCK] * (n // weights._SAMPLE_BLOCK)
+        assert labelled[0] == weights._SAMPLE_BLOCK  # nothing is seen before the first block
+        assert sum(labelled) <= 0.1 * n
+        assert rep.mean_final_distinct == float(reference_trial_counts(LUROTH, n, 1, 3, (n,))[0, 0])
+
+    def test_uniform_at_the_threshold_is_labelled(self, monkeypatch):
+        # block 0 draws digits 1..5, each from the least uniform that reaches it;
+        # block 1 draws digit 6 from exactly c_5, which must not be skipped
+        block = weights._SAMPLE_BLOCK
+        sampler = weights.DigitSampler(LUROTH)
+        c = [sampler.threshold(k) for k in range(6)]
+
+        class Stream:
+            def random(self, size=None, out=None):
+                out = np.empty(size) if out is None else out
+                out[:] = np.resize(c[:5], block) if out.size == block else c[5]
+                return out
+
+        monkeypatch.setattr(occupancy, "substream", lambda *path: Stream())
+        rep = occupancy.monte_carlo_law(LUROTH, block + 1, 1, 0, checkpoints=(block, block + 1))
+        assert rep.mean_final_distinct == 6.0
+
+    def test_every_dense_digit_seen(self, monkeypatch):
+        # 2^16 equal prefix weights: every digit of the dense table is seen within
+        # the word, after which only the draws past the table are labelled
+        monkeypatch.setattr(occupancy, "_expected_distinct_at", lambda model, ns: [0.0] * len(ns))
+        model = weights.explicit_prefix_model([0.9 / occupancy._DENSE] * occupancy._DENSE, 2.0)
+        n, block = 1 << 20, weights._SAMPLE_BLOCK
+        word = weights.DigitSampler(model).sample(substream(2, 0), n)
+        assert np.isin(np.arange(1, occupancy._DENSE + 1), word[: n - block]).all()
+        cps = (n - block, n)
+        rep = occupancy.monte_carlo_law(model, n, 1, 2, checkpoints=cps)
+        assert rep.means == tuple(float(v) for v in reference_trial_counts(model, n, 1, 2, cps)[0]
+                                  / np.asarray(cps) ** 0.5)
+
     def test_records_past_the_table_span_blocks(self):
         model, n, trials, seed = weights.power_model(1.5), 3 * weights._SAMPLE_BLOCK + 5, 3, 6
         block = weights._SAMPLE_BLOCK

@@ -392,11 +392,14 @@ class TestWeightKernel:
 
     def test_weight_bound_of_a_rising_head(self):
         # power-log(4, 68) rises up to digit 24,154,935: the bound is the formula at
-        # its real peak, up to the rounding that the sampler's 1e-6 slack covers
+        # its real peak, up to rounding (a weight near the peak lay 61 ulp above it)
         m = weights.power_log_model(4.0, 68.0)
         bound = weights._weight_bound(m, 1)
-        assert weights.weights_range(m, 24_000_000, 24_300_000).max() <= bound * (1 + 1e-12)
+        peak = weights.weights_range(m, 24_000_000, 24_300_000).max()
+        assert peak <= bound * (1 + 1e-12)
         assert bound == pytest.approx(weights.weight(m, 24_154_935), rel=1e-12)
+        # the sampler's margin covers that rounding
+        assert bound * (1 + weights._BOUND_SLACK) >= peak
 
     def test_log_factor_overflow_raises_without_warning(self):
         # power-log(200, 300): log(k+1)**300 overflows from about k = 40,000 on
@@ -553,7 +556,38 @@ def reference_dyadic_window_min(logp):
     return out
 
 
+def all_levels_dyadic_window_min(logp):
+    """The sparse table that ``_dyadic_window_min`` built with every level alive."""
+    n = logp.size
+    table = [logp]
+    width = 1
+    while width * 2 <= n:
+        prev = table[-1]
+        table.append(np.minimum(prev[: prev.size - width], prev[width:]))
+        width *= 2
+    i = np.arange(n)
+    hi = np.minimum(2 * i + 1, n)
+    lev = np.frexp(hi - i)[1] - 1
+    out = np.empty(n)
+    for j, level in enumerate(table):
+        at = np.flatnonzero(lev == j)
+        out[at] = np.minimum(level[at], level[hi[at] - (1 << j)])
+    return out
+
+
 class TestDyadicWindowMin:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 100, *(
+        (1 << k) + d for k in (4, 10, 16, 20) for d in (-1, 1))])
+    def test_one_level_at_a_time_matches_all_levels(self, n):
+        rng = substream(n, 0xD3)
+        for logp in (rng.normal(size=n), np.log(weights.weights_range(LUROTH, 1, n + 1)),
+                     np.round(rng.normal(size=n), 1)):  # ties
+            got = weights._dyadic_window_min(logp)
+            assert got.tobytes() == all_levels_dyadic_window_min(logp).tobytes(), n
+
+    def test_empty(self):
+        assert weights._dyadic_window_min(np.empty(0)).size == 0
+
     def test_matches_reference_loop(self):
         for n in [*range(1, 70), 1000, 4097, 10_000, 65_536]:
             rng = substream(n, 0xD1)
@@ -781,6 +815,48 @@ class TestSampling:
         bound = weights._weight_bound(model, m)
         assert bound >= p.max()
         assert bound <= p.max() * (1.0 + 1e-9)
+
+
+def exceeds(sampler, u, K):
+    """Whether the draws of the uniforms ``u`` exceed digit ``K`` (deep draws do)."""
+    return sampler.invert(np.array(u, dtype=np.float64)).view(np.uint64) > K
+
+
+class TestThreshold:
+    @pytest.mark.parametrize("model, s", [
+        (LUROTH, 1.0),
+        (weights.power_model(1.5), 1.0),
+        (weights.explicit_prefix_model([0.3, 0.2], 2.5), 1.0),
+        (LUROTH, 0.75),
+    ], ids=["luroth", "power-1.5", "explicit-prefix", "luroth-s0.75"])
+    def test_least_uniform_past_each_digit(self, model, s):
+        # every K the dense first-position table of simulate can hold
+        sampler = weights.DigitSampler(model, s)
+        K = np.arange((1 << 16) + 1 if s == 1.0 else 2000)  # 0 .. occupancy._DENSE
+        c = np.array([sampler.threshold(int(k)) for k in K])
+        assert c[0] == 0.0 and (c < 1.0).all() and (np.diff(c) >= 0).all()
+        assert exceeds(sampler, c, K).all()
+        assert not exceeds(sampler, np.nextafter(c[1:], 0.0), K[1:]).any()
+
+    def test_table_threshold_is_the_cumulative_weight(self):
+        sampler = weights.DigitSampler(weights.power_log_model(2.0, 1.5))
+        for K in (1, 2, 100, 1 << 16):
+            assert sampler.threshold(K) == sampler._cum[K - 1]
+
+    def test_no_uniform_past_a_certain_digit(self):
+        # power(400): p_1 rounds to 1, so every uniform below 1 draws digit 1
+        sampler = weights.DigitSampler(weights.power_model(400.0))
+        assert sampler.threshold(1) == 1.0
+        assert sampler.invert(np.array([np.nextafter(1.0, 0.0)])).tolist() == [1]
+
+    def test_past_the_table(self):
+        with pytest.raises(DomainError, match="past the sampler table"):
+            weights.DigitSampler(weights.power_model(1.5), table_size=16).threshold(17)
+
+    def test_draw_inverts_the_stream_uniforms(self):
+        sampler = weights.DigitSampler(weights.power_model(1.5), table_size=1 << 10)
+        u = substream(4, 2).random(5000)
+        assert np.array_equal(sampler.draw(substream(4, 2), 5000), sampler.invert(u.copy()))
 
 
 class TestSubstream:
