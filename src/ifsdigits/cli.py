@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 from contextlib import nullcontext
 from itertools import chain, islice
 
@@ -187,6 +188,34 @@ def _emit_json(args, obj: dict) -> None:
     _emit(args, chain(batches, ["\n"]))
 
 
+# A digit's two rows of weights JSON, ``p`` then ``cum``, as json.dumps(indent=2) writes them
+_DIGIT_ROWS = ('    {\n      "k": %d,\n      "quantity": "p",\n      "value": %r\n    },\n'
+               '    {\n      "k": %d,\n      "quantity": "cum",\n      "value": %r\n    }')
+
+
+def _weights_json(model, p: np.ndarray, rows: list) -> Iterator[str]:
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2)`` and a newline for the
+    ``weights`` object: a row of ``p`` and of ``cum`` per digit, then the extra ``rows``.
+
+    The digit rows are written ``CSV_CHUNK_ROWS`` digits at a time from one
+    template, with ``float.__repr__`` for their values, as ``json`` writes
+    finite floats; the model name and the extra rows go through ``json.dumps``.
+    """
+    yield '{\n  "model": %s,\n  "rows": [' % json.dumps(model.describe())
+    cum = np.cumsum(p)
+    sep = "\n"
+    for start in range(0, p.size, codec.CSV_CHUNK_ROWS):
+        stop = min(start + codec.CSV_CHUNK_ROWS, p.size)
+        cells = zip(range(start + 1, stop + 1), p[start:stop].tolist(), cum[start:stop].tolist())
+        yield sep + ",\n".join(_DIGIT_ROWS % (k, v, k, c) for k, v, c in cells)
+        sep = ",\n"
+    for q, k, v in rows:
+        row = json.dumps({"quantity": q, "k": k, "value": v}, sort_keys=True, indent=2)
+        yield sep + "    " + row.replace("\n", "\n    ")
+        sep = ",\n"
+    yield "]\n}\n" if sep == "\n" else "\n  ]\n}\n"
+
+
 def _emit_csv(args, comment: str, columns: dict) -> None:
     _emit(args, chain([f"# {comment}\n"], codec.csv_chunks(columns)))
 
@@ -200,8 +229,6 @@ def cmd_weights(args) -> int:
     if k_max > weights._MAX_THRESHOLD:
         raise DomainError(f"--k-max {k_max} exceeds the limit of {weights._MAX_THRESHOLD}")
     p = weights.weights_range(model, 1, k_max + 1)
-    table = {"quantity": ["p", "cum"] * k_max, "k": np.arange(1, k_max + 1).repeat(2),
-             "value": np.stack([p, np.cumsum(p)], axis=1).ravel()}  # each digit's p, then cum
     rows = []
     for K in args.solve_s:
         rows.append(("s", K, weights.partial_sum_exponent(model, K)))
@@ -215,12 +242,10 @@ def cmd_weights(args) -> int:
         rows.append((f"potter_k_eps(eps={args.potter!r})", rep.scan_limit, float(rep.k_eps)))
         rows.append((f"potter_C_eps(eps={args.potter!r})", rep.scan_limit, rep.C_eps))
     if args.format == "json":
-        cells = chain(zip(table["quantity"], table["k"].tolist(), table["value"].tolist()), rows)
-        _emit_json(args, {
-            "model": model.describe(),
-            "rows": [{"quantity": q, "k": k, "value": v} for q, k, v in cells],
-        })
+        _emit(args, _weights_json(model, p, rows))
     else:
+        table = {"quantity": ["p", "cum"] * k_max, "k": np.arange(1, k_max + 1).repeat(2),
+                 "value": np.stack([p, np.cumsum(p)], axis=1).ravel()}  # each digit's p, then cum
         columns = {"quantity": [q for q, _, _ in rows], "k": [k for _, k, _ in rows],
                    "value": [float(v) for _, _, v in rows]}
         _emit(args, chain([f"# model={model.describe()}\n"], codec.csv_chunks(table),

@@ -247,22 +247,30 @@ def cylinder_sums_mc(
     rng = substream(seed, 0x7117)
     longest = max(ns)
     block = max(1, _SAMPLE_BLOCK // longest) * longest
-    # the last of the longest lengths labels and sorts each block in place, so
-    # it reads the block after every other length has copied its share
-    order = sorted(range(len(ns)), key=ns.__getitem__)
+    draws = longest * trials
+    # every block is drawn into one buffer of uniforms.  A longest length reads it
+    # last and writes its classes over it; each other length writes the classes of
+    # its scope, a block's share after the incomplete word it carries (none where
+    # its length divides the block), to a second buffer, and every length compares
+    # classes in a third
+    last = ns.index(longest)
+    order = [i for i in range(len(ns)) if i != last] + [last]
+    uniforms = np.empty(min(block, draws))
+    width = uniforms.size + max([n - 1 for n in ns if block % n], default=0)
+    classes = np.empty(width if len(ns) > 1 else 0, dtype=np.int32)
+    flags = np.empty(width, dtype=bool)
     hits = [0] * len(ns)
     carry = [np.empty(0, dtype=np.int64)] * len(ns)
-    for start in range(0, longest * trials, block):
-        labels = sampler.draw(rng, min(block, longest * trials - start))
+    for start in range(0, draws, block):
+        labels = sampler.invert(rng.random(out=uniforms[: min(block, draws - start)]))
+        big = _past_limit(labels, flags)
         for i in order:
             take = min(labels.size, ns[i] * trials - start)
-            if take <= 0:
-                continue
-            # the last of the longest reads a whole number of its words, and no carry
-            scope = labels if i == order[-1] else np.concatenate((carry[i], labels[:take]))
-            found, carry[i] = _count_rich_words(sampler, ns[i], thresholds[i], scope)
-            hits[i] += found
-        del labels, scope  # free this block before the next one is drawn
+            if take > 0:
+                found, carry[i] = _count_rich_words(sampler, ns[i], thresholds[i], carry[i],
+                                                    labels[:take], big,
+                                                    None if i == last else classes, flags)
+                hits[i] += found
     records = []
     for n, scale, found in zip(ns, scales, hits):
         phat = found / trials
@@ -282,20 +290,74 @@ def cylinder_sums_mc(
     return records
 
 
-def _count_rich_words(sampler, n, threshold, labels):
-    """Words of ``labels`` with at least ``threshold`` distinct digits, and the draws past them.
+# Labels up to this are their own int32 equality class; the larger ones are ranked past it.
+_CLASS_LIMIT = 1 << 30
 
-    ``labels`` holds draws from :meth:`DigitSampler.draw`, deep draws
-    negative.  Its whole words of length ``n`` are labelled in one scope and
-    sorted in place; the incomplete last word is returned unlabelled, to lead
-    the next block.
+
+def _past_limit(labels, flags):
+    """Positions of the entries of ``labels`` past ``_CLASS_LIMIT``, deep draws included:
+    negative, they lie past it as unsigned.  ``flags`` is a buffer at least as long."""
+    return np.flatnonzero(np.greater(labels.view(np.uint64), _CLASS_LIMIT, out=flags[: labels.size]))
+
+
+def _count_rich_words(sampler, n, threshold, carry, labels, big, classes, flags):
+    """Words of ``carry`` then ``labels`` with at least ``threshold`` distinct digits,
+    and the draws past them.
+
+    Both hold draws from :meth:`DigitSampler.invert`, deep draws negative;
+    ``big`` holds the positions that :func:`_past_limit` gives for ``labels``
+    or for a longer array that starts with it.  The whole words of length ``n``
+    are one scope, in which a deep draw is labelled by its position.  The scope
+    is sorted word by word as int32 equality classes, written to ``classes``,
+    or with ``classes=None`` and no carry over ``labels``' own buffer, and
+    ``flags`` is the comparison buffer; each buffer is at least as long as the
+    scope, and ``carry`` and ``labels`` are otherwise left as they are.  A
+    label up to ``_CLASS_LIMIT`` is its own class, and the larger ones are
+    ranked past it: a scope holds fewer than ``2**25`` draws, so every class
+    fits.  The incomplete last word is returned unlabelled, to lead the next
+    block.
     """
-    whole = labels.size - labels.size % n
-    rest = labels[whole:].copy()
-    words = sampler.label(labels[:whole]).reshape(-1, n)
-    words.sort(axis=1)
-    distinct = 1 + np.count_nonzero(words[:, 1:] != words[:, :-1], axis=1)
-    return int(np.count_nonzero(distinct >= threshold)), rest
+    c = carry.size
+    whole = c + labels.size - (c + labels.size) % n
+    head, rest = labels[: whole - c], labels[whole - c :].copy()
+    big = big[: np.searchsorted(big, head.size)]
+    in_carry = _past_limit(carry, flags)
+    at = np.concatenate((in_carry, big + c))
+    values = sampler.label(np.concatenate((carry[in_carry], head[big])), at)
+    # int32 casts, which the classes below overwrite where they wrap
+    if classes is None:
+        words = _narrow_in_place(head)
+    else:
+        words = classes[:whole]
+        words[:c] = carry
+        words[c:] = head
+    if at.size:
+        ranks = np.unique(values, return_inverse=True)[1]
+        words[at] = np.where(values > _CLASS_LIMIT, ranks + (_CLASS_LIMIT + 1), values)
+    words.reshape(-1, n).sort(axis=1)
+    # flags[j]: the class at j + 1 differs from the one at j; a word's last flag
+    # compares it with the next word, so it is cleared and each word sums n - 1
+    new = flags[:whole]
+    np.not_equal(words[1:], words[:-1], out=new[:-1])
+    new[n - 1 :: n] = False
+    distinct = new.reshape(-1, n).sum(axis=1, dtype=np.int32)
+    return int(np.count_nonzero(distinct >= threshold - 1)), rest
+
+
+def _narrow_in_place(labels):
+    """``labels`` cast to int32 in the first half of their own bytes, which they overwrite.
+
+    Entry ``j`` lands inside entry ``j // 2``, so a piece ``[a, 2a)`` overwrites
+    only entries that the pieces before it have read.  The first piece, which
+    would overlap itself, is copied out first.
+    """
+    out = labels.view(np.int32)[: labels.size]
+    a = min(labels.size, 1 << 10)
+    out[:a] = labels[:a].copy()
+    while a < labels.size:
+        out[a : 2 * a] = labels[a : 2 * a]
+        a *= 2
+    return out
 
 
 # -- the bound chain ---------------------------------------------------------------

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -239,26 +240,27 @@ def weight(model: WeightModel, k: int) -> float:
     return float(weights_range(model, k, k + 1)[0])
 
 
-def weights_range(model: WeightModel, lo: int, hi: int) -> np.ndarray:
-    """Vector of ``p_k`` for ``k`` in ``[lo, hi)``."""
+def weights_range(model: WeightModel, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Vector of ``p_k`` for ``k`` in ``[lo, hi)``, written to ``out`` when given."""
     lo = as_count(lo, "lo")
     hi = as_count(hi, "hi", least=lo)
     # float64 steps of 1 are exact up to 2**53; past it each k is rounded as weight() rounds it
     x = np.arange(lo, hi, dtype=np.float64) if hi <= 1 << 53 else np.array(range(lo, hi), np.float64)
-    out = _closed_form(model, x)
+    out = _closed_form(model, x, out)
     head = np.asarray(model.prefix[lo - 1 : hi - 1], dtype=np.float64)
     out[: head.size] = head
     return out
 
 
-def _closed_form(model: WeightModel, x: np.ndarray) -> np.ndarray:
-    """``x**-rho * L(x)`` at the float64 array ``x``, which it may overwrite: the
-    weight formula past any prefix, and the one place it is evaluated."""
+def _closed_form(model: WeightModel, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``x**-rho * L(x)`` at the float64 array ``x``, which it may overwrite, written to
+    ``out`` when given: the weight formula past any prefix, and the one place it is evaluated."""
     if model.kind == "luroth":
-        np.multiply(x, x + 1.0, out=x)
-        return np.divide(1.0, x, out=x)
+        out = np.add(x, 1.0, out=out)
+        out *= x
+        return np.divide(1.0, out, out=out)
     try:
-        out = _powerlog_terms(x, model.rho, model.gamma)
+        out = _powerlog_terms(x, model.rho, model.gamma, out)
     except FloatingPointError as exc:
         raise PrecisionError(f"weights of {model.describe()} leave the float range") from exc
     out /= model._norm
@@ -373,12 +375,12 @@ def _powerlog_raw_tail(M: int, q: float, g: float) -> float:
         ) from exc
 
 
-def _powerlog_terms(k: np.ndarray, q: float, g: float) -> np.ndarray:
-    """``k**-q * log(k+1)**g``, in a new array; ``k`` is overwritten.  At ``g = 0``
-    the log factor is exactly 1 and skipped.  A log factor that overflows raises
-    :class:`FloatingPointError`, with no warning first."""
+def _powerlog_terms(k: np.ndarray, q: float, g: float, out: np.ndarray | None = None) -> np.ndarray:
+    """``k**-q * log(k+1)**g``, in ``out`` or a new array; ``k`` is overwritten.  At
+    ``g = 0`` the log factor is exactly 1 and skipped.  A log factor that overflows
+    raises :class:`FloatingPointError`, with no warning first."""
     with np.errstate(over="raise", invalid="raise"):
-        out = np.power(k, -q)
+        out = np.power(k, -q, out=out)
         if g:
             k += 1.0
             np.log(k, out=k)
@@ -675,8 +677,9 @@ def _float_bits(x):
     return np.asarray(x, dtype=np.float64).view(np.int64)
 
 
-# Buckets of the sampler's guide: about 2**_GUIDE_BITS over its table.
-_GUIDE_BITS = 15
+# The sampler's guide has at most 2**_GUIDE_BITS buckets over its table, and more
+# than half as many unless its keys span fewer.
+_GUIDE_BITS = 16
 
 # Draws a sampler looks up at once, and that ``simulate`` draws per call, so
 # that their temporaries stay in cache.
@@ -719,7 +722,8 @@ class DigitSampler:
     log of the tail as regular variation suggests).  Rounded subtraction and
     the bit view are both monotone, so the table entries on either side of
     ``t`` bound its bucket: the guide brackets the ``searchsorted`` answer,
-    and a bisection inside the bracket returns it exactly.
+    and a power-of-two search inside the bracket returns it exactly.  The table
+    and its guide are built ``_SAMPLE_BLOCK`` weights at a time.
 
     Why deep labels keep equality.  Write ``T(m)`` for
     ``tilted_tail_sum(model, m, s)``, within 1e-10 relative of the true tail,
@@ -747,22 +751,43 @@ class DigitSampler:
         if self._fast_luroth:
             self._cum = None
             return
-        cum = weights_range(model, 1, table_size + 1)
-        cum **= self.s
-        self._cum = np.cumsum(cum, out=cum)
         self._table_size = table_size
-        # key_k = bits(total) - bits(max(total - cum_k, 0)), built in one buffer
-        keys = np.subtract(self.total, cum)
-        np.maximum(keys, 0.0, out=keys)
-        bits = keys.view(np.int64)
-        np.subtract(_float_bits(self.total), bits, out=bits)
-        span = int(bits[-1])
+        # the table, padded with one +inf slot for the searches that probe past
+        # its end, is summed _SAMPLE_BLOCK weights at a time: np.cumsum folds in
+        # sequence, so a piece that starts from the last sum keeps every bit of
+        # the one-piece table, which a build temporary does not have to hold
+        padded = np.empty(table_size + 1)
+        padded[-1] = np.inf
+        self._padded, self._cum = padded, padded[:-1]
+        last = 0.0
+        for lo in range(0, table_size, _SAMPLE_BLOCK):
+            hi = min(lo + _SAMPLE_BLOCK, table_size)
+            piece = weights_range(model, lo + 1, hi + 1, out=self._cum[lo:hi])
+            piece **= self.s
+            piece[0] += last
+            last = float(np.cumsum(piece, out=piece)[-1])
+        # key_k = bits(total) - bits(max(total - cum_k, 0)) rises with k, to span
+        total_bits = _float_bits(self.total)
+        span = int(total_bits - _float_bits(max(self.total - last, 0.0)))
         self._shift = max(span.bit_length() - _GUIDE_BITS, 0)
-        bits >>= self._shift
-        # _guide[b] is the first entry whose bucket is b or above; _top, the
-        # first bucket past the table's last, brackets [table_size, table_size]
+        # _guide[b], the count of entries in buckets below b, is the first entry
+        # whose bucket is b or above: each piece adds one at b + 1 for an entry
+        # in bucket b, and the sums of those counts follow.  _top, the first
+        # bucket past the table's last, brackets [table_size, table_size]
         self._top = (span >> self._shift) + 1
-        self._guide = np.searchsorted(bits, np.arange(self._top + 2), side="left")
+        guide = np.zeros(self._top + 2, dtype=np.intp)
+        keys = np.empty(min(table_size, _SAMPLE_BLOCK))
+        for lo in range(0, table_size, _SAMPLE_BLOCK):
+            piece = self._cum[lo : lo + _SAMPLE_BLOCK]
+            key = np.subtract(self.total, piece, out=keys[: piece.size])
+            np.maximum(key, 0.0, out=key)
+            bucket = key.view(np.int64)
+            np.subtract(total_bits, bucket, out=bucket)
+            bucket >>= self._shift
+            bucket += 1
+            np.add.at(guide, bucket, 1)
+        self._guide = np.cumsum(guide, out=guide)
+        self._local = threading.local()
         # the margin grid: tails, negated to increase, and weight bounds at
         # the starts (table_size + 1) * 2**j up to 2**62
         starts = [table_size + 1]
@@ -795,13 +820,14 @@ class DigitSampler:
                 np.divide(1.0, digits, out=digits)
                 out[block] = np.floor(digits, out=digits)
                 continue
-            target = u[block] * self.total
-            digits = self._locate(target)
+            # the targets go to this thread's scratch, and the digits over their uniforms
+            target = self._scratch(min(_SAMPLE_BLOCK, u.size - start))[0].view(np.float64)
+            np.multiply(u[block], self.total, out=target)
+            digits = self._locate(target, out=out[block])
             digits += 1
             deep = np.flatnonzero(digits > self._table_size)
             if deep.size:
                 digits[deep] = np.negative(np.subtract(self.total, target[deep]).view(np.int64))
-            out[block] = digits
         return out
 
     def threshold(self, K: int) -> float:
@@ -856,21 +882,35 @@ class DigitSampler:
         labels[deep] = found
         return labels
 
-    def _locate(self, target: np.ndarray) -> np.ndarray:
-        """``np.searchsorted(self._cum, target, side="right")`` for ``0 <= target <= total``."""
-        bucket = _float_bits(self.total - target)
+    def _scratch(self, size: int) -> np.ndarray:
+        """Three int64 rows of ``size`` entries, which this thread reuses from call
+        to call: block-sized temporaries then come from the same pages each block."""
+        rows = getattr(self._local, "rows", None)
+        if rows is None or rows.shape[1] < size:
+            rows = self._local.rows = np.empty((3, size), dtype=np.int64)
+        return rows[:, :size]
+
+    def _locate(self, target: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``np.searchsorted(self._cum, target, side="right")`` for ``0 <= target <= total``,
+        in ``out`` when given (int64, not ``target``'s buffer), else in a new array.
+        ``target`` may lie in the first row of this thread's scratch, not in the others."""
+        _, bucket, hi = self._scratch(target.size)
+        np.subtract(self.total, target, out=bucket.view(np.float64))
         np.subtract(_float_bits(self.total), bucket, out=bucket)
         bucket >>= self._shift
-        np.minimum(bucket, self._top, out=bucket)
-        idx = self._guide[bucket]
-        hi = self._guide[1:][bucket]
+        # clipped, a bucket past the table's last brackets [table_size, table_size];
+        # unlike mode="raise", "clip" writes to out without a buffer
+        idx = self._guide.take(bucket, mode="clip", out=out)
+        self._guide[1:].take(bucket, mode="clip", out=hi)
         wide = np.flatnonzero(idx != hi)
         if wide.size:
-            a, b, t = idx[wide], hi[wide], target[wide]
-            for _ in range(int((b - a).max()).bit_length()):
-                mid = (a + b) >> 1
-                up = (self._cum.take(mid, mode="clip") <= t) & (mid < b)
-                a = np.where(up, mid + 1, a)
-                b = np.where(up, b, mid)
+            # the answer lies in [a, hi], and every entry from hi on exceeds t, as
+            # does the +inf slot that a probe clipped past the table reads; so a
+            # rises by 2**j where the entry 2**j - 1 past it is at most t, for
+            # each j below the bit length of hi - a, and ends at the answer
+            a, t = idx[wide], target[wide]
+            for j in reversed(range(int((hi[wide] - a).max()).bit_length())):
+                up = self._padded.take(a + ((1 << j) - 1), mode="clip") <= t
+                np.add(a, 1 << j, out=a, where=up)
             idx[wide] = a
         return idx

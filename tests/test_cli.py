@@ -348,10 +348,10 @@ class TestExitCodes:
 
     def test_cylsum_every_length_read_before_any_draw(self, capsys, monkeypatch):
         # n = 40 is valid, but its words are not drawn before n = 3000 is refused
-        def draw(*args):
+        def invert(*args):
             raise AssertionError("digits were drawn before every length was read")
 
-        monkeypatch.setattr(weights.DigitSampler, "draw", draw)
+        monkeypatch.setattr(weights.DigitSampler, "invert", invert)
         code = cli.main(["cylsum", "--n", "40,3000", "--s", "0.75", "--theta", "0.5",
                          "--trials", "10"])
         assert code == 3
@@ -584,6 +584,15 @@ class TestReproducibility:
         _, two = run_cli(tmp_path, base + ["--threads", "4"], "b.csv")
         _, three = run_cli(tmp_path, base + ["--threads", "1"], "c.csv")
         assert one == two == three
+
+    def test_table_sampler_bytes_stable_across_threads(self, tmp_path):
+        # power(1.5) draws through the sampler table, whose lookup scratch each
+        # of the two threads keeps for itself; each trial spans two blocks
+        base = ["simulate", "--model", "power", "--rho", "1.5", "--n", "70000", "--trials", "4",
+                "--checkpoints", "1000,70000"]
+        _, one = run_cli(tmp_path, base + ["--threads", "1"], "a.csv")
+        _, two = run_cli(tmp_path, base + ["--threads", "2"], "b.csv")
+        assert one == two and one.count("\n") == 4
 
     def test_default_seed_in_header(self, tmp_path):
         _, text = run_cli(tmp_path, ["simulate", "--n", "50", "--trials", "20"])
@@ -1007,7 +1016,41 @@ JSON_COMMANDS = {
 }
 
 
+def weights_object(model, k_max, extra):
+    """The ``weights --format json`` object, built whole from the library."""
+    p = weights.weights_range(model, 1, k_max + 1)
+    rows = [{"quantity": q, "k": k, "value": v}
+            for k, pk, ck in zip(range(1, k_max + 1), p.tolist(), np.cumsum(p).tolist())
+            for q, v in (("p", pk), ("cum", ck))]
+    if extra:
+        rep = weights.potter_scan(model, 0.1, 10_000)
+        rows += [{"quantity": "s", "k": 2, "value": weights.partial_sum_exponent(model, 2)},
+                 {"quantity": "tail", "k": 10, "value": weights.tail_sum(model, 10)},
+                 {"quantity": "tilted_tail(s=0.75)", "k": 100,
+                  "value": weights.tilted_tail_sum(model, 100, 0.75)},
+                 {"quantity": "potter_k_eps(eps=0.1)", "k": rep.scan_limit, "value": float(rep.k_eps)},
+                 {"quantity": "potter_C_eps(eps=0.1)", "k": rep.scan_limit, "value": rep.C_eps}]
+    return {"model": model.describe(), "rows": rows}
+
+
 class TestJsonStreaming:
+    @pytest.mark.parametrize("extra", [False, True], ids=["digits", "every-row-kind"])
+    @pytest.mark.parametrize("k_max", [0, 1, 5, 3000])
+    @pytest.mark.parametrize("flags, model", [
+        ([], weights.luroth_model()),
+        (["--model", "power-log", "--rho", "2", "--gamma", "1.5"], weights.power_log_model(2.0, 1.5)),
+    ], ids=["luroth", "power-log"])
+    def test_weights_rows_are_the_whole_object(self, tmp_path, flags, model, k_max, extra):
+        # the rows are written in chunks of 2048 digits from one template; the
+        # bytes are those of json.dumps of the whole object, "rows": [] included
+        argv = ["weights", "--k-max", str(k_max), *flags, "--format", "json"]
+        if extra:
+            argv += ["--solve-s", "2", "--tail", "10", "--tilted-tail", "100", "0.75", "--potter", "0.1"]
+        code, text = run_cli(tmp_path, argv)
+        assert code == 0
+        assert text == json.dumps(weights_object(model, k_max, extra), sort_keys=True, indent=2) + "\n"
+        assert ('"rows": []' in text) == (k_max == 0 and not extra)
+
     @pytest.mark.parametrize("batch", [1, cli._JSON_BATCH])
     @pytest.mark.parametrize("name", sorted(JSON_COMMANDS))
     def test_streamed_json_is_canonical(self, tmp_path, monkeypatch, name, batch):

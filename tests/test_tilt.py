@@ -330,10 +330,10 @@ class TestCylinderSumMC:
             tilt.cylinder_sums_mc(LUROTH, (), 0.75, 0.5, trials=10, seed=0)
 
     def test_every_length_read_before_any_draw(self, monkeypatch):
-        def draw(*args):
+        def invert(*args):
             raise AssertionError("digits were drawn before every length was read")
 
-        monkeypatch.setattr(weights.DigitSampler, "draw", draw)
+        monkeypatch.setattr(weights.DigitSampler, "invert", invert)
         for ns, error in (((40, 0), "positive integer"), ((40, 2.0), "not an integer"),
                           ((40, weights._MAX_DRAWS + 1), "exceeds the limit"),
                           ((40, 3000), "Z\\(s\\)\\*\\*n")):
@@ -387,16 +387,16 @@ class TestCylinderSumsMC:
             monkeypatch.setattr(tilt, "_SAMPLE_BLOCK", block)
         model, ns, trials = weights.power_model(1.5), (7, 290, 400), 600
         deep = []
-        draw = weights.DigitSampler.draw
+        invert = weights.DigitSampler.invert
 
-        def counted(sampler, rng, size):
-            out = draw(sampler, rng, size)
+        def counted(sampler, u):
+            out = invert(sampler, u)
             deep.append(np.count_nonzero(out < 0))
             return out
 
-        monkeypatch.setattr(weights.DigitSampler, "draw", counted)
+        monkeypatch.setattr(weights.DigitSampler, "invert", counted)
         recs = tilt.cylinder_sums_mc(model, ns, 0.8, 1.0, trials=trials, seed=4)
-        monkeypatch.setattr(weights.DigitSampler, "draw", draw)
+        monkeypatch.setattr(weights.DigitSampler, "invert", invert)
         assert sum(deep) > 0.01 * 400 * trials
         assert all(0.0 < rec.prob < 1.0 for rec in recs)
         for rec, n in zip(recs, ns):
@@ -405,16 +405,87 @@ class TestCylinderSumsMC:
 
     def test_draws_the_longest_words_once(self, monkeypatch):
         sizes = []
-        draw = weights.DigitSampler.draw
+        invert = weights.DigitSampler.invert
 
-        def counted(sampler, rng, size):
-            sizes.append(size)
-            return draw(sampler, rng, size)
+        def counted(sampler, u):
+            sizes.append(u.size)
+            return invert(sampler, u)
 
-        monkeypatch.setattr(weights.DigitSampler, "draw", counted)
+        monkeypatch.setattr(weights.DigitSampler, "invert", counted)
         tilt.cylinder_sums_mc(LUROTH, (40, 80, 160), 0.75, 0.5, trials=10_000, seed=0)
         # blocks of 409 words of 160 digits, then the rest
         assert sizes == [65_440] * 24 + [160 * 10_000 - 24 * 65_440]
+
+
+def reference_count(sampler, n, threshold, scope):
+    """Whole words of ``scope`` with at least ``threshold`` distinct labels, by
+    int64 labels and ``np.sort``, and the draws past them."""
+    whole = scope.size - scope.size % n
+    words = np.sort(sampler.label(scope[:whole].copy()).reshape(-1, n), axis=1)
+    distinct = 1 + np.count_nonzero(words[:, 1:] != words[:, :-1], axis=1)
+    return int(np.count_nonzero(distinct >= threshold)), scope[whole:]
+
+
+def deep_mass(R):
+    """A deep draw of remaining mass ``R``, as :meth:`DigitSampler.invert` writes it."""
+    return -np.float64(R).view(np.int64)
+
+
+def tilted_scope(seed=3):
+    """power(1.5) draws past a 1024-entry table, with deep draws of equal mass
+    written in, so that they are inverted, not labelled alone: two at a digit
+    past 2**30, three past 2**31 and two at digit 5000."""
+    model = weights.power_model(1.5)
+    sampler = weights.DigitSampler(model, 1.0, table_size=1 << 10)
+    scope = sampler.draw(substream(seed, 7), 4000)
+    for k, at in (((1 << 30) + 3, (5, 11)), ((1 << 31) + 5, (17, 18, 900)), (5000, (40, 41))):
+        scope[list(at)] = deep_mass(weights.tilted_tail_sum(model, k, 1.0))
+    return sampler, scope
+
+
+def luroth_scope(seed=3):
+    """Lüroth s = 1 digits, drawn in closed form, with digits at the class limit
+    and near 2**31 and 2**53 written in, some repeated within a word."""
+    sampler = weights.DigitSampler(LUROTH)
+    scope = sampler.draw(substream(seed, 8), 4000)
+    limit = tilt._CLASS_LIMIT
+    for k, at in ((limit, (3, 4, 70)), (limit + 1, (5, 71)), ((1 << 31) - 1, (6,)),
+                  ((1 << 31) + 1, (7, 8)), ((1 << 32) + 1, (13, 14)),
+                  ((1 << 53) - 1, (9, 10, 300)), (1 << 53, (15, 301))):
+        scope[list(at)] = k
+    return sampler, scope
+
+
+class TestEqualityClasses:
+    """int32 classes count the words that int64 labels count."""
+
+    @pytest.mark.parametrize("make", [tilted_scope, luroth_scope], ids=["deep", "luroth-s1"])
+    @pytest.mark.parametrize("n", [1, 3, 8, 40])
+    def test_classes_count_as_labels_do(self, make, n):
+        sampler, scope = make()
+        labels = sampler.label(scope.copy())
+        assert (labels > 1 << 31).any() and ((labels > tilt._CLASS_LIMIT) & (labels < 1 << 31)).any()
+        classes, flags = np.empty(scope.size, dtype=np.int32), np.empty(scope.size, dtype=bool)
+        # with a carry, and without; classes=None writes the classes over the draws
+        for c, in_place in sorted({(0, False), (n - 1, False), (0, True)}):
+            take = scope.size - c - 2  # the block runs past the draws this length reads
+            for threshold in range(1, n + 1):
+                block = scope[c:].copy()
+                found, rest = tilt._count_rich_words(
+                    sampler, n, threshold, scope[:c].copy(), block[:take],
+                    tilt._past_limit(block, flags), None if in_place else classes, flags)
+                want, want_rest = reference_count(sampler, n, threshold, scope[: c + take])
+                assert found == want
+                assert np.array_equal(rest, want_rest)
+                # the draws are left as they are, unless their buffer takes the classes
+                assert np.array_equal(block, scope[c:]) != in_place
+
+    def test_deep_pairs_share_their_digit(self):
+        sampler, scope = tilted_scope()
+        labels = sampler.label(scope.copy())
+        assert labels[5] == labels[11] > 1 << 30
+        assert labels[17] == labels[18] == labels[900] > 1 << 31
+        assert labels[40] == labels[41] > 1 << 10
 
 
 class TestBoundChain:

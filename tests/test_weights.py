@@ -617,6 +617,31 @@ GUIDE_CASES = [
 ]
 
 
+def one_piece_table(model, s, table_size):
+    """The sampler's table, guide, shift and top bucket, built in one piece: the
+    reference that the piecewise build must equal bit for bit."""
+    total = weights.tilted_tail_sum(model, 1, s) if s != 1.0 else 1.0
+    cum = np.cumsum(weights.weights_range(model, 1, table_size + 1) ** s)
+    bits = np.float64(total).view(np.int64) - np.maximum(total - cum, 0.0).view(np.int64)
+    span = int(bits[-1])
+    shift = max(span.bit_length() - weights._GUIDE_BITS, 0)
+    top = (span >> shift) + 1
+    return cum, np.searchsorted(bits >> shift, np.arange(top + 2), side="left"), shift, top
+
+
+TABLE_CASES = [
+    pytest.param(model, s, id=f"{model.describe()}-s{s}")
+    for model, s in (
+        (LUROTH, 0.75),
+        (LUROTH, 0.55),
+        (weights.power_model(1.5), 1.0),
+        (weights.power_log_model(2.0, 1.5), 1.0),
+        (weights.explicit_prefix_model([0.3, 0.2], 2.5), 0.6),
+        (weights.power_model(400.0), 1.0),
+    )
+]
+
+
 def exact_draws(sampler, rng, size):
     """The draws of ``sampler.sample`` with every deep draw inverted to its digit."""
     digits = sampler.draw(rng, size)
@@ -739,6 +764,45 @@ class TestSampling:
         got = [sampler._locate(targets[i : i + weights._SAMPLE_BLOCK]) for i in blocks]
         assert np.array_equal(np.concatenate(got), want)
         assert sampler._guide.size < 1 << 17
+
+    @pytest.mark.parametrize("table_size", [16, 1000, (1 << 16) + 7, 1 << 20])
+    @pytest.mark.parametrize("model, s", TABLE_CASES)
+    def test_piecewise_table_is_the_one_piece_table(self, model, s, table_size):
+        sampler = weights.DigitSampler(model, s, table_size=table_size)
+        cum, guide, shift, top = one_piece_table(model, s, table_size)
+        assert np.array_equal(sampler._cum.view(np.int64), cum.view(np.int64))
+        assert sampler._guide.dtype == guide.dtype
+        assert np.array_equal(sampler._guide, guide)
+        assert (sampler._shift, sampler._top) == (shift, top)
+        assert sampler._padded[-1] == np.inf and sampler._cum.base is sampler._padded
+
+    def test_build_holds_one_table(self):
+        # the 8 MiB table and its 2**16-weight pieces: a one-piece build also
+        # held an 8 MiB key temporary, 16.3 MiB in all
+        tracemalloc.start()
+        try:
+            weights.DigitSampler(LUROTH, 0.75)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * (1 << 20)
+
+    def test_threads_keep_their_own_scratch(self):
+        # threads that share a sampler, as simulate --threads does, each look
+        # up in their own scratch: four workers on two cores, switching often
+        sampler = weights.DigitSampler(weights.power_model(1.5), 0.8)
+        uniforms = [substream(seed, 0xA19).random(2 * weights._SAMPLE_BLOCK + 5) for seed in range(12)]
+        want = [sampler.invert(u.copy()) for u in uniforms]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(sampler.invert, u.copy()) for u in uniforms]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert all((w < 0).any() for w in want)
 
     def test_blocks_match_reference_draws(self):
         # several blocks, the last one partial, with draws past a small table
