@@ -1,6 +1,7 @@
 """Input readers and wire formats: counts, digit words, text lines and chunked CSV.
 
-:func:`as_count` is the one reader of a count, size, index or seed, and
+:func:`as_count` is the one reader of a count, size, index or seed,
+:func:`as_rate` the one reader of a linear rate ``theta``, and
 :func:`as_word` the one reader of a digit word: every function that takes
 one reads it there.  The word's integral check, :func:`as_integers`, also
 reads profile tables.  A word is written as one line of
@@ -13,14 +14,15 @@ rows at a time.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError
 
 __all__ = [
-    "as_count", "as_integers", "as_word", "word_to_line", "write_word", "word_from_line",
-    "csv_chunks",
+    "as_count", "as_integers", "as_rate", "as_word", "word_to_line", "write_word",
+    "word_from_line", "csv_chunks",
 ]
 
 # Rows per chunk of CSV text, and digits per chunk of a word line, so that a
@@ -39,6 +41,22 @@ def as_count(value, what: str, least: int = 1) -> int:
         rule = {0: "a non-negative integer", 1: "a positive integer"}.get(least)
         raise DomainError(f"{what} must be {rule or f'at least {least}'}, got {int(value)}")
     return int(value)
+
+
+def as_rate(theta) -> Fraction:
+    """Normalize a target rate to an exact ``Fraction`` in ``(0, 1]``.
+
+    Floats are interpreted through their shortest decimal representation,
+    so ``as_rate(0.3) == Fraction(3, 10)``.  NaN and infinite rates raise
+    :class:`DomainError`.
+    """
+    try:
+        theta = Fraction(str(theta)) if isinstance(theta, float) else Fraction(theta)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"the rate theta must be a finite number; got {theta!r}") from exc
+    if not 0 < theta <= 1:
+        raise DomainError("the rate theta must lie in (0, 1]")
+    return theta
 
 
 def as_integers(values, message: str) -> np.ndarray:

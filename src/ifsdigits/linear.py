@@ -31,7 +31,7 @@ from itertools import chain
 
 import numpy as np
 
-from .codec import CSV_CHUNK_ROWS, as_count, as_word
+from .codec import CSV_CHUNK_ROWS, as_count, as_rate, as_word
 from .errors import (
     DepthError,
     DomainError,
@@ -58,22 +58,6 @@ __all__ = [
 _EXACT_COUNT_MAX_LEN = 2048
 # Longest word a schedule may describe: 2**(depth+1) - 2 digits, so depth <= 21.
 _MAX_WORD_LENGTH = 1 << 22
-
-
-def as_rate(theta) -> Fraction:
-    """Normalize a target rate to an exact ``Fraction`` in ``(0, 1]``.
-
-    Floats are interpreted through their shortest decimal representation,
-    so ``as_rate(0.3) == Fraction(3, 10)``.  NaN and infinite rates raise
-    :class:`DomainError`.
-    """
-    try:
-        theta = Fraction(str(theta)) if isinstance(theta, float) else Fraction(theta)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"the rate theta must be a finite number; got {theta!r}") from exc
-    if not 0 < theta <= 1:
-        raise DomainError("the rate theta must lie in (0, 1]")
-    return theta
 
 
 @dataclass(frozen=True, eq=False)

@@ -64,7 +64,7 @@ def _first_positions(blocks, first: np.ndarray, label=None) -> np.ndarray:
     """Position of each distinct digit's first occurrence, unsorted and 0-based.
 
     ``blocks`` are ``(labels, positions)`` pairs: labels as
-    :meth:`DigitSampler.draw` returns them, with the deep draws negative, and
+    :meth:`DigitSampler.invert` returns them, with the deep draws negative, and
     their increasing 0-based positions in one word; a block may leave out draws
     whose digit already has its first position.  Labels up to
     ``slots = first.size - 2`` keep their first position in the dense table

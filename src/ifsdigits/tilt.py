@@ -27,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import as_count
+from .codec import as_count, as_rate
 from .errors import DomainError, EnumerationSizeError, PrecisionError
-from .linear import as_rate
 from .rng import substream
 from .weights import (
     _MAX_DRAWS,

@@ -533,8 +533,8 @@ def potter_scan(
     in the scan range underflows to 0, where the dyadic ratios are undefined.
     """
     epsilon = float(epsilon)
-    if epsilon <= 0.0:
-        raise DomainError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise DomainError(f"epsilon must be positive and finite, got {epsilon!r}")
     scan_limit = as_count(scan_limit, "scan_limit", least=4)
     if scan_limit > _MAX_THRESHOLD:
         raise DomainError(f"scan limit {scan_limit} exceeds the limit of {_MAX_THRESHOLD}")
@@ -711,10 +711,10 @@ class DigitSampler:
     number past ``2**62`` that no other draw of the word carries.  Two draws
     of one word have equal labels exactly when their inverse-CDF digits are
     equal, which is all a distinct count reads.  :meth:`sample` labels the
-    draws of its own call.  :meth:`draw` returns one int64 array in which a
-    deep draw holds its remaining mass as negated float64 bits, so a word
-    drawn in pieces is labelled once it ends, by :meth:`label`, which reads
-    the masses back from the negative entries.
+    draws of its own call.  :meth:`invert` turns uniforms into one int64 array
+    in which a deep draw holds its remaining mass as negated float64 bits, so
+    a word drawn in pieces is labelled once it ends, by :meth:`label`, which
+    reads the masses back from the negative entries.
 
     A target ``t`` is located in the table through a guide over the bits of
     the remaining mass ``total - t``, which the float bit pattern turns into
@@ -800,11 +800,7 @@ class DigitSampler:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Labels of ``size`` draws: digits inside the table, deep labels over this call."""
-        return self.label(self.draw(rng, size))
-
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` draws as int64, by :meth:`invert` of ``rng.random(size)``."""
-        return self.invert(rng.random(as_count(size, "size", least=0)))
+        return self.label(self.invert(rng.random(as_count(size, "size", least=0))))
 
     def invert(self, u: np.ndarray) -> np.ndarray:
         """The draws of the float64 uniforms ``u``, worked out in place in their

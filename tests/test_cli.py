@@ -40,6 +40,11 @@ SUBLINEAR_EXPLICIT_PREFIX_WORD = (
 # written (about 72 MB), goes past it.
 CONSTRUCT_PEAK_RATIO = 1.1
 
+# Bytes per digit by which a command's tracemalloc peak may grow past the arrays it
+# holds per digit: less than one Python float and its list slot (32 bytes), so
+# that no Python object per digit fits in it.
+PER_DIGIT_SLACK = 24
+
 
 def run_cli(tmp_path, argv, name="out.txt"):
     """Run the CLI writing to a temp file; return (exit code, text)."""
@@ -96,6 +101,13 @@ class TestExitCodes:
     def test_non_finite_tilt_exponent_is_3(self, capsys, argv):
         assert cli.main(argv) == 3
         assert "tilt exponent must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_potter_epsilon_is_3(self, capsys, eps):
+        # a NaN epsilon ended in a ValueError traceback, an infinite one in C_eps = 1.0
+        assert cli.main(["weights", "--k-max", "0", "--potter", eps]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: epsilon must be positive and finite, got {float(eps)!r}\n"
 
     @pytest.mark.parametrize("f5", [2.7, "x", None, 1e30])
     def test_non_integer_profile_table_is_3(self, capsys, f5):
@@ -946,6 +958,28 @@ class TestConstructMemory:
         assert returned == 8 * (7 * lin_word.size + 3 * sub_word.size)
         assert peak < CONSTRUCT_PEAK_RATIO * returned
 
+    @pytest.mark.parametrize("argv, sizes, added, held", [
+        # p and cum
+        (["weights", "--k-max"], (32768, 65536), 32768, 16),
+        # the word, 7 trace columns and float64 copies of the integer n and distinct
+        (["construct", "linear", "--theta", "0.5", "--format", "json", "--depth"], (14, 15),
+         1 << 15, 80),
+    ], ids=["weights-csv", "linear-json"])
+    def test_output_holds_no_object_per_digit(self, argv, sizes, added, held):
+        # the peak at the larger size less the one at the smaller: the cost of
+        # the added digits, without the fixed costs of import and batching, and
+        # without the caches that the first run fills
+        assert cli.main([*argv, str(sizes[0]), "--out", os.devnull]) == 0
+        peaks = []
+        for size in sizes:
+            tracemalloc.start()
+            try:
+                assert cli.main([*argv, str(size), "--out", os.devnull]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < (held + PER_DIGIT_SLACK) * added
+
 
 class TestCylsum:
     def test_exact_csv(self, tmp_path):
@@ -1016,6 +1050,11 @@ JSON_COMMANDS = {
 }
 
 
+# the weights flags that ask for every extra row kind, as weights_object builds them
+WEIGHTS_EXTRA_ROWS = ["--solve-s", "2", "--tail", "10", "--tilted-tail", "100", "0.75",
+                      "--potter", "0.1"]
+
+
 def weights_object(model, k_max, extra):
     """The ``weights --format json`` object, built whole from the library."""
     p = weights.weights_range(model, 1, k_max + 1)
@@ -1033,23 +1072,94 @@ def weights_object(model, k_max, extra):
     return {"model": model.describe(), "rows": rows}
 
 
+def weights_csv(model, k_max, extra):
+    """The ``weights`` CSV, one ``codec.csv_chunks`` table of every row of the whole object."""
+    obj = weights_object(model, k_max, extra)
+    table = {name: [row[name] for row in obj["rows"]] for name in ("quantity", "k", "value")}
+    return f"# model={obj['model']}\n" + "".join(codec.csv_chunks(table))
+
+
+def construct_object(name, model):
+    """The ``construct linear|sublinear --format json`` object at the default seed,
+    built whole from the library with ``.tolist()``."""
+    if name == "linear":
+        sched = linear.build_block_schedule(model, 0.5, 12)
+        word = sched.sample_word(12, substream(DEFAULT_SEED, 0x11EA, 12))
+        trace = linear.point_trace(sched, word)
+        return {"seed": DEFAULT_SEED, "theta": 0.5, "depth": 12, "k1": sched.k1,
+                "word": word.tolist(),
+                "trace": {key: col.astype(np.float64).tolist() for key, col in trace.items()}}
+    profile = sublinear.profile_from_spec({"kind": "sqrt", "horizon": 1024})
+    sched = sublinear.build_sublinear_schedule(model, profile, 0.5)
+    word = sched.sample_word(300, substream(DEFAULT_SEED, 0x5B11, 300))
+    trace = sched.ratio_trace(word)
+    return {"seed": DEFAULT_SEED, "t": 0.5, "k_star": sched.k_star,
+            "profile": profile.provenance,
+            "word": sched.to_model_digits(word).tolist(),
+            "log_ratio": trace.log_ratio.tolist(), "free_part": trace.free_part.tolist(),
+            "forced_part": trace.forced_part.tolist(), "f": profile.values[1:301].tolist(),
+            "K": sched.K[:300].tolist(), "distinct": occupancy.distinct_counts(word).tolist()}
+
+
+WEIGHT_MODELS = pytest.mark.parametrize("flags, model", [
+    ([], weights.luroth_model()),
+    (["--model", "power-log", "--rho", "2", "--gamma", "1.5"], weights.power_log_model(2.0, 1.5)),
+], ids=["luroth", "power-log"])
+
+
 class TestJsonStreaming:
     @pytest.mark.parametrize("extra", [False, True], ids=["digits", "every-row-kind"])
     @pytest.mark.parametrize("k_max", [0, 1, 5, 3000])
-    @pytest.mark.parametrize("flags, model", [
-        ([], weights.luroth_model()),
-        (["--model", "power-log", "--rho", "2", "--gamma", "1.5"], weights.power_log_model(2.0, 1.5)),
-    ], ids=["luroth", "power-log"])
+    @WEIGHT_MODELS
     def test_weights_rows_are_the_whole_object(self, tmp_path, flags, model, k_max, extra):
         # the rows are written in chunks of 2048 digits from one template; the
         # bytes are those of json.dumps of the whole object, "rows": [] included
         argv = ["weights", "--k-max", str(k_max), *flags, "--format", "json"]
         if extra:
-            argv += ["--solve-s", "2", "--tail", "10", "--tilted-tail", "100", "0.75", "--potter", "0.1"]
+            argv += WEIGHTS_EXTRA_ROWS
         code, text = run_cli(tmp_path, argv)
         assert code == 0
         assert text == json.dumps(weights_object(model, k_max, extra), sort_keys=True, indent=2) + "\n"
         assert ('"rows": []' in text) == (k_max == 0 and not extra)
+
+    @pytest.mark.parametrize("extra", [False, True], ids=["digits", "every-row-kind"])
+    @pytest.mark.parametrize("k_max", [0, 1, 5, 3000])
+    @WEIGHT_MODELS
+    def test_weights_csv_is_the_whole_table(self, tmp_path, flags, model, k_max, extra):
+        # the CSV digit rows come from the same chunked loop as the JSON ones
+        argv = ["weights", "--k-max", str(k_max), *flags]
+        if extra:
+            argv += WEIGHTS_EXTRA_ROWS
+        assert run_cli(tmp_path, argv) == (0, weights_csv(model, k_max, extra))
+
+    @pytest.mark.parametrize("batch", [1, cli._JSON_BATCH])
+    @pytest.mark.parametrize("flags, model", [
+        ([], weights.luroth_model()),
+        (["--model", "explicit-prefix", "--prefix", "0.05,0.4", "--rho", "2.5"],
+         weights.explicit_prefix_model([0.05, 0.4], 2.5)),
+    ], ids=["luroth", "explicit-prefix"])
+    @pytest.mark.parametrize("name", ["linear", "sublinear"])
+    def test_construct_json_is_the_whole_object(self, tmp_path, monkeypatch, name, flags, model,
+                                                batch):
+        # the arrays go to the encoder as they are, read a chunk at a time
+        monkeypatch.setattr(cli, "_JSON_BATCH", batch)
+        code, text = run_cli(tmp_path, JSON_COMMANDS[name] + flags + ["--format", "json"])
+        assert code == 0
+        assert text == json.dumps(construct_object(name, model), sort_keys=True, indent=2) + "\n"
+
+    def test_record_json_keys(self, tmp_path, monkeypatch):
+        # simulate and verify write their records' fields, two of them renamed
+        code, text = run_cli(tmp_path, JSON_COMMANDS["simulate"] + ["--format", "json"])
+        assert code == 0
+        assert set(json.loads(text)) == {
+            "model", "rho", "n", "trials", "seed", "checkpoints", "means", "sds",
+            "exact_expectations", "karlin_constant", "mean_final_distinct"}
+        monkeypatch.setattr(verify, "CHECKS", (("stub", lambda: "ok", "quick", None),))
+        code, text = run_cli(tmp_path, ["verify", "quick", "--format", "json"])
+        assert code == 0
+        obj = json.loads(text)
+        assert set(obj) == {"tier", "seed", "passed", "checks"}
+        assert [set(check) for check in obj["checks"]] == [{"name", "passed", "seconds", "detail"}]
 
     @pytest.mark.parametrize("batch", [1, cli._JSON_BATCH])
     @pytest.mark.parametrize("name", sorted(JSON_COMMANDS))

@@ -137,8 +137,8 @@ COUNT_ENTRY_POINTS = [
     pytest.param(lambda k: weights.partial_sum_exponent(LUROTH, k), 3, 1, id="partial_sum_exponent"),
     pytest.param(lambda size: _BASE.sample(substream(1, 2), size).tolist(), 3, 0,
                  id="DigitSampler.sample"),
-    pytest.param(lambda size: _TILTED.draw(substream(1, 2), size).tolist(), 3, 0,
-                 id="DigitSampler.draw"),
+    pytest.param(lambda size: _TILTED.sample(substream(1, 2), size).tolist(), 3, 0,
+                 id="DigitSampler.sample-tilted"),
     pytest.param(lambda t: _draws(weights.DigitSampler(LUROTH, 0.75, table_size=t)), 16, 1,
                  id="DigitSampler-table_size"),
     pytest.param(lambda limit: weights.potter_scan(LUROTH, 1.0, limit), 8, 4, id="potter_scan"),

@@ -514,7 +514,7 @@ class TestMonteCarloLaw:
         # Labels taken per block would count it twice.
         model, n, seed = weights.power_model(1.5), 1 << 20, 14
         sampler = weights.DigitSampler(model)
-        word = sampler.draw(substream(seed, 0), n)
+        word = sampler.invert(substream(seed, 0).random(n))
         deep = np.flatnonzero(word < 0)
         word[deep] = [weights._invert_tail(model, 1.0, float(r), sampler._table_size)
                       for r in np.negative(word[deep]).view(np.float64)]

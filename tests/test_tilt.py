@@ -437,7 +437,7 @@ def tilted_scope(seed=3):
     past 2**30, three past 2**31 and two at digit 5000."""
     model = weights.power_model(1.5)
     sampler = weights.DigitSampler(model, 1.0, table_size=1 << 10)
-    scope = sampler.draw(substream(seed, 7), 4000)
+    scope = sampler.invert(substream(seed, 7).random(4000))
     for k, at in (((1 << 30) + 3, (5, 11)), ((1 << 31) + 5, (17, 18, 900)), (5000, (40, 41))):
         scope[list(at)] = deep_mass(weights.tilted_tail_sum(model, k, 1.0))
     return sampler, scope
@@ -447,7 +447,7 @@ def luroth_scope(seed=3):
     """Lüroth s = 1 digits, drawn in closed form, with digits at the class limit
     and near 2**31 and 2**53 written in, some repeated within a word."""
     sampler = weights.DigitSampler(LUROTH)
-    scope = sampler.draw(substream(seed, 8), 4000)
+    scope = sampler.invert(substream(seed, 8).random(4000))
     limit = tilt._CLASS_LIMIT
     for k, at in ((limit, (3, 4, 70)), (limit + 1, (5, 71)), ((1 << 31) - 1, (6,)),
                   ((1 << 31) + 1, (7, 8)), ((1 << 32) + 1, (13, 14)),

@@ -644,7 +644,7 @@ TABLE_CASES = [
 
 def exact_draws(sampler, rng, size):
     """The draws of ``sampler.sample`` with every deep draw inverted to its digit."""
-    digits = sampler.draw(rng, size)
+    digits = sampler.invert(rng.random(size))
     deep = np.flatnonzero(digits < 0)
     digits[deep] = [weights._invert_tail(sampler.model, sampler.s, float(r), sampler._table_size)
                     for r in np.negative(digits[deep]).view(np.float64)]
@@ -673,7 +673,7 @@ class TestSampling:
         # remaining mass total - u * total as negated float64 bits
         sampler = weights.DigitSampler(model, s, table_size=table_size)
         size = 3 * weights._SAMPLE_BLOCK + 5
-        got = sampler.draw(substream(5, 0xA18), size)
+        got = sampler.invert(substream(5, 0xA18).random(size))
         target = substream(5, 0xA18).random(size) * sampler.total
         digits = np.searchsorted(sampler._cum, target, side="right") + 1
         deep = digits > table_size
@@ -838,7 +838,7 @@ class TestSampling:
             for a, b in ends:
                 assert_labels_match(sampler.sample(rng, b - a), whole[a:b], table_size)
             rng = substream(41, 0xA16)
-            word = np.concatenate([sampler.draw(rng, b - a) for a, b in ends])
+            word = np.concatenate([sampler.invert(rng.random(b - a)) for a, b in ends])
             assert sampler.label(word) is word
             assert np.array_equal(word, whole)
         if table_size == 1 << 13:
@@ -917,10 +917,11 @@ class TestThreshold:
         with pytest.raises(DomainError, match="past the sampler table"):
             weights.DigitSampler(weights.power_model(1.5), table_size=16).threshold(17)
 
-    def test_draw_inverts_the_stream_uniforms(self):
+    def test_sample_labels_the_inverted_stream_uniforms(self):
         sampler = weights.DigitSampler(weights.power_model(1.5), table_size=1 << 10)
         u = substream(4, 2).random(5000)
-        assert np.array_equal(sampler.draw(substream(4, 2), 5000), sampler.invert(u.copy()))
+        assert np.array_equal(sampler.sample(substream(4, 2), 5000),
+                              sampler.label(sampler.invert(u.copy())))
 
 
 class TestSubstream:
